@@ -6,11 +6,17 @@ is computed, never transcribed: among all diagram automorphisms of the
 extended coroot diagram, exactly one induces an affine map
 t -> w(t - zeta_{c^-1}) that permutes the alcove vertices and translates
 the central vertices by c.  That automorphism is nu(c).
+
+The oracle runs in simple-coroot coordinates, where every alcove vertex
+lives (the coordinate map is injective on the coroot span).  There an
+automorphism acts as a permutation of the coordinates plus, when it moves
+the extended node, one step along the relation sum_i g_i a_i^vee = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from functools import lru_cache
 
 from . import rootdata
@@ -22,6 +28,7 @@ from .linalg import (
     mat,
     mat_vec,
     sub,
+    transpose,
     vec,
 )
 from .rootdata import RootDatum, SimpleType
@@ -81,19 +88,33 @@ def coroot_coords(d: RootDatum, v: Vec) -> Vec:
     return mat_vec(rootdata.coroot_coord_matrix(d.type), v)
 
 
+def _apply_perm_coords(perm: tuple[int, ...], g: tuple[int, ...], x: Vec) -> Vec:
+    """Coordinates of the image of sum_i x_i a_i^vee under a_i^vee -> a_{perm[i]}^vee."""
+    y = [Q(0)] * len(x)
+    shift = Q(0)
+    for i, xi in enumerate(x, start=1):
+        j = perm[i]
+        if j:
+            y[j - 1] += xi
+        else:
+            shift = xi / g[0]
+    if shift:
+        y = [yj - shift * gj for yj, gj in zip(y, g[1:])]
+    return tuple(y)
+
+
 @lru_cache(maxsize=None)
 def perm_matrix_on_coroots_of(st: SimpleType, perm: tuple[int, ...]) -> Mat:
     """Matrix (in the simple-coroot basis) of the linear map sending the
-    extended coroot of node i to that of perm[i]."""
-    d = rootdata.datum(st)
-    cols = []
-    for i in range(1, d.rank + 1):
-        img = d.extended_coroots[perm[i]]
-        cols.append(coroot_coords(d, img))
-    # columns were computed; return row-major matrix
-    return tuple(
-        tuple(cols[j][i] for j in range(d.rank)) for i in range(d.rank)
-    )
+    extended coroot of node i to that of perm[i].
+
+    Column i is e_{perm[i]}, or the coordinates -(g_1..g_n)/g_0 of the
+    extended coroot when perm[i] = 0.
+    """
+    g = rootdata.datum(st).g
+    n = len(g) - 1
+    units = [tuple(Q(int(k == i)) for k in range(n)) for i in range(n)]
+    return transpose(tuple(_apply_perm_coords(perm, g, e) for e in units))
 
 
 def perm_matrix_on_coroots(d: RootDatum, perm: tuple[int, ...]) -> Mat:
@@ -106,20 +127,6 @@ def from_coroot_coords(d: RootDatum, coords: Vec) -> Vec:
         for i in range(d.ambient_dim):
             out[i] += c * d.coroot_lattice_basis[j][i]
     return tuple(out)
-
-
-def apply_perm_linear(d: RootDatum, perm: tuple[int, ...], v: Vec) -> Vec:
-    """Apply the induced linear map to an ambient vector in the coroot span."""
-    coords = coroot_coords(d, v)
-    return from_coroot_coords(d, mat_vec(perm_matrix_on_coroots(d, perm), coords))
-
-
-@lru_cache(maxsize=None)
-def _vertex_data(st: SimpleType):
-    d = rootdata.datum(st)
-    alc = rootdata.alcove(st)
-    central = rootdata.center_vertex_nodes(st)
-    return d, alc, central
 
 
 @lru_cache(maxsize=None)
@@ -136,29 +143,29 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
     permute the alcove vertices and act on the central vertices as
     translation by the element.  Exactly one diagram automorphism passes.
     """
-    d, alc, central = _vertex_data(st)
+    d = rootdata.datum(st)
     if d.h[target_node] != 1:
         raise ValueError(f"node {target_node} does not carry a central element")
-    inv_node = rootdata.center_element_inverse(st, target_node)
-    zeta = alc.vertices[inv_node]
-    vertex_set = set(alc.vertices)
+    verts = rootdata.alcove_coroot_coords(st)
+    central = rootdata.center_vertex_nodes(st)
+    zeta = verts[rootdata.center_element_inverse(st, target_node)]
+    vertex_set = set(verts)
     winners = []
     # per the convention w_c(extended node) = node of c, only automorphisms
     # with that image can pass; filtering keeps the search fast
     for perm in _aut_group(st):
         if perm[0] != target_node:
             continue
-        pm = perm_matrix_on_coroots(d, perm)
 
-        def phi(t: Vec) -> Vec:
-            return from_coroot_coords(d, mat_vec(pm, coroot_coords(d, sub(t, zeta))))
+        def phi(x: Vec) -> Vec:
+            return _apply_perm_coords(perm, d.g, sub(x, zeta))
 
-        if any(phi(v) not in vertex_set for v in alc.vertices):
+        if any(phi(v) not in vertex_set for v in verts):
             continue
         ok = True
         for dn in central:
-            expect = alc.vertices[rootdata.center_element_sum(st, target_node, dn)]
-            if phi(alc.vertices[dn]) != expect:
+            expect = verts[rootdata.center_element_sum(st, target_node, dn)]
+            if phi(verts[dn]) != expect:
                 ok = False
                 break
         if ok:
@@ -337,14 +344,12 @@ def _l_c_from_coefficients(st: SimpleType, sub_: CenterSubgroup) -> list[int]:
     the union over the subgroup spans a subdiagram whose components are all
     of A type, one SU(m+1) per component of size m.
     """
-    d = rootdata.datum(st)
-    alc = rootdata.alcove(st)
+    verts = rootdata.alcove_coroot_coords(st)
     marked: set[int] = set()
     for e in sub_.elements:
         if e.is_identity:
             continue
-        coords = coroot_coords(d, alc.vertices[e.node])
-        for i, x in enumerate(coords):
+        for i, x in enumerate(verts[e.node]):
             if x.denominator != 1:
                 marked.add(i + 1)
     if not marked:

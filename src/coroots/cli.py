@@ -3,7 +3,8 @@
 Subcommands: datum, quotient, project, derived, components, clock,
 rank-zero, paper-tables, check-all.  Everything is exact and
 deterministic; two runs of the same command produce identical bytes.
-Exit codes: 0 success, 1 rejected computation, 2 usage errors.
+Exit codes: 0 success, 1 rejected computation or failed internal
+invariant, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, DiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AssertionError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 1
 
 

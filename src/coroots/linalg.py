@@ -2,8 +2,10 @@
 
 Everything in this package runs on `fractions.Fraction`; there is no
 floating point anywhere.  Vectors are tuples of Fractions, matrices are
-tuples of row tuples.  Sizes never exceed ~15, so plain fraction-free
-Gaussian elimination is all we need.
+tuples of row tuples.  Matrices are small and dense: the catalog stops at
+rank 12, but the CLI accepts any rank and queries such as A40 reach
+ambient dimension 41.  Plain Gauss-Jordan elimination over the rationals
+is all we need.
 """
 
 from __future__ import annotations
@@ -133,6 +135,19 @@ def row_echelon(m: Mat) -> tuple[list[Vec], list[int]]:
         if r == n_rows:
             break
     return [tuple(row) for row in rows], pivots
+
+
+def inverse(m: Mat) -> Mat:
+    """Inverse of a square matrix; raises ValueError if it is singular."""
+    n = len(m)
+    aug = tuple(
+        tuple(row) + tuple(Q(1) if j == i else Q(0) for j in range(n))
+        for i, row in enumerate(m)
+    )
+    rows, pivots = row_echelon(aug)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(row[n:] for row in rows)
 
 
 def rank(m: Mat) -> int:

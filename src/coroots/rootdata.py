@@ -22,11 +22,12 @@ from .linalg import (
     Vec,
     add,
     dot,
+    inverse,
     is_zero,
     lattice_index,
     mat,
+    mat_vec,
     scale,
-    solve,
     sub,
     vec,
     zero_vec,
@@ -331,18 +332,22 @@ def _coroot_integers(coroots: tuple[Vec, ...]) -> tuple[int, ...]:
 
 
 def _coweights(simple_roots, simple_coroots, gram) -> tuple[Vec, ...]:
-    """Fundamental coweights in the span of the coroots."""
+    """Fundamental coweights in the span of the coroots.
+
+    With P[k][j] = <a_k, s_j>, the coweight w_i = sum_j C[j][i] s_j is dual
+    to the simple roots exactly when C = P^{-1}.
+    """
     span = mat(simple_coroots)
-    rows = mat([[dot(a, s, gram) for s in span] for a in simple_roots])
+    pairing = mat([[dot(a, s, gram) for s in span] for a in simple_roots])
+    try:
+        inv = inverse(pairing)
+    except ValueError:
+        raise AssertionError("degenerate simple system") from None
     out = []
     for i in range(len(simple_roots)):
-        rhs = vec([1 if j == i else 0 for j in range(len(simple_roots))])
-        coeffs = solve(rows, rhs)
-        if coeffs is None:
-            raise AssertionError("degenerate simple system")
         w = zero_vec(len(span[0]))
-        for c, s in zip(coeffs, span):
-            w = add(w, scale(c, s))
+        for row, s in zip(inv, span):
+            w = add(w, scale(row[i], s))
         out.append(w)
     return tuple(out)
 
@@ -423,31 +428,58 @@ def center_vertex(st: SimpleType, node: int) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def center_element_sum(st: SimpleType, node_a: int, node_b: int) -> int:
-    """Group law on center nodes: the node of exp(v_a) * exp(v_b)."""
-    va = center_vertex(st, node_a)
-    vb = center_vertex(st, node_b)
-    target = add(va, vb)
+def alcove_coroot_coords(st: SimpleType) -> tuple[Vec, ...]:
+    """Simple-coroot coordinates of the alcove vertices, node by node."""
+    m = coroot_coord_matrix(st)
+    return tuple(mat_vec(m, v) for v in alcove(st).vertices)
+
+
+def _residue(v: Vec) -> Vec:
+    return tuple(x % 1 for x in v)
+
+
+@lru_cache(maxsize=None)
+def _center_residues(st: SimpleType) -> dict[Vec, int]:
+    """Central node of each class of the coweight lattice mod the coroot
+    lattice, keyed by the fractional parts of simple-coroot coordinates."""
+    coords = alcove_coroot_coords(st)
+    table: dict[Vec, int] = {}
     for c in center_vertex_nodes(st):
-        if _in_coroot_lattice(st, sub(target, center_vertex(st, c))):
-            return c
-    raise AssertionError("center nodes not closed under addition")
+        key = _residue(coords[c])
+        if key in table:
+            raise AssertionError(f"central vertices {table[key]} and {c} share a class")
+        table[key] = c
+    return table
+
+
+def _center_coords(st: SimpleType, node: int) -> Vec:
+    if datum(st).h[node] != 1:
+        raise ValueError(f"node {node} does not carry a central vertex")
+    return alcove_coroot_coords(st)[node]
+
+
+def _central_node_of(st: SimpleType, v: Vec, failure: str) -> int:
+    c = _center_residues(st).get(_residue(v))
+    if c is None:
+        raise AssertionError(failure)
+    return c
+
+
+@lru_cache(maxsize=None)
+def center_element_sum(st: SimpleType, node_a: int, node_b: int) -> int:
+    """Group law on center nodes: the node of exp(v_a) * exp(v_b).
+
+    exp(v) depends only on v modulo the coroot lattice, that is on the
+    fractional parts of its simple-coroot coordinates.
+    """
+    target = add(_center_coords(st, node_a), _center_coords(st, node_b))
+    return _central_node_of(st, target, "center nodes not closed under addition")
 
 
 @lru_cache(maxsize=None)
 def center_element_inverse(st: SimpleType, node: int) -> int:
-    v = center_vertex(st, node)
-    for c in center_vertex_nodes(st):
-        if _in_coroot_lattice(st, add(v, center_vertex(st, c))):
-            return c
-    raise AssertionError("center node has no inverse")
-
-
-def _in_coroot_lattice(st: SimpleType, v: Vec) -> bool:
-    from .linalg import mat_vec
-
-    c = mat_vec(coroot_coord_matrix(st), v)
-    return all(x.denominator == 1 for x in c)
+    target = scale(-1, _center_coords(st, node))
+    return _central_node_of(st, target, "center node has no inverse")
 
 
 def fundamental_group_order(st: SimpleType) -> int:
@@ -463,7 +495,7 @@ def coroot_coord_matrix(st: SimpleType) -> Mat:
     b = mat(d.coroot_lattice_basis)  # rows are basis vectors
     gram = tuple(tuple(dot(u, v) for v in b) for u in b)
     n = len(b)
-    inv = _invert(gram)
+    inv = inverse(gram)
     # M = gram^{-1} * B  (Euclidean pairing suffices for coordinates)
     return tuple(
         tuple(
@@ -472,18 +504,3 @@ def coroot_coord_matrix(st: SimpleType) -> Mat:
         )
         for i in range(n)
     )
-
-
-def _invert(m: Mat) -> Mat:
-    n = len(m)
-    aug = [list(m[i]) + [Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[p] = aug[p], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)

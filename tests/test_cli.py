@@ -78,6 +78,21 @@ def test_exit_codes():
     assert code == 2
 
 
+def test_internal_invariant_failure_exits_1(capsys, monkeypatch):
+    import coroots.cli
+
+    def broken(st, sub_):
+        raise AssertionError("center nodes not closed under addition")
+
+    monkeypatch.setattr(coroots.cli, "components_for", broken)
+    assert main(["components", "--group", "A2", "--center", "full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal invariant failed: center nodes not closed under addition\n"
+    )
+
+
 def test_render_diagram_single_node():
     from fractions import Fraction as Q
 

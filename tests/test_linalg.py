@@ -9,6 +9,7 @@ from coroots.linalg import (
     dot,
     gram_of,
     in_lattice,
+    inverse,
     is_zero,
     kernel_basis,
     lattice_index,
@@ -134,6 +135,38 @@ def test_solve_solves(m, x):
     got = solve(m, b)
     assert got is not None
     assert mat_vec(m, got) == b
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)) for row in a)
+
+
+@given(matrices(4, 4))
+def test_inverse_is_two_sided(m):
+    n = len(m)
+    identity = mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    if rank(m) < n:
+        with pytest.raises(ValueError, match="singular matrix"):
+            inverse(m)
+        return
+    inv = inverse(m)
+    assert _mat_mul(inv, m) == identity
+    assert _mat_mul(m, inv) == identity
+
+
+@given(matrices(3, 4))
+def test_inverse_rejects_dependent_rows(m):
+    with pytest.raises(ValueError, match="singular matrix"):
+        inverse(m + (add(m[0], m[1]),))
+
+
+def test_inverse_examples():
+    assert inverse(mat([[2, -1], [-1, 2]])) == mat([[Q(2, 3), Q(1, 3)], [Q(1, 3), Q(2, 3)]])
+    assert inverse(()) == ()
+    with pytest.raises(ValueError, match="singular matrix"):
+        inverse(mat([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="singular matrix"):
+        inverse(mat([[0, 0], [0, 0]]))
 
 
 def test_lattice_index_and_membership():

@@ -5,13 +5,17 @@ from math import gcd
 
 import pytest
 
+from coroots.center import _check_homomorphism, center_group
 from coroots.diagrams import diagram_of
-from coroots.linalg import add, is_zero, scale, zero_vec
+from coroots.linalg import add, in_lattice, is_zero, scale, sub, zero_vec
+from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
     alcove,
     center_element_inverse,
     center_element_sum,
+    center_order,
+    center_vertex,
     center_vertex_nodes,
     datum,
     dual_coxeter,
@@ -242,6 +246,52 @@ def test_center_group_law_matches_known_groups():
     st = SimpleType("D", 5)
     assert center_element_inverse(st, 4) == 5
     assert center_element_sum(st, 4, 4) == 1
+
+
+@pytest.mark.parametrize("st", catalog_types(8), ids=str)
+def test_group_law_matches_ambient_lattice_test(st):
+    """The residue lookup agrees with coroot-lattice membership of
+    v_a + v_b - v_c, decided by an ambient lattice solve."""
+    basis = datum(st).coroot_lattice_basis
+    nodes = center_vertex_nodes(st)
+    for a in nodes:
+        va = center_vertex(st, a)
+        for c in nodes:
+            inverse = in_lattice(add(va, center_vertex(st, c)), basis)
+            assert (center_element_inverse(st, a) == c) == inverse
+        for b in nodes:
+            vab = add(va, center_vertex(st, b))
+            for c in nodes:
+                member = in_lattice(sub(vab, center_vertex(st, c)), basis)
+                assert (center_element_sum(st, a, b) == c) == member
+
+
+def test_group_law_above_the_catalog():
+    st = SimpleType("A", 20)
+    for i in range(21):
+        assert center_element_inverse(st, i) == (21 - i) % 21
+        for j in range(21):
+            assert center_element_sum(st, i, j) == (i + j) % 21
+    # D_13: cyclic of order 4 generated by a spinor node; the spinor nodes
+    # are inverse to each other and square to the vector node 1
+    st = SimpleType("D", 13)
+    assert center_vertex_nodes(st) == [0, 1, 12, 13]
+    assert center_element_inverse(st, 12) == 13
+    assert center_element_sum(st, 12, 12) == 1
+    assert center_element_sum(st, 13, 13) == 1
+    assert center_element_sum(st, 12, 13) == 0
+    assert center_element_sum(st, 1, 1) == 0
+    assert center_element_sum(st, 1, 12) == 13
+    # C_14: Z/2
+    st = SimpleType("C", 14)
+    assert center_vertex_nodes(st) == [0, 14]
+    assert center_element_sum(st, 14, 14) == 0
+    assert center_element_inverse(st, 14) == 14
+    for spec in ("A20", "D13", "C14"):
+        st = parse_type(spec)
+        grp = center_group(st)
+        assert grp.order == center_order(st)
+        _check_homomorphism(st, grp)
 
 
 def test_parse_aliases():
