@@ -57,6 +57,17 @@ def _parse_center(st, text: str):
         raise UsageError(str(exc)) from exc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --k and --max-rank: a bad value exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -379,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sp.add_parser("derived", help="derived diagram at an order k")
     common(q)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_positive_int, required=True)
     q.set_defaults(fn=cmd_derived)
 
     q = sp.add_parser("components", help="moduli components for a center subgroup")
@@ -391,19 +402,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_clock)
 
     q = sp.add_parser("rank-zero", help="groups with rank-zero triples of order k")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_positive_int, required=True)
     q.add_argument("--central", action="store_true")
-    q.add_argument("--max-rank", type=int, default=12)
+    q.add_argument("--max-rank", type=_positive_int, default=12)
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.set_defaults(fn=cmd_rank_zero)
 
     q = sp.add_parser("paper-tables", help="regenerate the reference tables")
     q.add_argument("--out", default=None, help="output directory (or $COROOTS_TABLE_DIR)")
-    q.add_argument("--max-rank", type=int, default=12)
+    q.add_argument("--max-rank", type=_positive_int, default=12)
     q.set_defaults(fn=cmd_paper_tables)
 
     q = sp.add_parser("check-all", help="run every cross-check over the catalog")
-    q.add_argument("--max-rank", type=int, default=12)
+    q.add_argument("--max-rank", type=_positive_int, default=12)
     q.set_defaults(fn=cmd_check_all)
     return p
 

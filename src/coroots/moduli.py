@@ -20,7 +20,7 @@ from .derived import quotient_marked
 from .diagrams import diagram_of
 from .linalg import Vec, add, dot, kernel_basis, mat, scale, zero_vec
 from .numerology import MarkedDiagram, clocked, euler_phi, marked
-from .projection import all_roots_of, classify_root_components
+from .projection import annihilator_factors
 from .rootdata import TRIVIAL, SimpleType
 
 SHAPE_SBAR3 = "sbar3"  # (Sbar x Sbar x Sbar)/W
@@ -110,17 +110,6 @@ def subspace_for(st: SimpleType, sub_: CenterSubgroup, k: int) -> list[Vec]:
             v = add(v, scale(x, b))
         out.append(v)
     return out
-
-
-def annihilator_factors(st: SimpleType, subspace) -> list[SimpleType]:
-    """Simple factors of the root subsystem vanishing on a subspace."""
-    d = rootdata.datum(st)
-    roots = [
-        r
-        for r in all_roots_of(st)
-        if all(dot(r, b, d.gram) == 0 for b in subspace)
-    ]
-    return classify_root_components(roots, d.gram)
 
 
 def _shape_cyclic(st: SimpleType, sub_: CenterSubgroup, m: MarkedDiagram, k: int, d_X: int) -> str:

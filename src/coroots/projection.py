@@ -6,12 +6,24 @@ coordinate-level oracle that check_diagram1 compares against the purely
 combinatorial quotient diagram.  fold() and restricted_type() classify the
 restricted root system (nonzero restrictions of roots) by reflection
 closure of the orbit restrictions.
+
+The finite root-set machinery (reflection closure, irreducible components,
+classification) runs on integer vectors.  Every catalog form is a scalar
+times the identity, and the only questions asked of a root set, "is
+(u, v) zero?" and "what is 2(u, v)/(v, v)?", do not change when all vectors
+are scaled by one common positive integer.  So the public functions take
+and return Fraction vectors but scale them once to int tuples and use the
+plain integer dot product in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
+from itertools import product
+from math import lcm
+from operator import mul
 
 from . import rootdata
 from .center import (
@@ -29,12 +41,13 @@ from .diagrams import (
     quotient,
 )
 from .linalg import (
+    Mat,
     Vec,
     add,
     dot,
-    in_span,
     is_zero,
-    orthogonal_project,
+    kernel_basis,
+    mat,
     project_many,
     rank as mat_rank,
     scale,
@@ -148,9 +161,7 @@ def check_diagram1(st: SimpleType, sub_: CenterSubgroup) -> DiagramReport:
 # ---------------------------------------------------------------------------
 # Finite root-set machinery (restriction side)
 
-
-from functools import lru_cache
-from itertools import product
+IVec = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +223,10 @@ def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
         if n == 8:
             out = e8
         else:
-            span = d.extended_coroots[1:]
-            out = {v for v in e8 if in_span(v, span)}
+            # v lies in the span S of the simple coroots exactly when it is
+            # orthogonal to the kernel S^perp of the matrix whose rows are S
+            perp = kernel_basis(mat(d.extended_coroots[1:]))
+            out = {v for v in e8 if all(dot(v, c) == 0 for c in perp)}
         expect = {6: 72, 7: 126, 8: 240}[n]
     elif fam == "F":
         for i in range(4):
@@ -242,11 +255,57 @@ def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
+def _integer_roots_of(st: SimpleType) -> tuple[IVec, ...]:
+    return tuple(_to_int(all_roots_of(st), rootdata.datum(st).gram)[0])
+
+
+def annihilator_factors(st: SimpleType, subspace) -> list[SimpleType]:
+    """Simple factors of the root subsystem vanishing on a subspace."""
+    basis = _to_int(subspace, rootdata.datum(st).gram)[0]
+    return _classify_components(
+        [r for r in _integer_roots_of(st) if not any(_dot(r, b) for b in basis)]
+    )
+
+
+def _to_int(vectors, gram: Mat | None) -> tuple[list[IVec], int]:
+    """The nonzero vectors, times the LCM of their denominators, as int tuples.
+
+    Returns the int tuples and that common scale.  Zero tests and Cartan
+    integers are the same for the scaled vectors under the plain dot
+    product as for the originals under the form, provided the form is a
+    scalar times the identity; any other form raises ValueError.
+    """
+    if gram is not None:
+        c, n = gram[0][0], len(gram)
+        if c <= 0 or any(
+            gram[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)
+        ):
+            raise ValueError("the root-set machinery needs a scalar Gram matrix")
+    vectors = [v for v in vectors if not is_zero(v)]
+    s = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(x.numerator * (s // x.denominator) for x in v) for v in vectors], s
+
+
+def _dot(u: IVec, v: IVec) -> int:
+    return sum(map(mul, u, v))
+
+
+def _cartan_int(a: IVec, b: IVec) -> int:
+    c, r = divmod(2 * _dot(a, b), _dot(b, b))
+    if r:
+        raise AssertionError("non-integral Cartan integer in a finite root set")
+    return c
+
+
 def classify_root_components(roots, gram) -> list[SimpleType]:
     """Types of the irreducible factors of a finite root system, sorted."""
-    pool = [v for v in roots if not is_zero(v)]
-    comps: list[list[Vec]] = []
-    todo = list(pool)
+    return _classify_components(_to_int(roots, gram)[0])
+
+
+def _classify_components(roots: list[IVec]) -> list[SimpleType]:
+    comps: list[list[IVec]] = []
+    todo = list(roots)
     while todo:
         v = todo.pop()
         comp = [v]
@@ -255,65 +314,87 @@ def classify_root_components(roots, gram) -> list[SimpleType]:
             u = stack.pop()
             rest = []
             for w in todo:
-                if dot(u, w, gram) != 0:
+                if _dot(u, w):
                     comp.append(w)
                     stack.append(w)
                 else:
                     rest.append(w)
             todo = rest
         comps.append(comp)
-    return sorted(classify_finite_roots(c, gram) for c in comps)
+    return sorted(_classify_irreducible(c) for c in comps)
 
 
 def close_under_reflections(vectors, gram) -> list[Vec]:
-    """Reflection closure of a set of exact root vectors."""
-    roots = {v for v in vectors if not is_zero(v)}
-    roots |= {scale(-1, v) for v in roots}
+    """Reflection closure of a set of exact root vectors, sorted."""
+    ints, s = _to_int(vectors, gram)
+    return [tuple(Q(x, s) for x in v) for v in sorted(_reflection_closure(ints))]
+
+
+def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
+    """The orbit of the seeds under the group their reflections generate.
+
+    That group already contains the reflection in every root of the orbit
+    (s_{w a} = w s_a w^-1), so the orbit is the closure under all of them
+    (Bourbaki, Lie Groups VI 1.5); it holds -a = s_a(a) as well.  Each new
+    root is reflected in the seeds only.
+    """
+    walls = [(u, _dot(u, u)) for u in dict.fromkeys(seeds)]
+    roots = set(seeds)
     frontier = list(roots)
     while frontier:
-        u = frontier.pop()
-        uu = dot(u, u, gram)
-        for v in list(roots):
-            c = 2 * dot(v, u, gram) / uu
-            w = sub(v, scale(c, u))
-            if w not in roots:
-                roots.add(w)
-                roots.add(scale(-1, w))
-                frontier.append(w)
-    return sorted(roots)
+        v = frontier.pop()
+        for u, uu in walls:
+            c, r = divmod(2 * _dot(v, u), uu)
+            if r:
+                raise AssertionError("non-integral reflection coefficient")
+            if c:
+                w = tuple(x - c * y for x, y in zip(v, u))
+                if w not in roots:
+                    roots.add(w)
+                    frontier.append(w)
+    return roots
 
 
 def classify_finite_roots(roots, gram) -> SimpleType:
     """Type of an irreducible finite (possibly non-reduced) root system."""
-    roots = [v for v in roots if not is_zero(v)]
+    return _classify_irreducible(_to_int(roots, gram)[0])
+
+
+def _classify_irreducible(roots: list[IVec]) -> SimpleType:
     if not roots:
         return TRIVIAL
     rset = set(roots)
-    non_reduced = any(scale(2, v) in rset for v in roots)
-    indiv = [v for v in roots if scale(Q(1, 2), v) not in rset]
-    simples = _simple_system(indiv, gram)
-    cartan = tuple(
-        tuple(int(2 * dot(a, b, gram) / dot(b, b, gram)) for b in simples)
-        for a in simples
-    )
+    non_reduced = any(tuple(2 * x for x in v) in rset for v in roots)
+    # v / 2 can only be a root when it is an int tuple at the same scale
+    indiv = [
+        v
+        for v in roots
+        if any(x % 2 for x in v) or tuple(x // 2 for x in v) not in rset
+    ]
+    simples = _simple_system(indiv)
+    cartan = tuple(tuple(_cartan_int(a, b) for b in simples) for a in simples)
     st = classify_finite_cartan(cartan)
     if non_reduced:
         return SimpleType("BC", st.rank)
     return st
 
 
-def _simple_system(roots, gram) -> list[Vec]:
+def _simple_system(roots: list[IVec]) -> list[IVec]:
     dim = len(roots[0])
     t = 1
     while True:
-        weights = tuple(Q(t) ** i for i in range(dim))
-        vals = {dot(v, weights): v for v in roots}
-        if all(dot(v, weights) != 0 for v in roots) and len(vals) == len(roots):
+        weights = tuple(t**i for i in range(dim))
+        vals = {_dot(v, weights) for v in roots}
+        if 0 not in vals and len(vals) == len(roots):
             break
         t += 1
-    pos = [v for v in roots if dot(v, weights) > 0]
+    pos = [v for v in roots if _dot(v, weights) > 0]
     pset = set(pos)
-    simples = [a for a in pos if not any(sub(a, b) in pset for b in pos if b != a)]
+    simples = [
+        a
+        for a in pos
+        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in pos if b != a)
+    ]
     return sorted(simples)
 
 
@@ -464,7 +545,7 @@ def _restricted_from_orbits(d, orbits, extended: bool) -> SimpleType:
     # orbit average of the root vectors
     fixed_dim = mat_rank(tuple(basis))
     seeds = []
-    cart = d.cartan_matrix()
+    cart = diagram_of(d.type).cartan
     for o, avg in zip(orbits, basis):
         if is_zero(avg):
             continue
@@ -477,8 +558,8 @@ def _restricted_from_orbits(d, orbits, extended: bool) -> SimpleType:
         ]
         if bonded_pairs:
             seeds.append(scale(2, avg))
-    roots = close_under_reflections(seeds, d.gram)
-    result = classify_finite_roots(roots, d.gram)
+    roots = _reflection_closure(_to_int(seeds, d.gram)[0])
+    result = _classify_irreducible(list(roots))
     if result.rank != fixed_dim:
         raise AssertionError("restricted system has unexpected rank")
     return result

@@ -26,7 +26,6 @@ from .linalg import (
     is_zero,
     lattice_index,
     mat,
-    mat_vec,
     scale,
     sub,
     vec,
@@ -134,6 +133,8 @@ class RootDatum:
     g: tuple[int, ...]
     coroot_lattice_basis: tuple[Vec, ...]
     coweight_lattice_basis: tuple[Vec, ...]
+    # simple-coroot coordinates of the fundamental coweights
+    coweight_coroot_coords: tuple[Vec, ...]
 
     @property
     def rank(self) -> int:
@@ -207,6 +208,7 @@ def datum(st: SimpleType) -> RootDatum:
             inner.g,
             inner.coroot_lattice_basis,
             inner.coweight_lattice_basis,
+            inner.coweight_coroot_coords,
         )
 
     if fam == "A":
@@ -296,7 +298,7 @@ def datum(st: SimpleType) -> RootDatum:
     coroots = tuple(_coroot_of(r, gram) for r in roots)
     g = _coroot_integers(coroots)
     q_basis = coroots[1:]
-    p_basis = _coweights(roots[1:], q_basis, gram)
+    p_basis, p_coords = _coweights(roots[1:], q_basis, gram)
     d = RootDatum(
         st,
         dim,
@@ -307,6 +309,7 @@ def datum(st: SimpleType) -> RootDatum:
         g,
         q_basis,
         p_basis,
+        p_coords,
     )
     _check_datum(d)
     return d
@@ -331,11 +334,13 @@ def _coroot_integers(coroots: tuple[Vec, ...]) -> tuple[int, ...]:
     return tuple(int(x) for x in rel)
 
 
-def _coweights(simple_roots, simple_coroots, gram) -> tuple[Vec, ...]:
-    """Fundamental coweights in the span of the coroots.
+def _coweights(simple_roots, simple_coroots, gram) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Fundamental coweights in the span of the coroots, and their
+    simple-coroot coordinates.
 
     With P[k][j] = <a_k, s_j>, the coweight w_i = sum_j C[j][i] s_j is dual
-    to the simple roots exactly when C = P^{-1}.
+    to the simple roots exactly when C = P^{-1}; its coordinates are the
+    i-th column of C.
     """
     span = mat(simple_coroots)
     pairing = mat([[dot(a, s, gram) for s in span] for a in simple_roots])
@@ -343,13 +348,14 @@ def _coweights(simple_roots, simple_coroots, gram) -> tuple[Vec, ...]:
         inv = inverse(pairing)
     except ValueError:
         raise AssertionError("degenerate simple system") from None
+    coords = tuple(zip(*inv))
     out = []
-    for i in range(len(simple_roots)):
+    for c in coords:
         w = zero_vec(len(span[0]))
-        for row, s in zip(inv, span):
-            w = add(w, scale(row[i], s))
+        for x, s in zip(c, span):
+            w = add(w, scale(x, s))
         out.append(w)
-    return tuple(out)
+    return tuple(out), coords
 
 
 def _check_datum(d: RootDatum) -> None:
@@ -429,9 +435,15 @@ def center_vertex(st: SimpleType, node: int) -> Vec:
 
 @lru_cache(maxsize=None)
 def alcove_coroot_coords(st: SimpleType) -> tuple[Vec, ...]:
-    """Simple-coroot coordinates of the alcove vertices, node by node."""
-    m = coroot_coord_matrix(st)
-    return tuple(mat_vec(m, v) for v in alcove(st).vertices)
+    """Simple-coroot coordinates of the alcove vertices, node by node.
+
+    Vertex i is the i-th fundamental coweight divided by h_i (see alcove),
+    and the datum already holds the coweights' coordinates.
+    """
+    d = datum(st)
+    return (zero_vec(d.rank),) + tuple(
+        scale(Q(1, h), c) for h, c in zip(d.h[1:], d.coweight_coroot_coords)
+    )
 
 
 def _residue(v: Vec) -> Vec:

@@ -78,6 +78,33 @@ def test_exit_codes():
     assert code == 2
 
 
+def test_non_positive_k_is_a_usage_error():
+    for k in ("0", "-1"):
+        code, out, err = run_cli("derived", "--group", "G2", "--k", k)
+        assert code == 2 and out == ""
+        assert f"argument --k: must be a positive integer, got {k}" in err
+        code, _, err = run_cli("rank-zero", "--k", k)
+        assert code == 2 and "argument --k: must be a positive integer" in err
+
+
+def test_non_positive_max_rank_is_a_usage_error(tmp_path):
+    extras = {
+        "check-all": (),
+        "paper-tables": ("--out", str(tmp_path)),
+        "rank-zero": ("--k", "2"),
+    }
+    for cmd, extra in extras.items():
+        for value in ("0", "-3"):
+            code, out, err = run_cli(cmd, "--max-rank", value, *extra)
+            assert code == 2 and out == "", (cmd, value)
+            assert "argument --max-rank: must be a positive integer" in err
+
+
+def test_non_integer_k_is_a_usage_error():
+    code, _, err = run_cli("rank-zero", "--k", "two")
+    assert code == 2 and "argument --k: invalid int value: 'two'" in err
+
+
 def test_internal_invariant_failure_exits_1(capsys, monkeypatch):
     import coroots.cli
 

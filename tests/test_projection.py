@@ -1,12 +1,18 @@
 """The fixed-subspace systems: projections, restrictions, foldings."""
 
+from fractions import Fraction as Q
+
 import pytest
 
 from coroots.center import all_subgroups, orbit_data, parse_center, trivial_subgroup
+from coroots.derived import quotient_marked
 from coroots.diagrams import diagram_of
+from coroots.linalg import add, dot, in_span, is_zero, scale, sub, vec, zero_vec
+from coroots.moduli import annihilator_factors, catalog_types, subspace_for
 from coroots.projection import (
     all_roots_of,
     check_diagram1,
+    classify_finite_cartan,
     classify_finite_roots,
     classify_root_components,
     close_under_reflections,
@@ -233,3 +239,174 @@ def test_classify_finite_roots_bc():
     st = parse_type("BC2")
     d = datum(st)
     assert classify_finite_roots(all_roots_of(st), d.gram) == SimpleType("BC", 2)
+
+
+# ---------------------------------------------------------------------------
+# The integer root-set layer against the Fraction routes it replaced.  These
+# oracles reflect in every root found so far, test span membership by a
+# linear solve and dot through the Gram matrix; none of them goes through
+# the integer helpers.
+
+CATALOG_8 = catalog_types(8)
+
+
+def _fraction_closure(vectors, gram):
+    roots = {v for v in vectors if not is_zero(v)}
+    roots |= {scale(-1, v) for v in roots}
+    frontier = list(roots)
+    while frontier:
+        u = frontier.pop()
+        uu = dot(u, u, gram)
+        for v in list(roots):
+            c = 2 * dot(v, u, gram) / uu
+            if c == 0:
+                continue
+            w = sub(v, scale(c, u))
+            if w not in roots:
+                roots.add(w)
+                roots.add(scale(-1, w))
+                frontier.append(w)
+    return sorted(roots)
+
+
+def _fraction_simple_system(roots, gram):
+    dim = len(roots[0])
+    t = 1
+    while True:
+        weights = tuple(Q(t) ** i for i in range(dim))
+        vals = {dot(v, weights) for v in roots}
+        if 0 not in vals and len(vals) == len(roots):
+            break
+        t += 1
+    pos = [v for v in roots if dot(v, weights) > 0]
+    pset = set(pos)
+    return [a for a in pos if not any(sub(a, b) in pset for b in pos if b != a)]
+
+
+def _fraction_classify(roots, gram):
+    roots = [v for v in roots if not is_zero(v)]
+    if not roots:
+        return SimpleType("A", 0)
+    rset = set(roots)
+    indiv = [v for v in roots if scale(Q(1, 2), v) not in rset]
+    simples = _fraction_simple_system(indiv, gram)
+    cartan = tuple(
+        tuple(int(2 * dot(a, b, gram) / dot(b, b, gram)) for b in simples)
+        for a in simples
+    )
+    st = classify_finite_cartan(cartan)
+    if any(scale(2, v) in rset for v in roots):
+        return SimpleType("BC", st.rank)
+    return st
+
+
+def _fraction_components(roots, gram):
+    todo = [v for v in roots if not is_zero(v)]
+    comps = []
+    while todo:
+        comp = [todo.pop()]
+        grew = True
+        while grew:
+            grew = False
+            for w in list(todo):
+                if any(dot(u, w, gram) != 0 for u in comp):
+                    comp.append(w)
+                    todo.remove(w)
+                    grew = True
+        comps.append(comp)
+    return sorted(_fraction_classify(c, gram) for c in comps)
+
+
+@pytest.mark.parametrize("st", CATALOG_8, ids=lbl)
+def test_closure_of_simple_roots_matches_fraction_route(st):
+    d = datum(st)
+    simples = d.extended_roots[1:]
+    closure = close_under_reflections(simples, d.gram)
+    assert closure == _fraction_closure(simples, d.gram)
+    assert closure == list(all_roots_of(st))
+    assert classify_root_components(closure, d.gram) == [st]
+
+
+@pytest.mark.parametrize("spec", ["A5", "A7", "B4", "C5", "D5", "D6", "E6", "E7"])
+def test_closure_of_restricted_seeds_matches_fraction_route(spec):
+    """Orbit averages are fractional and doubled seeds make the system
+    non-reduced, so this exercises the common scale and the BC test."""
+    st = parse_type(spec)
+    d = datum(st)
+    cart = d.cartan_matrix()
+    for sub_ in all_subgroups(st):
+        od = orbit_data(st, sub_)
+        if sub_.is_trivial or od.degenerate:
+            continue
+        seeds = []
+        for o in od.orbits:
+            total = zero_vec(d.ambient_dim)
+            for u in o.nodes:
+                total = add(total, d.extended_roots[u])
+            avg = scale(Q(1, o.size), total)
+            seeds.append(avg)
+            if any(cart[u][v] for u in o.nodes for v in o.nodes if u != v):
+                seeds.append(scale(2, avg))
+        closure = close_under_reflections(seeds, d.gram)
+        assert closure == _fraction_closure(seeds, d.gram), (spec, sub_.nodes)
+        assert classify_finite_roots(closure, d.gram) == _fraction_classify(closure, d.gram)
+        assert classify_finite_roots(closure, d.gram) == restricted_type(st, sub_)
+
+
+def test_e6_e7_roots_are_the_e8_roots_in_their_span():
+    e8 = all_roots_of(SimpleType("E", 8))
+    for n in (6, 7):
+        span = datum(SimpleType("E", n)).extended_coroots[1:]
+        want = tuple(v for v in e8 if in_span(v, span))
+        assert all_roots_of(SimpleType("E", n)) == want
+
+
+def test_non_scalar_gram_is_rejected():
+    roots = [vec([1, -1]), vec([-1, 1])]
+    for gram in ([vec([1, 0]), vec([0, 2])], [vec([1, 1]), vec([1, 1])]):
+        with pytest.raises(ValueError, match="scalar Gram"):
+            close_under_reflections(roots, gram)
+        with pytest.raises(ValueError, match="scalar Gram"):
+            classify_finite_roots(roots, gram)
+        with pytest.raises(ValueError, match="scalar Gram"):
+            classify_root_components(roots, gram)
+    # a scalar form other than the identity is accepted
+    two = [vec([2, 0]), vec([0, 2])]
+    assert classify_finite_roots(roots, two) == SimpleType("A", 1)
+
+
+def test_non_crystallographic_seeds_are_rejected():
+    # reflecting (1, 0) in (1, 2) needs 2 (1, 0).(1, 2) / (1, 2).(1, 2) = 2/5
+    with pytest.raises(AssertionError, match="non-integral reflection"):
+        close_under_reflections([vec([1, 0]), vec([1, 2])], None)
+
+
+@pytest.mark.parametrize("st", CATALOG_8, ids=lbl)
+def test_annihilator_factors_match_fraction_route(st):
+    d = datum(st)
+    roots = all_roots_of(st)
+    for sub_ in all_subgroups(st):
+        for k in quotient_marked(st, sub_).admissible_orders():
+            space = subspace_for(st, sub_, k)
+            kept = [r for r in roots if all(dot(r, b, d.gram) == 0 for b in space)]
+            want = _fraction_components(kept, d.gram)
+            assert annihilator_factors(st, space) == want, (st, sub_.nodes, k)
+
+
+@pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
+def test_root_counts_and_cartan_match_sympy(st):
+    """sympy's liealgebras shares no code with this package."""
+    pytest.importorskip("sympy")
+    from sympy.liealgebras.cartan_matrix import CartanMatrix
+    from sympy.liealgebras.root_system import RootSystem
+
+    # sympy's C_n starts at n = 3 and its CartanMatrix fails on rank 1
+    name = "B2" if st == SimpleType("C", 2) else lbl(st)
+    if st.rank > 1:
+        theirs = CartanMatrix(name).tolist()
+        assert classify_finite_cartan(tuple(map(tuple, theirs))) == st
+    d = datum(st)
+    simples = d.extended_roots[1:]
+    ours = tuple(tuple(int(d.cartan(a, b)) for b in simples) for a in simples)
+    assert classify_finite_cartan(ours) == st
+    assert len(all_roots_of(st)) == len(RootSystem(name).all_roots())

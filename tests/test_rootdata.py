@@ -7,16 +7,18 @@ import pytest
 
 from coroots.center import _check_homomorphism, center_group
 from coroots.diagrams import diagram_of
-from coroots.linalg import add, in_lattice, is_zero, scale, sub, zero_vec
+from coroots.linalg import add, in_lattice, is_zero, mat_vec, scale, sub, zero_vec
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
     alcove,
+    alcove_coroot_coords,
     center_element_inverse,
     center_element_sum,
     center_order,
     center_vertex,
     center_vertex_nodes,
+    coroot_coord_matrix,
     datum,
     dual_coxeter,
     fundamental_group_order,
@@ -292,6 +294,15 @@ def test_group_law_above_the_catalog():
         grp = center_group(st)
         assert grp.order == center_order(st)
         _check_homomorphism(st, grp)
+
+
+@pytest.mark.parametrize("st", catalog_types(8), ids=str)
+def test_alcove_coords_match_coroot_coord_matrix(st):
+    """Coordinates read off the coweight inverse equal the dense left
+    inverse of the coroot basis applied to the ambient vertices."""
+    m = coroot_coord_matrix(st)
+    want = tuple(mat_vec(m, v) for v in alcove(st).vertices)
+    assert alcove_coroot_coords(st) == want
 
 
 def test_parse_aliases():
