@@ -1,26 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate the reference tables into golden/ (or a chosen directory)."""
+"""Regenerate the reference tables; same as `coroots paper-tables`."""
 
-import argparse
-import os
 import sys
 
-from coroots.tables import all_tables
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default=os.environ.get("COROOTS_TABLE_DIR", "golden"))
-    ap.add_argument("--max-rank", type=int, default=12)
-    args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
-    for doc in all_tables(args.max_rank):
-        path = os.path.join(args.out, doc.name + ".txt")
-        with open(path, "w") as fh:
-            fh.write(doc.text())
-        print("wrote", path)
-    return 0
-
+from coroots.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["paper-tables", *sys.argv[1:]]))

@@ -1,18 +1,9 @@
 #!/usr/bin/env python3
-"""Run every cross-check over the catalog and exit nonzero on failure."""
+"""Run every cross-check over the catalog; same as `coroots check-all`."""
 
-import argparse
 import sys
 
-from coroots.cli import run_check_all
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-rank", type=int, default=12)
-    args = ap.parse_args()
-    return 0 if run_check_all(args.max_rank, print) else 1
-
+from coroots.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["check-all", *sys.argv[1:]]))

@@ -11,6 +11,13 @@ The oracle runs in simple-coroot coordinates, where every alcove vertex
 lives (the coordinate map is injective on the coroot span).  There an
 automorphism acts as a permutation of the coordinates plus, when it moves
 the extended node, one step along the relation sum_i g_i a_i^vee = 0.
+
+The subspaces the projected-coroot route works in live in the same
+coordinates, as primitive integer vectors cached per (type, subgroup):
+the fixed subspace of w_C (fixed_subspace_coords) and, inside it, the
+torus t^{w_C}(gbar, k) (torus_subspace_coords), whose defining roots pair
+with coordinates through rows of the integer Cartan matrix.
+fixed_subspace_basis and ambient_vectors convert to ambient vectors.
 """
 
 from __future__ import annotations
@@ -22,14 +29,16 @@ from functools import lru_cache
 from . import rootdata
 from .diagrams import automorphism_group, compose, diagram_of
 from .linalg import (
+    IVec,
     Mat,
     Vec,
+    int_dot,
     kernel_basis,
     mat,
     mat_vec,
     sub,
+    to_int,
     transpose,
-    vec,
 )
 from .rootdata import RootDatum, SimpleType
 
@@ -254,21 +263,68 @@ def cyclic_subgroups(st: SimpleType) -> list[CenterSubgroup]:
     return [s for s in all_subgroups(st) if s.is_cyclic]
 
 
-def fixed_subspace_basis(d: RootDatum, sub_: CenterSubgroup) -> list[Vec]:
-    """Ambient basis of the subspace of the coroot span fixed by w_C."""
-    n = d.rank
+@lru_cache(maxsize=None)
+def fixed_subspace_coords(st: SimpleType, sub_: CenterSubgroup) -> tuple[IVec, ...]:
+    """Simple-coroot coordinates of a basis of the subspace fixed by w_C.
+
+    The primitive integer kernel of the stacked M_e - I over the non-identity
+    elements e, computed once per (type, subgroup); the trivial subgroup
+    fixes everything and gets the unit vectors.
+    """
+    n = st.rank
     rows = []
     for e in sub_.elements:
         if e.is_identity:
             continue
-        m = perm_matrix_on_coroots(d, e.perm)
-        for i in range(n):
-            rows.append(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)))
+        m = perm_matrix_on_coroots_of(st, e.perm)
+        rows.extend(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))
     if not rows:
-        coords = [vec([1 if j == i else 0 for j in range(n)]) for i in range(n)]
-    else:
-        coords = kernel_basis(mat(rows))
-    return [from_coroot_coords(d, c) for c in coords]
+        return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(x) for x in v) for v in kernel_basis(mat(rows)))
+
+
+@lru_cache(maxsize=None)
+def torus_subspace_coords(st: SimpleType, sub_: CenterSubgroup, k: int) -> tuple[IVec, ...]:
+    """Simple-coroot coordinates of a basis of t^{w_C}(gbar, k).
+
+    That is the kernel, inside the fixed subspace, of the roots of the
+    orbits whose mark k does not divide (none in the degenerate case).  The
+    root of node o takes the value sum_i x_i n(i, o) on sum_i x_i a_i^vee,
+    so its row is column o of the catalog Cartan matrix.
+    """
+    orbits = orbit_data(st, sub_)
+    if orbits.degenerate:
+        return ()
+    fixed = fixed_subspace_coords(st, sub_)
+    cart = diagram_of(st).cartan
+    rows = []
+    for o in orbits.orbits:
+        if o.mark % k != 0:
+            col = tuple(cart[i][o.nodes[0]] for i in range(1, st.rank + 1))
+            rows.append(tuple(int_dot(b, col) for b in fixed))
+    if not rows:
+        return fixed
+    return tuple(
+        tuple(sum(int(c) * b[i] for c, b in zip(ker, fixed)) for i in range(st.rank))
+        for ker in kernel_basis(mat(rows))
+    )
+
+
+@lru_cache(maxsize=None)
+def _coroot_columns(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
+    ints, s = to_int(rootdata.datum(st).coroot_lattice_basis)
+    return tuple(zip(*ints)), s
+
+
+def ambient_vectors(st: SimpleType, coords, den: int = 1) -> list[Vec]:
+    """Ambient vectors sum_i (x_i / den) a_i^vee of integer coordinates x."""
+    cols, s = _coroot_columns(st)
+    return [tuple(Q(int_dot(x, c), den * s) for c in cols) for x in coords]
+
+
+def fixed_subspace_basis(d: RootDatum, sub_: CenterSubgroup) -> list[Vec]:
+    """Ambient basis of the subspace of the coroot span fixed by w_C."""
+    return ambient_vectors(d.type, fixed_subspace_coords(d.type, sub_))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,17 @@ def _parse_type(text: str):
         raise UsageError(str(exc)) from exc
 
 
+def _parse_group(text: str):
+    """A group spec for the commands that need a group: BC_n is rejected."""
+    st = _parse_type(text)
+    if st.family == "BC":
+        raise UsageError(
+            f"{st} is not a group: BC_n is a non-reduced root system "
+            "(use datum or check-all)"
+        )
+    return st
+
+
 def _parse_center(st, text: str):
     try:
         return parse_center(st, text)
@@ -196,7 +207,7 @@ def cmd_derived(args) -> int:
 
 
 def cmd_components(args) -> int:
-    st = _parse_type(args.group)
+    st = _parse_group(args.group)
     sub_ = _parse_center(st, args.center)
     recs = components_for(st, sub_)
     g = dual_coxeter(st)
@@ -220,7 +231,7 @@ def cmd_components(args) -> int:
 
 
 def cmd_clock(args) -> int:
-    st = _parse_type(args.group)
+    st = _parse_group(args.group)
     sub_ = _parse_center(st, args.center)
     cr = clock_report(st, sub_)
     payload = {

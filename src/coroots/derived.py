@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import gcd
 
 from . import rootdata
-from .center import CenterSubgroup, fixed_subspace_basis, orbit_data
+from .center import CenterSubgroup, orbit_data, torus_subspace_coords
 from .diagrams import (
     AffineDiagram,
     ClassifyResult,
@@ -24,17 +25,14 @@ from .diagrams import (
     make_diagram,
     quotient,
 )
-from .linalg import (
-    add,
-    dot,
-    kernel_basis,
-    mat,
-    project_many,
-    scale,
-    zero_vec,
-)
 from .numerology import I_set, MarkedDiagram, marked
-from .projection import DiagramReport
+from .projection import (
+    DiagramReport,
+    apply_projector,
+    form_products,
+    orbit_averages,
+    projector,
+)
 from .rootdata import TRIVIAL, SimpleType
 
 TYPE_INF = "inf"
@@ -191,6 +189,7 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     return DerivedDiagram(m, k, survivors, types, ell, dia, res)
 
 
+@lru_cache(maxsize=None)
 def quotient_marked(st: SimpleType, sub_: CenterSubgroup) -> MarkedDiagram:
     """The quotient diagram with the induced coroot integers as marking."""
     q = quotient(diagram_of(st), sub_.perms())
@@ -201,56 +200,34 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
     """Derived diagram vs the coordinate diagram on t^{w_C}(gbar, k).
 
     The coordinate side projects the surviving orbit coroots orthogonally
-    onto the kernel of the non-surviving orbit restrictions inside the
-    fixed subspace and takes exact Cartan integers.
+    onto t^{w_C}(gbar, k) (center.torus_subspace_coords) and takes exact
+    Cartan integers, all in integer simple-coroot coordinates.
     """
-    d = rootdata.datum(st)
     orbits = orbit_data(st, sub_)
     mq = quotient_marked(st, sub_)
     dd = derived(mq, k)
     if orbits.degenerate:
         return DiagramReport(dd.diagram.n_nodes == 1, "degenerate quotient")
-    fixed = fixed_subspace_basis(d, sub_)
-    non_surviving = [o for o, mark in zip(orbits.orbits, mq.n) if mark % k != 0]
-    rows = []
-    for o in non_surviving:
-        rv = d.extended_roots[o.nodes[0]]
-        rows.append(tuple(dot(rv, b, d.gram) for b in fixed))
-    if rows:
-        coord_basis = kernel_basis(mat(rows))
-    else:
-        coord_basis = [tuple(Q(1) if j == i else Q(0) for j in range(len(fixed))) for i in range(len(fixed))]
-    subspace = []
-    for c in coord_basis:
-        v = zero_vec(d.ambient_dim)
-        for x, b in zip(c, fixed):
-            v = add(v, scale(x, b))
-        subspace.append(v)
+    span = torus_subspace_coords(st, sub_, k)
     surviving = [o for o, mark in zip(orbits.orbits, mq.n) if mark % k == 0]
     if len(surviving) != dd.diagram.n_nodes:
         return DiagramReport(False, "survivor counts differ")
     if len(surviving) == 1:
-        ok = not subspace or all(
-            dot(v, v, d.gram) == 0 for v in subspace
-        )
+        ok = not span or not any(row[i] for i, row in enumerate(form_products(st, span)))
         return DiagramReport(bool(ok and dd.diagram.n_nodes == 1), "rank-0 case")
-    avgs = []
-    for o in surviving:
-        avg = zero_vec(d.ambient_dim)
-        for u in o.nodes:
-            avg = add(avg, d.extended_coroots[u])
-        avgs.append(scale(Q(1, o.size), avg))
-    proj = project_many(avgs, subspace, d.gram)
-    for i, u in enumerate(proj):
-        for j, v in enumerate(proj):
-            c = 2 * dot(u, v, d.gram) / dot(v, v, d.gram)
-            if c.denominator != 1:
+    avgs, _ = orbit_averages(rootdata.datum(st).g, surviving)
+    p, _ = projector(st, span)
+    prods = form_products(st, [apply_projector(p, v) for v in avgs])
+    for i, row in enumerate(prods):
+        for j, x in enumerate(row):
+            c, r = divmod(2 * x, prods[j][j])
+            if r:
                 return DiagramReport(False, f"non-integral coordinate Cartan number at ({i},{j})")
-            if int(c) != dd.diagram.cartan[i][j]:
+            if c != dd.diagram.cartan[i][j]:
                 return DiagramReport(
                     False,
                     f"Cartan integers differ at survivors ({i},{j}): "
-                    f"coordinate {int(c)} vs derived {dd.diagram.cartan[i][j]}",
+                    f"coordinate {c} vs derived {dd.diagram.cartan[i][j]}",
                 )
     return DiagramReport(True, "derived and coordinate diagrams agree",
                          tuple(range(len(surviving))))

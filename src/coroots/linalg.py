@@ -1,21 +1,27 @@
 """Exact rational vectors and small dense matrices.
 
-Everything in this package runs on `fractions.Fraction`; there is no
-floating point anywhere.  Vectors are tuples of Fractions, matrices are
-tuples of row tuples.  Matrices are small and dense: the catalog stops at
-rank 12, but the CLI accepts any rank and queries such as A40 reach
-ambient dimension 41.  Plain Gauss-Jordan elimination over the rationals
-is all we need.
+Everything in this package is exact: vectors are tuples of
+`fractions.Fraction` or of ints, matrices are tuples of row tuples, and
+there is no floating point anywhere.  Matrices are small and dense: the
+catalog stops at rank 12, but the CLI accepts any rank and queries such as
+A40 reach ambient dimension 41.  Plain Gauss-Jordan elimination over the
+rationals is all we need.
+
+The hot loops run on ints instead.  `to_int` is the one way in: it scales
+rational vectors by the LCM of their denominators, after which zero tests
+and Cartan integers under a scalar form are plain `int_dot` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Q, ...]
 Mat = tuple[Vec, ...]
+IVec = tuple[int, ...]
 
 
 def vec(entries: Iterable) -> Vec:
@@ -75,6 +81,29 @@ def dot(u: Vec, v: Vec, gram: Mat | None = None) -> Q:
         (u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))),
         Q(0),
     )
+
+
+def int_dot(u: IVec, v: IVec) -> int:
+    return sum(map(mul, u, v))
+
+
+def to_int(vectors, gram: Mat | None = None) -> tuple[list[IVec], int]:
+    """The nonzero vectors, times the LCM of their denominators, as int tuples.
+
+    Returns the int tuples and that common scale.  Zero tests and Cartan
+    integers are the same for the scaled vectors under the plain dot
+    product as for the originals under the form, provided the form is a
+    scalar times the identity; any other form raises ValueError.
+    """
+    if gram is not None:
+        c, n = gram[0][0], len(gram)
+        if c <= 0 or any(
+            gram[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)
+        ):
+            raise ValueError("the root-set machinery needs a scalar Gram matrix")
+    vectors = [v for v in vectors if not is_zero(v)]
+    s = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(x.numerator * (s // x.denominator) for x in v) for v in vectors], s
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:

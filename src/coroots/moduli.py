@@ -15,10 +15,10 @@ from fractions import Fraction as Q
 from math import gcd
 
 from . import rootdata
-from .center import CenterSubgroup, fixed_subspace_basis, orbit_data
+from .center import CenterSubgroup, ambient_vectors, torus_subspace_coords
 from .derived import quotient_marked
 from .diagrams import diagram_of
-from .linalg import Vec, add, dot, kernel_basis, mat, scale, zero_vec
+from .linalg import Vec
 from .numerology import MarkedDiagram, clocked, euler_phi, marked
 from .projection import annihilator_factors
 from .rootdata import TRIVIAL, SimpleType
@@ -89,27 +89,8 @@ def _record(k: int, label: int, d_X: int, shape: str, f_order=None) -> Component
 
 
 def subspace_for(st: SimpleType, sub_: CenterSubgroup, k: int) -> list[Vec]:
-    """Ambient basis of t^{w_C}(gbar, k): the kernel of the non-surviving
-    orbit restrictions inside the fixed subspace."""
-    d = rootdata.datum(st)
-    orbits = orbit_data(st, sub_)
-    fixed = fixed_subspace_basis(d, sub_)
-    if orbits.degenerate:
-        return []
-    rows = []
-    for o in orbits.orbits:
-        if o.mark % k != 0:
-            rv = d.extended_roots[o.nodes[0]]
-            rows.append(tuple(dot(rv, b, d.gram) for b in fixed))
-    if not rows:
-        return fixed
-    out = []
-    for c in kernel_basis(mat(rows)):
-        v = zero_vec(d.ambient_dim)
-        for x, b in zip(c, fixed):
-            v = add(v, scale(x, b))
-        out.append(v)
-    return out
+    """Ambient basis of t^{w_C}(gbar, k) (see center.torus_subspace_coords)."""
+    return ambient_vectors(st, torus_subspace_coords(st, sub_, k))
 
 
 def _shape_cyclic(st: SimpleType, sub_: CenterSubgroup, m: MarkedDiagram, k: int, d_X: int) -> str:

@@ -7,13 +7,23 @@ combinatorial quotient diagram.  fold() and restricted_type() classify the
 restricted root system (nonzero restrictions of roots) by reflection
 closure of the orbit restrictions.
 
+The projected coroots are computed in simple-coroot coordinates, where
+every extended coroot is an integer vector (e_i, or -g/g_0 for node 0) and
+the form is one integer matrix B = s ((a_i^vee, a_j^vee)) per type
+(coroot_form).  The orthogonal projector onto a span K is
+K (K^T B K)^{-1} K^T B, built once per span over one denominator from a
+single small inverse (projector), so projecting is int arithmetic.  Orbit
+averages are scaled to ints by one common L (orbit_averages); their
+pairwise B-values give the Cartan integers by divmod and the squared
+lengths as exact fractions over s L^2.
+
 The finite root-set machinery (reflection closure, irreducible components,
 classification) runs on integer vectors.  Every catalog form is a scalar
 times the identity, and the only questions asked of a root set, "is
 (u, v) zero?" and "what is 2(u, v)/(v, v)?", do not change when all vectors
 are scaled by one common positive integer.  So the public functions take
-and return Fraction vectors but scale them once to int tuples and use the
-plain integer dot product in between.
+and return Fraction vectors but scale them once to int tuples
+(linalg.to_int) and use the plain integer dot product in between.
 """
 
 from __future__ import annotations
@@ -23,13 +33,14 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from operator import mul
 
 from . import rootdata
 from .center import (
     CenterSubgroup,
     OrbitSet,
+    ambient_vectors,
     fixed_subspace_basis,
+    fixed_subspace_coords,
     orbit_data,
 )
 from .diagrams import (
@@ -41,17 +52,19 @@ from .diagrams import (
     quotient,
 )
 from .linalg import (
-    Mat,
+    IVec,
     Vec,
     add,
     dot,
+    int_dot,
+    inverse,
     is_zero,
     kernel_basis,
     mat,
-    project_many,
     rank as mat_rank,
     scale,
     sub,
+    to_int,
     zero_vec,
 )
 from .rootdata import TRIVIAL, SimpleType
@@ -75,9 +88,9 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     """Projected-coroot system of the fixed subspace of a center subgroup."""
     d = rootdata.datum(st)
     orbits = orbit_data(st, sub_)
-    basis = fixed_subspace_basis(d, sub_)
+    span = fixed_subspace_coords(st, sub_)
     if orbits.degenerate:
-        if basis:
+        if span:
             raise AssertionError("degenerate orbit with nonzero fixed space")
         dia = AffineDiagram(((2,),), (sum(d.g),), (Q(2),))
         return ProjectedSystem(
@@ -88,45 +101,110 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
             dia,
             ClassifyResult(TRIVIAL, sum(d.g), (0,)),
         )
-    proj = []
-    for o in orbits.orbits:
-        avg = zero_vec(d.ambient_dim)
-        for u in o.nodes:
-            avg = add(avg, d.extended_coroots[u])
-        proj.append(scale(Q(1, o.size), avg))
+    avgs, common = orbit_averages(d.g, orbits.orbits)
     # dual route: the orbit averages must be the orthogonal projections
-    direct = project_many(
-        [d.extended_coroots[o.nodes[0]] for o in orbits.orbits], basis, d.gram
-    )
-    if direct != proj:
-        raise AssertionError("orbit average differs from orthogonal projection")
-    if any(is_zero(v) for v in proj):
+    p, den = projector(st, span)
+    for o, avg in zip(orbits.orbits, avgs):
+        direct = apply_projector(p, _extended_coroot_coords(d.g, o.nodes[0]))
+        # avg / common == direct / (den g_0)
+        if any(a * den * d.g[0] != b * common for a, b in zip(avg, direct)):
+            raise AssertionError("orbit average differs from orthogonal projection")
+    if not all(map(any, avgs)):
         raise AssertionError("nonzero projection expected off the degenerate case")
-    if mat_rank(tuple(proj)) != len(basis):
+    if mat_rank(mat(avgs)) != len(span):
         raise AssertionError("projected coroots do not span the fixed subspace")
-    if len(orbits.orbits) != len(basis) + 1:
+    if len(orbits.orbits) != len(span) + 1:
         raise AssertionError("orbit count is not the fixed dimension plus one")
-    rel = zero_vec(d.ambient_dim)
-    for o, v in zip(orbits.orbits, proj):
-        rel = add(rel, scale(o.mark, v))
-    if not is_zero(rel):
+    if any(int_dot(orbits.marks, xs) for xs in zip(*avgs)):
         raise AssertionError("projected coroot relation fails")
-    n = len(proj)
+    prods = form_products(st, avgs)
     cartan = []
-    for u in proj:
-        row = []
-        for v in proj:
-            c = 2 * dot(u, v, d.gram) / dot(v, v, d.gram)
-            if c.denominator != 1:
+    for row in prods:
+        out = []
+        for j, x in enumerate(row):
+            c, r = divmod(2 * x, prods[j][j])
+            if r:
                 raise AssertionError("non-integral projected Cartan number")
-            row.append(int(c))
-        cartan.append(tuple(row))
-    lens = tuple(dot(v, v, d.gram) for v in proj)
+            out.append(c)
+        cartan.append(tuple(out))
+    s = coroot_form(st)[1]
+    lens = tuple(Q(row[i], s * common * common) for i, row in enumerate(prods))
     dia = make_diagram(tuple(cartan), orbits.marks, lens)
     res = classify(dia)
     if res is None:
         raise AssertionError("projected diagram failed to classify")
-    return ProjectedSystem(st, tuple(basis), orbits, tuple(proj), dia, res)
+    return ProjectedSystem(
+        st,
+        tuple(fixed_subspace_basis(d, sub_)),
+        orbits,
+        tuple(ambient_vectors(st, avgs, common)),
+        dia,
+        res,
+    )
+
+
+@lru_cache(maxsize=None)
+def coroot_form(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
+    """The form on the simple coroots as an integer matrix B, and its scale s.
+
+    B = s ((a_i^vee, a_j^vee)) for the least positive integer s; each entry
+    (a_i^vee, a_j^vee) = n(i, j) |a_j^vee|^2 / 2 is read off the catalog
+    diagram.
+    """
+    dia = diagram_of(st)
+    nodes = range(1, dia.n_nodes)
+    form = [[dia.cartan[i][j] * dia.sq_lengths[j] / 2 for j in nodes] for i in nodes]
+    s = lcm(*(x.denominator for row in form for x in row))
+    return tuple(tuple(int(x * s) for x in row) for row in form), s
+
+
+def form_products(st: SimpleType, vectors) -> list[list[int]]:
+    """Pairwise values of B on integer coordinate vectors."""
+    form = coroot_form(st)[0]
+    images = [tuple(int_dot(v, col) for col in form) for v in vectors]
+    return [[int_dot(a, v) for v in vectors] for a in images]
+
+
+@lru_cache(maxsize=None)
+def projector(st: SimpleType, span: tuple[IVec, ...]) -> tuple[tuple[IVec, ...], int]:
+    """Orthogonal projector onto an independent span, in coroot coordinates.
+
+    With K the matrix whose columns span, P = K (K^T B K)^{-1} K^T B.  One
+    small inverse gives it over a single denominator: returns (D P, D) as
+    an integer matrix and D.
+    """
+    form = coroot_form(st)[0]
+    kb = [tuple(int_dot(k, col) for col in form) for k in span]
+    inv = inverse(mat([[int_dot(a, k) for k in span] for a in kb]))
+    den = lcm(*(x.denominator for row in inv for x in row))
+    w = [
+        tuple(int_dot([int(x * den) for x in row], col) for col in zip(*kb))
+        for row in inv
+    ]
+    return tuple(tuple(int_dot(ka, wc) for wc in zip(*w)) for ka in zip(*span)), den
+
+
+def apply_projector(p: tuple[IVec, ...], x: IVec) -> IVec:
+    return tuple(int_dot(row, x) for row in p)
+
+
+def _extended_coroot_coords(g: tuple[int, ...], u: int) -> IVec:
+    """g_0 times the coordinates of the extended coroot of node u: g_0 e_u,
+    or -(g_1, ..., g_n) for node 0 (sum_i g_i a_i^vee = 0)."""
+    if u == 0:
+        return tuple(-x for x in g[1:])
+    return tuple(g[0] * (i == u) for i in range(1, len(g)))
+
+
+def orbit_averages(g: tuple[int, ...], orbits) -> tuple[list[IVec], int]:
+    """Coordinates of the orbit averages of the extended coroots, all times
+    one common integer L; returns them and L."""
+    m = lcm(*(o.size for o in orbits))
+    sums = [
+        map(sum, zip(*(_extended_coroot_coords(g, u) for u in o.nodes)))
+        for o in orbits
+    ]
+    return [tuple(m // o.size * x for x in s) for o, s in zip(orbits, sums)], m * g[0]
 
 
 @dataclass(frozen=True)
@@ -160,9 +238,6 @@ def check_diagram1(st: SimpleType, sub_: CenterSubgroup) -> DiagramReport:
 
 # ---------------------------------------------------------------------------
 # Finite root-set machinery (restriction side)
-
-IVec = tuple[int, ...]
-
 
 @lru_cache(maxsize=None)
 def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
@@ -257,42 +332,19 @@ def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
 
 @lru_cache(maxsize=None)
 def _integer_roots_of(st: SimpleType) -> tuple[IVec, ...]:
-    return tuple(_to_int(all_roots_of(st), rootdata.datum(st).gram)[0])
+    return tuple(to_int(all_roots_of(st), rootdata.datum(st).gram)[0])
 
 
 def annihilator_factors(st: SimpleType, subspace) -> list[SimpleType]:
     """Simple factors of the root subsystem vanishing on a subspace."""
-    basis = _to_int(subspace, rootdata.datum(st).gram)[0]
+    basis = to_int(subspace, rootdata.datum(st).gram)[0]
     return _classify_components(
-        [r for r in _integer_roots_of(st) if not any(_dot(r, b) for b in basis)]
+        [r for r in _integer_roots_of(st) if not any(int_dot(r, b) for b in basis)]
     )
 
 
-def _to_int(vectors, gram: Mat | None) -> tuple[list[IVec], int]:
-    """The nonzero vectors, times the LCM of their denominators, as int tuples.
-
-    Returns the int tuples and that common scale.  Zero tests and Cartan
-    integers are the same for the scaled vectors under the plain dot
-    product as for the originals under the form, provided the form is a
-    scalar times the identity; any other form raises ValueError.
-    """
-    if gram is not None:
-        c, n = gram[0][0], len(gram)
-        if c <= 0 or any(
-            gram[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)
-        ):
-            raise ValueError("the root-set machinery needs a scalar Gram matrix")
-    vectors = [v for v in vectors if not is_zero(v)]
-    s = lcm(*(x.denominator for v in vectors for x in v))
-    return [tuple(x.numerator * (s // x.denominator) for x in v) for v in vectors], s
-
-
-def _dot(u: IVec, v: IVec) -> int:
-    return sum(map(mul, u, v))
-
-
 def _cartan_int(a: IVec, b: IVec) -> int:
-    c, r = divmod(2 * _dot(a, b), _dot(b, b))
+    c, r = divmod(2 * int_dot(a, b), int_dot(b, b))
     if r:
         raise AssertionError("non-integral Cartan integer in a finite root set")
     return c
@@ -300,7 +352,7 @@ def _cartan_int(a: IVec, b: IVec) -> int:
 
 def classify_root_components(roots, gram) -> list[SimpleType]:
     """Types of the irreducible factors of a finite root system, sorted."""
-    return _classify_components(_to_int(roots, gram)[0])
+    return _classify_components(to_int(roots, gram)[0])
 
 
 def _classify_components(roots: list[IVec]) -> list[SimpleType]:
@@ -314,7 +366,7 @@ def _classify_components(roots: list[IVec]) -> list[SimpleType]:
             u = stack.pop()
             rest = []
             for w in todo:
-                if _dot(u, w):
+                if int_dot(u, w):
                     comp.append(w)
                     stack.append(w)
                 else:
@@ -326,7 +378,7 @@ def _classify_components(roots: list[IVec]) -> list[SimpleType]:
 
 def close_under_reflections(vectors, gram) -> list[Vec]:
     """Reflection closure of a set of exact root vectors, sorted."""
-    ints, s = _to_int(vectors, gram)
+    ints, s = to_int(vectors, gram)
     return [tuple(Q(x, s) for x in v) for v in sorted(_reflection_closure(ints))]
 
 
@@ -338,13 +390,13 @@ def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
     (Bourbaki, Lie Groups VI 1.5); it holds -a = s_a(a) as well.  Each new
     root is reflected in the seeds only.
     """
-    walls = [(u, _dot(u, u)) for u in dict.fromkeys(seeds)]
+    walls = [(u, int_dot(u, u)) for u in dict.fromkeys(seeds)]
     roots = set(seeds)
     frontier = list(roots)
     while frontier:
         v = frontier.pop()
         for u, uu in walls:
-            c, r = divmod(2 * _dot(v, u), uu)
+            c, r = divmod(2 * int_dot(v, u), uu)
             if r:
                 raise AssertionError("non-integral reflection coefficient")
             if c:
@@ -357,7 +409,7 @@ def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
 
 def classify_finite_roots(roots, gram) -> SimpleType:
     """Type of an irreducible finite (possibly non-reduced) root system."""
-    return _classify_irreducible(_to_int(roots, gram)[0])
+    return _classify_irreducible(to_int(roots, gram)[0])
 
 
 def _classify_irreducible(roots: list[IVec]) -> SimpleType:
@@ -384,11 +436,11 @@ def _simple_system(roots: list[IVec]) -> list[IVec]:
     t = 1
     while True:
         weights = tuple(t**i for i in range(dim))
-        vals = {_dot(v, weights) for v in roots}
+        vals = {int_dot(v, weights) for v in roots}
         if 0 not in vals and len(vals) == len(roots):
             break
         t += 1
-    pos = [v for v in roots if _dot(v, weights) > 0]
+    pos = [v for v in roots if int_dot(v, weights) > 0]
     pset = set(pos)
     simples = [
         a
@@ -558,7 +610,7 @@ def _restricted_from_orbits(d, orbits, extended: bool) -> SimpleType:
         ]
         if bonded_pairs:
             seeds.append(scale(2, avg))
-    roots = _reflection_closure(_to_int(seeds, d.gram)[0])
+    roots = _reflection_closure(to_int(seeds, d.gram)[0])
     result = _classify_irreducible(list(roots))
     if result.rank != fixed_dim:
         raise AssertionError("restricted system has unexpected rank")

@@ -22,12 +22,14 @@ from .linalg import (
     Vec,
     add,
     dot,
+    int_dot,
     inverse,
     is_zero,
     lattice_index,
     mat,
     scale,
     sub,
+    to_int,
     vec,
     zero_vec,
 )
@@ -152,16 +154,21 @@ class RootDatum:
         return 2 * dot(u, v, self.gram) / dot(v, v, self.gram)
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Extended coroot-diagram Cartan matrix n(i,j) over node ids."""
-        cr = self.extended_coroots
+        """Extended coroot-diagram Cartan matrix n(i,j) over node ids.
+
+        The coroots are scaled once to int tuples (the form is a scalar
+        times the identity), so n(i,j) = 2(u,v)/(v,v) is an integer divmod.
+        """
+        cr = to_int(self.extended_coroots, self.gram)[0]
+        sq = [int_dot(v, v) for v in cr]
         out = []
         for u in cr:
             row = []
-            for v in cr:
-                n = self.cartan(u, v)
-                if n.denominator != 1:
+            for v, vv in zip(cr, sq):
+                n, r = divmod(2 * int_dot(u, v), vv)
+                if r:
                     raise AssertionError("non-integral Cartan number in catalog")
-                row.append(int(n))
+                row.append(n)
             out.append(tuple(row))
         return tuple(out)
 

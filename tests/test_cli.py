@@ -176,6 +176,36 @@ def test_scripts_run(tmp_path):
     assert proc.returncode == 0 and "D4" in proc.stdout
 
 
+def test_run_check_all_script_rejects_max_rank_0():
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_check_all.py"), "--max-rank", "0"],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --max-rank: must be a positive integer" in proc.stderr
+
+
+def test_make_tables_script_rejects_max_rank_0(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "make_tables.py"),
+         "--out", str(tmp_path), "--max-rank", "0"],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --max-rank: must be a positive integer" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bc_is_rejected_where_a_group_is_needed(capsys):
+    for cmd in ("components", "clock"):
+        assert main([cmd, "--group", "BC3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: BC3 is not a group" in captured.err
+    assert main(["datum", "--group", "BC3"]) == 0
+    assert "extended coroot diagram of BC3" in capsys.readouterr().out
+
+
 def test_paper_tables_diff_clean(tmp_path):
     """Regenerated tables are byte-identical to the checked-in goldens."""
     code, out, _ = run_cli("paper-tables", "--out", str(tmp_path))

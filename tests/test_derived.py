@@ -1,10 +1,22 @@
+from fractions import Fraction as Q
+
 import pytest
 
-from coroots.center import all_subgroups, parse_center, trivial_subgroup
+from coroots.center import (
+    all_subgroups,
+    from_coroot_coords,
+    orbit_data,
+    parse_center,
+    perm_matrix_on_coroots,
+    trivial_subgroup,
+)
 from coroots.derived import check_samediags, derived, node_type, quotient_marked
 from coroots.diagrams import diagram_of
+from coroots.linalg import add, dot, kernel_basis, mat, project_many, scale, vec, zero_vec
+from coroots.moduli import catalog_types
 from coroots.numerology import marked
-from coroots.rootdata import parse_type
+from coroots.projection import DiagramReport
+from coroots.rootdata import datum, parse_type
 
 
 def lbl(t):
@@ -139,3 +151,73 @@ def test_samediags_sweep(spec):
         for k in mq.admissible_orders():
             rep = check_samediags(st, sub, k)
             assert rep.equal, (spec, sub.nodes, k, rep.detail)
+
+
+def _ambient_samediags(st, sub_, k):
+    """The Fraction route check_samediags replaced: ambient fixed basis,
+    kernel of the ambient root pairings, linalg.project_many under d.gram."""
+    d = datum(st)
+    orbits = orbit_data(st, sub_)
+    mq = quotient_marked(st, sub_)
+    dd = derived(mq, k)
+    if orbits.degenerate:
+        return DiagramReport(dd.diagram.n_nodes == 1, "degenerate quotient")
+    n = d.rank
+    rows = []
+    for e in sub_.elements:
+        if not e.is_identity:
+            m = perm_matrix_on_coroots(d, e.perm)
+            rows += [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    coords = kernel_basis(mat(rows)) if rows else [
+        vec([int(j == i) for j in range(n)]) for i in range(n)
+    ]
+    fixed = [from_coroot_coords(d, c) for c in coords]
+    rows = [
+        [dot(d.extended_roots[o.nodes[0]], b, d.gram) for b in fixed]
+        for o, mark in zip(orbits.orbits, mq.n)
+        if mark % k != 0
+    ]
+    if rows:
+        subspace = []
+        for c in kernel_basis(mat(rows)):
+            v = zero_vec(d.ambient_dim)
+            for x, b in zip(c, fixed):
+                v = add(v, scale(x, b))
+            subspace.append(v)
+    else:
+        subspace = fixed
+    surviving = [o for o, mark in zip(orbits.orbits, mq.n) if mark % k == 0]
+    if len(surviving) != dd.diagram.n_nodes:
+        return DiagramReport(False, "survivor counts differ")
+    if len(surviving) == 1:
+        ok = not subspace or all(dot(v, v, d.gram) == 0 for v in subspace)
+        return DiagramReport(bool(ok and dd.diagram.n_nodes == 1), "rank-0 case")
+    avgs = []
+    for o in surviving:
+        avg = zero_vec(d.ambient_dim)
+        for u in o.nodes:
+            avg = add(avg, d.extended_coroots[u])
+        avgs.append(scale(Q(1, o.size), avg))
+    proj = project_many(avgs, subspace, d.gram)
+    for i, u in enumerate(proj):
+        for j, v in enumerate(proj):
+            c = 2 * dot(u, v, d.gram) / dot(v, v, d.gram)
+            if c.denominator != 1:
+                return DiagramReport(False, f"non-integral coordinate Cartan number at ({i},{j})")
+            if int(c) != dd.diagram.cartan[i][j]:
+                return DiagramReport(
+                    False,
+                    f"Cartan integers differ at survivors ({i},{j}): "
+                    f"coordinate {int(c)} vs derived {dd.diagram.cartan[i][j]}",
+                )
+    return DiagramReport(True, "derived and coordinate diagrams agree",
+                         tuple(range(len(surviving))))
+
+
+@pytest.mark.parametrize("st", catalog_types(8), ids=str)
+def test_samediags_matches_ambient_route(st):
+    for sub in all_subgroups(st):
+        for k in quotient_marked(st, sub).admissible_orders():
+            assert check_samediags(st, sub, k) == _ambient_samediags(st, sub, k), (
+                st, sub.nodes, k,
+            )

@@ -4,10 +4,31 @@ from fractions import Fraction as Q
 
 import pytest
 
-from coroots.center import all_subgroups, orbit_data, parse_center, trivial_subgroup
+from coroots.center import (
+    all_subgroups,
+    fixed_subspace_basis,
+    from_coroot_coords,
+    orbit_data,
+    parse_center,
+    perm_matrix_on_coroots,
+    trivial_subgroup,
+)
 from coroots.derived import quotient_marked
 from coroots.diagrams import diagram_of
-from coroots.linalg import add, dot, in_span, is_zero, scale, sub, vec, zero_vec
+from coroots.linalg import (
+    add,
+    dot,
+    in_span,
+    is_zero,
+    kernel_basis,
+    mat,
+    project_many,
+    rank,
+    scale,
+    sub,
+    vec,
+    zero_vec,
+)
 from coroots.moduli import annihilator_factors, catalog_types, subspace_for
 from coroots.projection import (
     all_roots_of,
@@ -410,3 +431,81 @@ def test_root_counts_and_cartan_match_sympy(st):
     ours = tuple(tuple(int(d.cartan(a, b)) for b in simples) for a in simples)
     assert classify_finite_cartan(ours) == st
     assert len(all_roots_of(st)) == len(RootSystem(name).all_roots())
+
+
+# ---------------------------------------------------------------------------
+# The projected-coroot route in coroot coordinates against the ambient
+# Fraction route it replaced: fixed subspace from the ambient images of the
+# kernel, projections by linalg.project_many under d.gram, subspaces of
+# t^{w_C}(gbar, k) by pairing ambient roots with the ambient fixed basis.
+
+
+def _ambient_fixed_basis(d, sub_):
+    n = d.rank
+    rows = []
+    for e in sub_.elements:
+        if e.is_identity:
+            continue
+        m = perm_matrix_on_coroots(d, e.perm)
+        rows += [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    if not rows:
+        coords = [vec([int(j == i) for j in range(n)]) for i in range(n)]
+    else:
+        coords = kernel_basis(mat(rows))
+    return [from_coroot_coords(d, c) for c in coords]
+
+
+def _ambient_subspace(d, sub_, k):
+    orbits = orbit_data(sub_.type, sub_)
+    if orbits.degenerate:
+        return []
+    fixed = _ambient_fixed_basis(d, sub_)
+    rows = [
+        [dot(d.extended_roots[o.nodes[0]], b, d.gram) for b in fixed]
+        for o in orbits.orbits
+        if o.mark % k
+    ]
+    if not rows:
+        return fixed
+    out = []
+    for c in kernel_basis(mat(rows)):
+        v = zero_vec(d.ambient_dim)
+        for x, b in zip(c, fixed):
+            v = add(v, scale(x, b))
+        out.append(v)
+    return out
+
+
+def _same_span(us, vs):
+    if not us or not vs:
+        return not us and not vs
+    return rank(mat(us)) == rank(mat(vs)) == rank(mat(list(us) + list(vs)))
+
+
+@pytest.mark.parametrize("st", CATALOG_8, ids=lbl)
+def test_projected_coroots_match_ambient_projection(st):
+    d = datum(st)
+    for sub_ in all_subgroups(st):
+        ps = project(st, sub_)
+        basis = _ambient_fixed_basis(d, sub_)
+        assert list(ps.fixed_subspace_basis) == basis == fixed_subspace_basis(d, sub_)
+        if ps.orbits.degenerate:
+            assert ps.projected_coroots == (zero_vec(d.ambient_dim),)
+            continue
+        firsts = [d.extended_coroots[o.nodes[0]] for o in ps.orbits.orbits]
+        proj = project_many(firsts, basis, d.gram)
+        assert list(ps.projected_coroots) == proj, (st, sub_.nodes)
+        cartan = tuple(
+            tuple(2 * dot(u, v, d.gram) / dot(v, v, d.gram) for v in proj) for u in proj
+        )
+        assert ps.diagram.cartan == cartan
+        assert ps.diagram.sq_lengths == tuple(dot(v, v, d.gram) for v in proj)
+
+
+@pytest.mark.parametrize("st", CATALOG_8, ids=lbl)
+def test_subspace_for_matches_ambient_kernel_route(st):
+    d = datum(st)
+    for sub_ in all_subgroups(st):
+        for k in quotient_marked(st, sub_).admissible_orders():
+            space = subspace_for(st, sub_, k)
+            assert _same_span(space, _ambient_subspace(d, sub_, k)), (st, sub_.nodes, k)

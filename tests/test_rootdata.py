@@ -305,6 +305,19 @@ def test_alcove_coords_match_coroot_coord_matrix(st):
     assert alcove_coroot_coords(st) == want
 
 
+@pytest.mark.parametrize(
+    "st", catalog_types(12) + [SimpleType("BC", n) for n in range(1, 13)], ids=str
+)
+def test_cartan_matrix_matches_fraction_route(st):
+    """The integer-dot Cartan matrix equals 2(u, v)/(v, v) taken through
+    the Fraction Gram matrix."""
+    d = datum(st)
+    cr = d.extended_coroots
+    want = tuple(tuple(d.cartan(u, v) for v in cr) for u in cr)
+    assert all(x.denominator == 1 for row in want for x in row)
+    assert d.cartan_matrix() == want
+
+
 def test_parse_aliases():
     assert parse_type("Spin(12)") == SimpleType("D", 6)
     assert parse_type("Spin(7)") == SimpleType("B", 3)
