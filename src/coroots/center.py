@@ -18,6 +18,9 @@ the fixed subspace of w_C (fixed_subspace_coords) and, inside it, the
 torus t^{w_C}(gbar, k) (torus_subspace_coords), whose defining roots pair
 with coordinates through rows of the integer Cartan matrix.
 fixed_subspace_basis and ambient_vectors convert to ambient vectors.
+
+quotient_diagram is the one cached quotient of the extended diagram by a
+subgroup, shared by every consumer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from . import rootdata
-from .diagrams import automorphism_group, compose, diagram_of
+from .diagrams import AffineDiagram, automorphism_group, compose, diagram_of, quotient
 from .linalg import (
     IVec,
     Mat,
@@ -261,6 +264,13 @@ def all_subgroups(st: SimpleType) -> list[CenterSubgroup]:
 
 def cyclic_subgroups(st: SimpleType) -> list[CenterSubgroup]:
     return [s for s in all_subgroups(st) if s.is_cyclic]
+
+
+@lru_cache(maxsize=None)
+def quotient_diagram(st: SimpleType, sub_: CenterSubgroup) -> AffineDiagram:
+    """The quotient of the extended coroot diagram by a center subgroup,
+    computed once per (type, subgroup)."""
+    return quotient(diagram_of(st), sub_.perms())
 
 
 @lru_cache(maxsize=None)

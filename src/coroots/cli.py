@@ -19,9 +19,10 @@ from .center import (
     all_subgroups,
     center_group,
     parse_center,
+    quotient_diagram,
 )
 from .derived import check_samediags, derived, quotient_marked
-from .diagrams import DiagramError, classify, diagram_of, quotient
+from .diagrams import DiagramError, classify, diagram_of
 from .moduli import (
     SHAPE_DISPLAY,
     record_to_json,
@@ -123,7 +124,7 @@ def cmd_datum(args) -> int:
 def cmd_quotient(args) -> int:
     st = _parse_type(args.group)
     sub_ = _parse_center(st, args.center)
-    q = quotient(diagram_of(st), sub_.perms())
+    q = quotient_diagram(st, sub_)
     res = classify(q)
     payload = _diagram_payload(
         q,

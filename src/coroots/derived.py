@@ -16,14 +16,12 @@ from functools import lru_cache
 from math import gcd
 
 from . import rootdata
-from .center import CenterSubgroup, orbit_data, torus_subspace_coords
+from .center import CenterSubgroup, orbit_data, quotient_diagram, torus_subspace_coords
 from .diagrams import (
     AffineDiagram,
     ClassifyResult,
     classify,
-    diagram_of,
     make_diagram,
-    quotient,
 )
 from .numerology import I_set, MarkedDiagram, marked
 from .projection import (
@@ -192,8 +190,7 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
 @lru_cache(maxsize=None)
 def quotient_marked(st: SimpleType, sub_: CenterSubgroup) -> MarkedDiagram:
     """The quotient diagram with the induced coroot integers as marking."""
-    q = quotient(diagram_of(st), sub_.perms())
-    return marked(q)
+    return marked(quotient_diagram(st, sub_))
 
 
 def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramReport:

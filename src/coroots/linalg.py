@@ -4,8 +4,10 @@ Everything in this package is exact: vectors are tuples of
 `fractions.Fraction` or of ints, matrices are tuples of row tuples, and
 there is no floating point anywhere.  Matrices are small and dense: the
 catalog stops at rank 12, but the CLI accepts any rank and queries such as
-A40 reach ambient dimension 41.  Plain Gauss-Jordan elimination over the
-rationals is all we need.
+A40 reach ambient dimension 41.  One fraction-free Gauss-Jordan
+elimination (row_echelon) serves inverse, kernel_basis, solve, rank and
+in_span: rows are scaled to ints, eliminated with integer row operations
+and reduced by their gcds, and Fractions are built once from the result.
 
 The hot loops run on ints instead.  `to_int` is the one way in: it scales
 rational vectors by the LCM of their denominators, after which zero tests
@@ -142,28 +144,42 @@ def primitive(v: Vec) -> Vec:
 
 
 def row_echelon(m: Mat) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in m]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Fraction-free: each row is scaled once to ints by the LCM of its
+    denominators, eliminated with integer row operations p row_i - f row_r
+    and divided by its gcd.  Row r then holds its pivot p_r and zeros in the
+    other pivot columns, so the reduced form is x / p_r, built as Fractions
+    only at the end.  The reduced form is unique, so this is the Gauss-Jordan
+    result over the rationals.
+    """
+    rows = []
+    for row in m:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(rows[i], top)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return [tuple(row) for row in rows], pivots
+    dens = [rows[i][c] for i, c in enumerate(pivots)] + [1] * (n_rows - r)
+    return [tuple(Q(x, d) for x in row) for row, d in zip(rows, dens)], pivots
 
 
 def inverse(m: Mat) -> Mat:

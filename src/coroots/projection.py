@@ -42,6 +42,7 @@ from .center import (
     fixed_subspace_basis,
     fixed_subspace_coords,
     orbit_data,
+    quotient_diagram,
 )
 from .diagrams import (
     AffineDiagram,
@@ -49,13 +50,11 @@ from .diagrams import (
     classify,
     diagram_of,
     make_diagram,
-    quotient,
 )
 from .linalg import (
     IVec,
     Vec,
     add,
-    dot,
     int_dot,
     inverse,
     is_zero,
@@ -63,7 +62,6 @@ from .linalg import (
     mat,
     rank as mat_rank,
     scale,
-    sub,
     to_int,
     zero_vec,
 )
@@ -221,7 +219,7 @@ def check_diagram1(st: SimpleType, sub_: CenterSubgroup) -> DiagramReport:
     candidate bijection; any discrepancy is reported.
     """
     ps = project(st, sub_)
-    qd = quotient(diagram_of(st), sub_.perms())
+    qd = quotient_diagram(st, sub_)
     if ps.diagram.n_nodes != qd.n_nodes:
         return DiagramReport(False, "orbit counts differ")
     n = qd.n_nodes
@@ -239,44 +237,52 @@ def check_diagram1(st: SimpleType, sub_: CenterSubgroup) -> DiagramReport:
 # ---------------------------------------------------------------------------
 # Finite root-set machinery (restriction side)
 
+# every root times this scale is an int tuple (the LCM of its denominators)
+_ROOT_SCALE = {"C": 2, "BC": 2, "E": 2, "F": 2}
+
+
 @lru_cache(maxsize=None)
 def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
-    """Every root of a catalog type as an exact vector, generated directly.
+    """Every root of a catalog type as an exact vector, in sorted order."""
+    s = _ROOT_SCALE.get(st.family, 1)
+    return tuple(tuple(Q(x, s) for x in v) for v in _integer_roots_of(st))
 
-    The count is checked against the known cardinality for each family.
+
+@lru_cache(maxsize=None)
+def _integer_roots_of(st: SimpleType) -> tuple[IVec, ...]:
+    """Every root of a catalog type times _ROOT_SCALE, generated directly as
+    int tuples, in sorted order.
+
+    The count is checked against the known cardinality for each family, and
+    the scaled simple roots must be among the generated ones.
     """
     d = rootdata.datum(st)
     fam, n = st.family, st.rank
-    out: set[Vec] = set()
+    dim = d.ambient_dim
+    out: set[IVec] = set()
 
-    def e(i):
-        return tuple(Q(1) if j == i else Q(0) for j in range(d.ambient_dim))
+    def axes(m, c):
+        for i in range(m):
+            for x in (c, -c):
+                out.add(tuple(x if k == i else 0 for k in range(dim)))
 
-    def addpm(v):
-        out.add(v)
-        out.add(scale(-1, v))
+    def pairs(m, c, signs=((1, 1), (1, -1), (-1, 1), (-1, -1))):
+        for i in range(m):
+            for j in range(i + 1, m):
+                for si, sj in signs:
+                    v = [0] * dim
+                    v[i], v[j] = si * c, sj * c
+                    out.add(tuple(v))
 
     if fam == "A":
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i != j:
-                    out.add(sub(e(i), e(j)))
+        pairs(n + 1, 1, ((1, -1), (-1, 1)))
         expect = n * (n + 1)
     elif fam in ("B", "C", "D", "BC"):
-        half = Q(1, 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si, sj in product((1, -1), repeat=2):
-                    v = add(scale(si, e(i)), scale(sj, e(j)))
-                    if fam in ("C", "BC"):
-                        v = scale(half, v)
-                    out.add(v)
+        pairs(n, 1)
         if fam in ("B", "BC"):
-            for i in range(n):
-                addpm(e(i) if fam == "B" else scale(half, e(i)))
+            axes(n, 1)
         if fam in ("C", "BC"):
-            for i in range(n):
-                addpm(e(i))
+            axes(n, 2)
         expect = {
             "B": 2 * n * n,
             "C": 2 * n * n,
@@ -286,53 +292,33 @@ def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
     elif fam == "E":
         # E8 in the even coordinate system; E7/E6 are the roots lying in the
         # span of their simple roots
-        e8: set[Vec] = set()
-        for i in range(8):
-            for j in range(i + 1, 8):
-                for si, sj in product((1, -1), repeat=2):
-                    e8.add(add(scale(si, e(i)), scale(sj, e(j))))
-        half = Q(1, 2)
-        for signs in product((1, -1), repeat=8):
-            if signs.count(-1) % 2 == 0:
-                e8.add(tuple(half * s for s in signs))
-        if n == 8:
-            out = e8
-        else:
+        pairs(8, 2)
+        out.update(v for v in product((1, -1), repeat=8) if v.count(-1) % 2 == 0)
+        if n < 8:
             # v lies in the span S of the simple coroots exactly when it is
             # orthogonal to the kernel S^perp of the matrix whose rows are S
-            perp = kernel_basis(mat(d.extended_coroots[1:]))
-            out = {v for v in e8 if all(dot(v, c) == 0 for c in perp)}
+            perp = [tuple(map(int, c)) for c in kernel_basis(mat(d.extended_coroots[1:]))]
+            out = {v for v in out if not any(int_dot(v, c) for c in perp)}
         expect = {6: 72, 7: 126, 8: 240}[n]
     elif fam == "F":
-        for i in range(4):
-            addpm(e(i))
-            for j in range(i + 1, 4):
-                for si, sj in product((1, -1), repeat=2):
-                    out.add(add(scale(si, e(i)), scale(sj, e(j))))
-        half = Q(1, 2)
-        for signs in product((1, -1), repeat=4):
-            out.add(tuple(half * s for s in signs))
+        axes(4, 2)
+        pairs(4, 2)
+        out.update(product((1, -1), repeat=4))
         expect = 48
     elif fam == "G":
+        pairs(3, 1, ((1, -1), (-1, 1)))
         for i in range(3):
-            for j in range(3):
-                if i != j:
-                    out.add(sub(e(i), e(j)))
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            addpm(sub(scale(2, e(i)), add(e(j), e(k))))
+            v = tuple(2 if k == i else -1 for k in range(3))
+            out.update((v, tuple(-x for x in v)))
         expect = 12
     else:  # pragma: no cover
         raise AssertionError(fam)
     if len(out) != expect:
         raise AssertionError(f"generated {len(out)} roots for {st}, expected {expect}")
-    if any(v not in out for v in d.extended_roots[1:]):
+    s = _ROOT_SCALE.get(fam, 1)
+    if any(tuple(s * x for x in v) not in out for v in d.extended_roots[1:]):
         raise AssertionError("simple roots missing from the generated root set")
     return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _integer_roots_of(st: SimpleType) -> tuple[IVec, ...]:
-    return tuple(to_int(all_roots_of(st), rootdata.datum(st).gram)[0])
 
 
 def annihilator_factors(st: SimpleType, subspace) -> list[SimpleType]:

@@ -24,12 +24,13 @@ from .linalg import (
     dot,
     int_dot,
     inverse,
-    is_zero,
+    kernel_basis,
     lattice_index,
     mat,
     scale,
     sub,
     to_int,
+    transpose,
     vec,
     zero_vec,
 )
@@ -328,8 +329,6 @@ def _coroot_integers(coroots: tuple[Vec, ...]) -> tuple[int, ...]:
     Normalized to positive coprime integers; for the reduced families the
     extended node gets coefficient 1, for BC it is 2.
     """
-    from .linalg import kernel_basis, transpose
-
     ker = kernel_basis(transpose(mat(coroots)))
     if len(ker) != 1:
         raise AssertionError("extended coroots do not satisfy a unique relation")
@@ -347,34 +346,40 @@ def _coweights(simple_roots, simple_coroots, gram) -> tuple[tuple[Vec, ...], tup
 
     With P[k][j] = <a_k, s_j>, the coweight w_i = sum_j C[j][i] s_j is dual
     to the simple roots exactly when C = P^{-1}; its coordinates are the
-    i-th column of C.
+    i-th column of C.  The form is c times the identity, so with a and s
+    scaled to ints by s_a and s_c, P = c/(s_a s_c) int_dot(a_k, s_j): one
+    integer matrix is inverted.  Each coweight is then an integer column
+    sum of the int coroots over one denominator.
     """
-    span = mat(simple_coroots)
-    pairing = mat([[dot(a, s, gram) for s in span] for a in simple_roots])
+    a, s_a = to_int(simple_roots, gram)
+    s, s_c = to_int(simple_coroots, gram)
     try:
-        inv = inverse(pairing)
+        inv = inverse(mat([[int_dot(x, y) for y in s] for x in a]))
     except ValueError:
         raise AssertionError("degenerate simple system") from None
-    coords = tuple(zip(*inv))
-    out = []
-    for c in coords:
-        w = zero_vec(len(span[0]))
-        for x, s in zip(c, span):
-            w = add(w, scale(x, s))
-        out.append(w)
-    return tuple(out), coords
+    f = gram[0][0] / (s_a * s_c)
+    coords = tuple(tuple(x / f for x in col) for col in zip(*inv))
+    nums, den = to_int(coords)
+    cols = tuple(zip(*s))
+    weights = tuple(tuple(Q(int_dot(x, col), den * s_c) for col in cols) for x in nums)
+    return weights, coords
 
 
 def _check_datum(d: RootDatum) -> None:
+    """The catalog relations, the normalization and coweight duality.
+
+    All tests are integer sums: roots, coroots and coweights are scaled to
+    ints (by s_a, s_c and s_w) and the form is c times the identity, so
+    <a_j, w_i> = delta_ij reads c int_dot(a_j, w_i) == delta_ij s_a s_w.
+    """
     n = d.rank
+    c = d.gram[0][0]
+    roots, s_a = to_int(d.extended_roots, d.gram)
+    coroots, s_c = to_int(d.extended_coroots, d.gram)
     # single exact relations with the catalog integers
-    hsum = zero_vec(d.ambient_dim)
-    gsum = zero_vec(d.ambient_dim)
-    for i in d.nodes():
-        hsum = add(hsum, scale(d.h[i], d.extended_roots[i]))
-        gsum = add(gsum, scale(d.g[i], d.extended_coroots[i]))
-    if not is_zero(hsum) or not is_zero(gsum):
-        raise AssertionError(f"relation failure for {d.type}")
+    for ints, coeffs in ((roots, d.h), (coroots, d.g)):
+        if any(int_dot(coeffs, xs) for xs in zip(*ints)):
+            raise AssertionError(f"relation failure for {d.type}")
     if d.h[0] != 1:
         raise AssertionError("extended root integer must be 1")
     if d.type.family != "BC":
@@ -382,13 +387,13 @@ def _check_datum(d: RootDatum) -> None:
             raise AssertionError("extended coroot integer must be 1")
         if any(d.h[i] % d.g[i] for i in d.nodes()):
             raise AssertionError("coroot integers must divide root integers")
-    if min(d.coroot_sq_lengths()) != 2:
+    if c * min(int_dot(v, v) for v in coroots) != 2 * s_c * s_c:
         raise AssertionError(f"short coroot not normalized for {d.type}")
     # fundamental coweights are exactly dual to the simple roots
-    for i, w in enumerate(d.coweight_lattice_basis):
+    weights, s_w = to_int(d.coweight_lattice_basis, d.gram)
+    for i, w in enumerate(weights):
         for j in range(1, n + 1):
-            expect = Q(1) if j == i + 1 else Q(0)
-            if d.pairing(d.extended_roots[j], w) != expect:
+            if c * int_dot(roots[j], w) != (j == i + 1) * s_a * s_w:
                 raise AssertionError(f"coweight duality broken for {d.type}")
 
 

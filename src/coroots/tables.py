@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .center import all_subgroups, parse_center
+from .center import all_subgroups, parse_center, quotient_diagram
 from .derived import derived, quotient_marked
-from .diagrams import AffineDiagram, classify, diagram_of, quotient
+from .diagrams import AffineDiagram, classify, diagram_of
 from .moduli import annihilator_factors, catalog_types, subspace_for
 from .projection import nonmultipliable, projection_type, restricted_type
 from .rootdata import SimpleType
@@ -96,7 +96,7 @@ def quotient_diagram_table(max_rank: int = 12) -> TableDocument:
         for sub_ in all_subgroups(st):
             if sub_.is_trivial:
                 continue
-            q = quotient(diagram_of(st), sub_.perms())
+            q = quotient_diagram(st, sub_)
             res = classify(q)
             rows.append(
                 f"{label(st)} / {_sub_name(st, sub_)} -> {label(res.type)}"
@@ -126,7 +126,7 @@ def fixed_subspace_table(max_rank: int = 12) -> TableDocument:
             )
             pt = projection_type(st, sub_)
             rt = restricted_type(st, sub_)
-            wc = classify(quotient(diagram_of(st), sub_.perms()))
+            wc = classify(quotient_diagram(st, sub_))
             marks = ",".join(str(m) for m in orbit_data(st, sub_).marks)
             rows.append(
                 f"{label(st)} | {_sub_name(st, sub_)} | {lc} | "

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from coroots.cli import main, run_check_all
 from coroots.diagrams import AffineDiagram
 from coroots.moduli import record_from_json
@@ -149,6 +151,14 @@ def test_check_all_full_rank_within_budget():
     assert run_check_all(12, lines.append)
     elapsed = time.time() - t0
     assert elapsed < 60, f"check-all at rank 12 took {elapsed:.1f}s"
+
+
+@pytest.mark.slow
+def test_check_all_past_the_catalog():
+    """check-all sweeps every type up to rank 16, past the rank-12 catalog."""
+    code, out, _ = run_cli("check-all", "--max-rank", "16")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed"
 
 
 def test_b2_alias_via_cli(capsys):

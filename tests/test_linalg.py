@@ -1,7 +1,10 @@
 from fractions import Fraction as Q
 
+import random
+import tracemalloc
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coroots.linalg import (
@@ -18,6 +21,7 @@ from coroots.linalg import (
     orthogonal_project,
     primitive,
     rank,
+    row_echelon,
     scale,
     solve,
     sub,
@@ -175,3 +179,86 @@ def test_lattice_index_and_membership():
     assert lattice_index(sub_, sup) == 6
     assert in_lattice(vec([3, 3]), sub_)
     assert not in_lattice(vec([1, 0]), sub_)
+
+
+def _fraction_row_echelon(m):
+    """Oracle: Gauss-Jordan elimination carried out on Fractions."""
+    rows = [list(r) for r in m]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return [tuple(row) for row in rows], pivots
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Rational matrices up to 6x6, tall, wide or square, with zero rows,
+    zero columns and rows that combine other rows."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    m = [draw(st.lists(rationals, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for i in draw(st.sets(st.integers(0, n_rows - 1), max_size=2)):
+        m[i] = [Q(0)] * n_cols
+    for j in draw(st.sets(st.integers(0, n_cols - 1), max_size=2)):
+        for row in m:
+            row[j] = Q(0)
+    for _ in range(draw(st.integers(0, n_rows - 1))):
+        a, b, t = (draw(st.integers(0, n_rows - 1)) for _ in range(3))
+        c = draw(rationals)
+        m[t] = [x + c * y for x, y in zip(m[a], m[b])]
+    return mat(m)
+
+
+@settings(max_examples=150)
+@given(echelon_inputs())
+@example(mat([[Q(3, 4)]]))
+@example(mat([[0]]))
+@example(mat([[0, 0], [0, 0], [0, 0]]))
+@example(mat([[1, 2, 3], [2, 4, 6]]))
+@example(mat([[Q(1, 2), Q(-1, 3)], [Q(1, 4), Q(5, 6)], [1, 1]]))
+def test_row_echelon_matches_fraction_gauss_jordan(m):
+    rows, pivots = row_echelon(m)
+    assert (rows, pivots) == _fraction_row_echelon(m)
+    assert all(type(x) is Q for row in rows for x in row)
+    n = len(m)
+    if n == len(m[0]) and len(pivots) < n:
+        with pytest.raises(ValueError, match="singular matrix"):
+            inverse(m)
+    elif n == len(m[0]):
+        identity = mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        assert _mat_mul(inverse(m), m) == identity
+
+
+def test_row_echelon_entries_stay_small():
+    """Each row is divided by its gcd after every elimination step.
+
+    Without that, the integer entries of a fraction-free elimination double
+    in size at every pivot; with it, eliminating a 16 x 16 integer matrix
+    stays within a few tens of kB.
+    """
+    rng = random.Random(16)
+    m = mat([[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
+    tracemalloc.start()
+    try:
+        rows, pivots = row_echelon(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pivots == list(range(16))
+    assert peak < 150_000, f"row_echelon peaked at {peak} bytes"

@@ -26,11 +26,13 @@ from coroots.linalg import (
     rank,
     scale,
     sub,
+    to_int,
     vec,
     zero_vec,
 )
 from coroots.moduli import annihilator_factors, catalog_types, subspace_for
 from coroots.projection import (
+    _integer_roots_of,
     all_roots_of,
     check_diagram1,
     classify_finite_cartan,
@@ -244,6 +246,18 @@ def test_all_roots_counts():
                         ("E6", 72), ("E7", 126), ("E8", 240), ("F4", 48),
                         ("G2", 12), ("BC3", 24)]:
         assert len(all_roots_of(parse_type(spec))) == count
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(12) + [SimpleType("BC", n) for n in range(1, 13)], ids=str
+)
+def test_integer_roots_are_the_scaled_roots(st):
+    """The directly generated integer roots are the Fraction roots scaled
+    by the LCM of their denominators."""
+    roots = _integer_roots_of(st)
+    want = to_int(all_roots_of(st), datum(st).gram)[0]
+    assert len(roots) == len(want) and set(roots) == set(want)
+    assert all(type(x) is int for r in roots for x in r)
 
 
 def test_classify_root_components():

@@ -7,7 +7,18 @@ import pytest
 
 from coroots.center import _check_homomorphism, center_group
 from coroots.diagrams import diagram_of
-from coroots.linalg import add, in_lattice, is_zero, mat_vec, scale, sub, zero_vec
+from coroots.linalg import (
+    add,
+    dot,
+    in_lattice,
+    inverse,
+    is_zero,
+    mat,
+    mat_vec,
+    scale,
+    sub,
+    zero_vec,
+)
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
@@ -316,6 +327,48 @@ def test_cartan_matrix_matches_fraction_route(st):
     want = tuple(tuple(d.cartan(u, v) for v in cr) for u in cr)
     assert all(x.denominator == 1 for row in want for x in row)
     assert d.cartan_matrix() == want
+
+
+def _fraction_coweights(simple_roots, simple_coroots, gram):
+    """Oracle: the coweights from the inverse of the Fraction pairing matrix."""
+    span = mat(simple_coroots)
+    inv = inverse(mat([[dot(a, s, gram) for s in span] for a in simple_roots]))
+    coords = tuple(zip(*inv))
+    out = []
+    for c in coords:
+        w = zero_vec(len(span[0]))
+        for x, s in zip(c, span):
+            w = add(w, scale(x, s))
+        out.append(w)
+    return tuple(out), coords
+
+
+def _fraction_check_datum(d):
+    """Oracle: the datum checks as Fraction vector sums and Gram pairings."""
+    hsum = zero_vec(d.ambient_dim)
+    gsum = zero_vec(d.ambient_dim)
+    for i in d.nodes():
+        hsum = add(hsum, scale(d.h[i], d.extended_roots[i]))
+        gsum = add(gsum, scale(d.g[i], d.extended_coroots[i]))
+    assert is_zero(hsum) and is_zero(gsum)
+    assert min(d.coroot_sq_lengths()) == 2
+    for i, w in enumerate(d.coweight_lattice_basis):
+        for j in range(1, d.rank + 1):
+            assert d.pairing(d.extended_roots[j], w) == (1 if j == i + 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(16) + [SimpleType("BC", n) for n in range(1, 17)], ids=str
+)
+def test_datum_matches_fraction_route(st):
+    """The integer coweights equal the Fraction pairing-inverse route, and
+    the datum passes the Fraction checks."""
+    d = datum(st)
+    weights, coords = _fraction_coweights(d.extended_roots[1:], d.coroot_lattice_basis, d.gram)
+    assert d.coweight_lattice_basis == weights
+    assert d.coweight_coroot_coords == coords
+    assert all(type(x) is Q for w in d.coweight_lattice_basis + d.coweight_coroot_coords for x in w)
+    _fraction_check_datum(d)
 
 
 def test_parse_aliases():
