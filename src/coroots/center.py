@@ -7,10 +7,16 @@ extended coroot diagram, exactly one induces an affine map
 t -> w(t - zeta_{c^-1}) that permutes the alcove vertices and translates
 the central vertices by c.  That automorphism is nu(c).
 
-The oracle runs in simple-coroot coordinates, where every alcove vertex
-lives (the coordinate map is injective on the coroot span).  There an
-automorphism acts as a permutation of the coordinates plus, when it moves
-the extended node, one step along the relation sum_i g_i a_i^vee = 0.
+The oracle runs on int tuples: the alcove vertices' simple-coroot
+coordinates times L, the LCM of their denominators
+(rootdata.alcove_int_coords; the coordinate map is injective on the coroot
+span).  There an automorphism acts as a permutation of the coordinates
+plus, when it moves the extended node, one step along the relation
+sum_i g_i a_i^vee = 0.  Every group type has g_0 = 1, so that step is an
+integer; a step with g_0 != 1 raises AssertionError.  The group law the
+oracle checks against looks up the scaled coordinates' residues mod L
+(rootdata.center_element_sum), and an automorphism's matrix on the
+coroots is an integer matrix (perm_matrix_on_coroots_of).
 
 The subspaces the projected-coroot route works in live in the same
 coordinates, as primitive integer vectors cached per (type, subgroup):
@@ -33,13 +39,10 @@ from . import rootdata
 from .diagrams import AffineDiagram, automorphism_group, compose, diagram_of, quotient
 from .linalg import (
     IVec,
-    Mat,
     Vec,
     int_dot,
     kernel_basis,
-    mat,
     mat_vec,
-    sub,
     to_int,
     transpose,
 )
@@ -100,36 +103,41 @@ def coroot_coords(d: RootDatum, v: Vec) -> Vec:
     return mat_vec(rootdata.coroot_coord_matrix(d.type), v)
 
 
-def _apply_perm_coords(perm: tuple[int, ...], g: tuple[int, ...], x: Vec) -> Vec:
-    """Coordinates of the image of sum_i x_i a_i^vee under a_i^vee -> a_{perm[i]}^vee."""
-    y = [Q(0)] * len(x)
-    shift = Q(0)
-    for i, xi in enumerate(x, start=1):
-        j = perm[i]
+def _permute(perm: tuple[int, ...], g: tuple[int, ...], x: IVec) -> IVec:
+    """Coordinates of the image of sum_i x_i a_i^vee under a_i^vee -> a_{perm[i]}^vee.
+
+    A coroot sent to the extended node contributes -x_i (g_1..g_n), from
+    sum_i g_i a_i^vee = 0; that step is integral because g_0 = 1.
+    """
+    y = [0] * len(x)
+    shift = 0
+    for xi, j in zip(x, perm[1:]):
         if j:
             y[j - 1] += xi
+        elif g[0] != 1:
+            raise AssertionError(f"coroot relation has g_0 = {g[0]}, not 1")
         else:
-            shift = xi / g[0]
+            shift = xi
     if shift:
         y = [yj - shift * gj for yj, gj in zip(y, g[1:])]
     return tuple(y)
 
 
 @lru_cache(maxsize=None)
-def perm_matrix_on_coroots_of(st: SimpleType, perm: tuple[int, ...]) -> Mat:
-    """Matrix (in the simple-coroot basis) of the linear map sending the
-    extended coroot of node i to that of perm[i].
+def perm_matrix_on_coroots_of(st: SimpleType, perm: tuple[int, ...]) -> tuple[IVec, ...]:
+    """Integer matrix (in the simple-coroot basis) of the linear map sending
+    the extended coroot of node i to that of perm[i].
 
-    Column i is e_{perm[i]}, or the coordinates -(g_1..g_n)/g_0 of the
-    extended coroot when perm[i] = 0.
+    Column i is e_{perm[i]}, or the coordinates -(g_1..g_n) of the extended
+    coroot when perm[i] = 0.
     """
     g = rootdata.datum(st).g
-    n = len(g) - 1
-    units = [tuple(Q(int(k == i)) for k in range(n)) for i in range(n)]
-    return transpose(tuple(_apply_perm_coords(perm, g, e) for e in units))
+    n = st.rank
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    return transpose(tuple(_permute(perm, g, e) for e in units))
 
 
-def perm_matrix_on_coroots(d: RootDatum, perm: tuple[int, ...]) -> Mat:
+def perm_matrix_on_coroots(d: RootDatum, perm: tuple[int, ...]) -> tuple[IVec, ...]:
     return perm_matrix_on_coroots_of(d.type, perm)
 
 
@@ -158,7 +166,7 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
     d = rootdata.datum(st)
     if d.h[target_node] != 1:
         raise ValueError(f"node {target_node} does not carry a central element")
-    verts = rootdata.alcove_coroot_coords(st)
+    verts = rootdata.alcove_int_coords(st)[0]
     central = rootdata.center_vertex_nodes(st)
     zeta = verts[rootdata.center_element_inverse(st, target_node)]
     vertex_set = set(verts)
@@ -169,8 +177,8 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
         if perm[0] != target_node:
             continue
 
-        def phi(x: Vec) -> Vec:
-            return _apply_perm_coords(perm, d.g, sub(x, zeta))
+        def phi(x: IVec) -> IVec:
+            return _permute(perm, d.g, tuple(a - b for a, b in zip(x, zeta)))
 
         if any(phi(v) not in vertex_set for v in verts):
             continue
@@ -290,7 +298,7 @@ def fixed_subspace_coords(st: SimpleType, sub_: CenterSubgroup) -> tuple[IVec, .
         rows.extend(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))
     if not rows:
         return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-    return tuple(tuple(int(x) for x in v) for v in kernel_basis(mat(rows)))
+    return tuple(kernel_basis(rows))
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +323,8 @@ def torus_subspace_coords(st: SimpleType, sub_: CenterSubgroup, k: int) -> tuple
     if not rows:
         return fixed
     return tuple(
-        tuple(sum(int(c) * b[i] for c, b in zip(ker, fixed)) for i in range(st.rank))
-        for ker in kernel_basis(mat(rows))
+        tuple(sum(c * b[i] for c, b in zip(ker, fixed)) for i in range(st.rank))
+        for ker in kernel_basis(rows)
     )
 
 

@@ -32,7 +32,7 @@ from .moduli import (
     rank_zero_list,
 )
 from .numerology import check_assumption, clocked, counts, marked
-from .projection import check_diagram1
+from .projection import DiagramReport, check_diagram1
 from .rootdata import SimpleType, dual_coxeter, parse_type
 from .tables import all_tables, label, render_diagram
 
@@ -98,13 +98,14 @@ def cmd_datum(args) -> int:
     st = _parse_type(args.group)
     d = rootdata.datum(st)
     dia = diagram_of(st)
+    order = rootdata.fundamental_group_order(st)
     payload = _diagram_payload(
         dia,
         {
             "group": label(st),
             "dual_coxeter": dual_coxeter(st),
             "root_integers": list(d.h),
-            "center_order": rootdata.fundamental_group_order(st),
+            "center_order": order,
         },
     )
     text = "\n".join(
@@ -114,7 +115,7 @@ def cmd_datum(args) -> int:
             f"coroot integers: {list(d.g)}",
             f"root integers:   {list(d.h)}",
             f"dual Coxeter number: {dual_coxeter(st)}",
-            f"center order: {rootdata.fundamental_group_order(st)}",
+            f"center order: {order}",
         ]
     )
     _emit(args, payload, text)
@@ -304,14 +305,18 @@ def run_check_all(max_rank: int, emit) -> bool:
     failures: list[str] = []
 
     def attempt(name, fn, ctx):
+        """Run one check; fn returns a DiagramReport or a bool."""
         try:
             res = fn()
-            if res is False:
-                failures.append(f"{name}: {ctx}")
-            else:
-                checks[name] += 1
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            failures.append(f"{name}: {ctx}: {exc}")
+            failures.append(f"{name}: {ctx}: {type(exc).__name__}: {exc}")
+            return
+        if isinstance(res, DiagramReport) and not res.equal:
+            failures.append(f"{name}: {ctx}: {res.detail}")
+        elif res is False:
+            failures.append(f"{name}: {ctx}")
+        else:
+            checks[name] += 1
 
     bc_types = [SimpleType("BC", n) for n in range(1, max_rank + 1)]
     for st in catalog_types(max_rank) + bc_types:
@@ -334,7 +339,7 @@ def run_check_all(max_rank: int, emit) -> bool:
             ctx = f"{label(st)}/{sub_.describe()}"
             attempt(
                 "diagram1",
-                lambda st=st, sub_=sub_: check_diagram1(st, sub_).equal,
+                lambda st=st, sub_=sub_: check_diagram1(st, sub_),
                 ctx,
             )
             mq = quotient_marked(st, sub_)
@@ -344,7 +349,7 @@ def run_check_all(max_rank: int, emit) -> bool:
             for k in mq.admissible_orders():
                 attempt(
                     "samediags",
-                    lambda st=st, sub_=sub_, k=k: check_samediags(st, sub_, k).equal,
+                    lambda st=st, sub_=sub_, k=k: check_samediags(st, sub_, k),
                     f"{ctx} k={k}",
                 )
                 if k > 1 and not sub_.is_trivial:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import rootdata
-from .linalg import kernel_basis, mat, transpose
+from .linalg import kernel_basis, transpose
 from .rootdata import FAMILIES, TRIVIAL, SimpleType
 
 
@@ -103,12 +103,12 @@ def is_affine_type(cartan) -> tuple[int, ...] | None:
         raise DiagramError("cartan matrix is decomposable")
     if len(cartan) == 1:
         return (1,)
-    ker = kernel_basis(transpose(mat(cartan)))
+    ker = kernel_basis(transpose(cartan))
     if len(ker) != 1:
         return None
     rel = ker[0]
     if all(x > 0 for x in rel) or all(x < 0 for x in rel):
-        return tuple(abs(int(x)) for x in rel)
+        return tuple(abs(x) for x in rel)
     return None
 
 
@@ -179,11 +179,15 @@ def diagram_of(st: SimpleType) -> AffineDiagram:
 
 
 def _invariants(d: AffineDiagram) -> list[tuple]:
+    """Per-node isomorphism invariants, all ints (a length enters as its
+    reduced numerator and denominator), so comparing them builds no
+    Fractions."""
     base = []
     for u in d.nodes():
         row = tuple(sorted(d.cartan[u][v] for v in d.nodes() if v != u))
         col = tuple(sorted(d.cartan[v][u] for v in d.nodes() if v != u))
-        base.append((d.marks[u], d.sq_lengths[u], row, col))
+        ln = d.sq_lengths[u]
+        base.append((d.marks[u], ln.numerator, ln.denominator, row, col))
     # one round of neighbor refinement
     return [
         (base[u], tuple(sorted(base[v] for v in d.neighbors(u)))) for u in d.nodes()
@@ -281,28 +285,40 @@ def _candidate_types(rank: int) -> list[SimpleType]:
     return out
 
 
+def _relengthed(d: AffineDiagram) -> tuple[AffineDiagram, tuple]:
+    """d with lengths re-derived from its Cartan matrix, and its sorted
+    invariants: quotient normalizations may rescale lengths, so classify
+    compares only cartan + marks."""
+    r = AffineDiagram(d.cartan, d.marks, _lengths_from_cartan(d.cartan))
+    return r, tuple(sorted(_invariants(r)))
+
+
+@lru_cache(maxsize=None)
+def _catalog_probe(st: SimpleType) -> tuple[AffineDiagram, tuple]:
+    return _relengthed(diagram_of(st))
+
+
 def classify(d: AffineDiagram) -> ClassifyResult | None:
     """Catalog type whose extended coroot diagram is isomorphic to d.
 
     Marks must match the catalog coroot integers up to one global integer
     factor.  Returns None only for diagrams outside the catalog, which does
-    not happen for affine-type input (the catalog is complete).
+    not happen for affine-type input (the catalog is complete).  Candidates
+    whose invariant signature differs are skipped without a search.
     """
     if d.n_nodes == 1:
         return ClassifyResult(TRIVIAL, d.marks[0], (0,))
     scale = 0
     for m in d.marks:
         scale = gcd(scale, m)
-    reduced = AffineDiagram(d.cartan, tuple(m // scale for m in d.marks), d.sq_lengths)
+    probe, signature = _relengthed(
+        AffineDiagram(d.cartan, tuple(m // scale for m in d.marks), d.sq_lengths)
+    )
     for st in _candidate_types(d.n_nodes - 1):
-        cat = diagram_of(st)
-        # lengths may differ by the quotient normalization; compare on a
-        # re-derived copy so only cartan + marks matter
-        iso = _isomorphisms(
-            AffineDiagram(reduced.cartan, reduced.marks, _lengths_from_cartan(reduced.cartan)),
-            AffineDiagram(cat.cartan, cat.marks, _lengths_from_cartan(cat.cartan)),
-            first_only=True,
-        )
+        cat, cat_signature = _catalog_probe(st)
+        if cat_signature != signature:
+            continue
+        iso = _isomorphisms(probe, cat, first_only=True)
         if iso:
             return ClassifyResult(st, scale, iso[0])
     return None

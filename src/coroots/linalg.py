@@ -5,9 +5,10 @@ Everything in this package is exact: vectors are tuples of
 there is no floating point anywhere.  Matrices are small and dense: the
 catalog stops at rank 12, but the CLI accepts any rank and queries such as
 A40 reach ambient dimension 41.  One fraction-free Gauss-Jordan
-elimination (row_echelon) serves inverse, kernel_basis, solve, rank and
+elimination (_int_echelon) serves inverse, kernel_basis, solve, rank and
 in_span: rows are scaled to ints, eliminated with integer row operations
-and reduced by their gcds, and Fractions are built once from the result.
+and reduced by their gcds.  kernel_basis, rank and scaled_inverse read the
+integer rows directly; row_echelon builds Fractions from them for solve.
 
 The hot loops run on ints instead.  `to_int` is the one way in: it scales
 rational vectors by the LCM of their denominators, after which zero tests
@@ -75,10 +76,10 @@ def dot(u: Vec, v: Vec, gram: Mat | None = None) -> Q:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     if gram is None:
-        return sum((a * b for a, b in zip(u, v)), Q(0))
+        return sum((a * b for a, b in zip(u, v) if a and b), Q(0))
     diag = _diagonal_of(gram)
     if diag is not None:
-        return sum((a * d * b for a, d, b in zip(u, diag, v)), Q(0))
+        return sum((a * d * b for a, d, b in zip(u, diag, v) if a and b), Q(0))
     return sum(
         (u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))),
         Q(0),
@@ -122,36 +123,30 @@ def is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-def primitive(v: Vec) -> Vec:
+def primitive(v) -> IVec:
     """Scale a nonzero rational vector to integer entries with gcd 1.
 
-    The sign is fixed so the first nonzero entry is positive.
+    The sign is fixed so the first nonzero entry is positive; a zero
+    vector stays zero.
     """
-    if is_zero(v):
-        return v
-    den = 1
-    for a in v:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    ints = [a // g for a in ints]
-    lead = next(a for a in ints if a != 0)
-    if lead < 0:
-        ints = [-a for a in ints]
-    return vec(ints)
+    s = lcm(*(a.denominator for a in v))
+    ints = [a.numerator * (s // a.denominator) for a in v]
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(ints)
+    if next(a for a in ints if a) < 0:
+        g = -g
+    return tuple(a // g for a in ints)
 
 
-def row_echelon(m: Mat) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def _int_echelon(m) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on the rows of m.
 
-    Fraction-free: each row is scaled once to ints by the LCM of its
-    denominators, eliminated with integer row operations p row_i - f row_r
-    and divided by its gcd.  Row r then holds its pivot p_r and zeros in the
-    other pivot columns, so the reduced form is x / p_r, built as Fractions
-    only at the end.  The reduced form is unique, so this is the Gauss-Jordan
-    result over the rationals.
+    Each row is scaled once to ints by the LCM of its denominators,
+    eliminated with integer row operations p row_i - f row_r and divided by
+    its gcd.  Returns the int rows and the pivot columns: row r holds its
+    pivot p_r and zeros in the other pivot columns, so x / p_r is the
+    reduced row echelon form (which is unique).
     """
     rows = []
     for row in m:
@@ -178,41 +173,70 @@ def row_echelon(m: Mat) -> tuple[list[Vec], list[int]]:
         r += 1
         if r == n_rows:
             break
-    dens = [rows[i][c] for i, c in enumerate(pivots)] + [1] * (n_rows - r)
+    return rows, pivots
+
+
+def row_echelon(m: Mat) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    The Fractions x / p_r are built once, from the integer elimination.
+    """
+    rows, pivots = _int_echelon(m)
+    dens = [rows[i][c] for i, c in enumerate(pivots)] + [1] * (len(rows) - len(pivots))
     return [tuple(Q(x, d) for x in row) for row, d in zip(rows, dens)], pivots
+
+
+def scaled_inverse(m) -> tuple[list[IVec], int]:
+    """The inverse of a square matrix as D m^-1 in ints, and D, the LCM of
+    its entries' denominators; raises ValueError if m is singular.
+
+    Every row of the eliminated [m | I] has gcd 1: scaled to ints it has
+    gcd 1 (it holds the scale itself in the identity block), and it is
+    divided by its gcd whenever it changes.  So row r of the inverse is
+    x / p_r with no factor common to p_r and all of x, and D is the LCM of
+    the pivots.
+    """
+    n = len(m)
+    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(m)]
+    rows, pivots = _int_echelon(aug)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    den = lcm(*(row[i] for i, row in enumerate(rows)))
+    return [tuple(x * (den // row[i]) for x in row[n:]) for i, row in enumerate(rows)], den
 
 
 def inverse(m: Mat) -> Mat:
     """Inverse of a square matrix; raises ValueError if it is singular."""
-    n = len(m)
-    aug = tuple(
-        tuple(row) + tuple(Q(1) if j == i else Q(0) for j in range(n))
-        for i, row in enumerate(m)
-    )
-    rows, pivots = row_echelon(aug)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(row[n:] for row in rows)
+    rows, den = scaled_inverse(m)
+    return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
 
 def rank(m: Mat) -> int:
-    return len(row_echelon(m)[1])
+    return len(_int_echelon(m)[1])
 
 
-def kernel_basis(m: Mat) -> list[Vec]:
-    """Basis of the right kernel, scaled to primitive integer vectors."""
+def kernel_basis(m) -> list[IVec]:
+    """Basis of the right kernel, as primitive integer vectors.
+
+    The vector of free column f has x_f = 1 and x_c = -x_{r,f} / p_r at the
+    pivot c of row r; times the LCM of the pivots it is integral.  m may
+    hold ints or Fractions.
+    """
     if not m:
         return []
     n_cols = len(m[0])
-    rows, pivots = row_echelon(m)
-    free = [c for c in range(n_cols) if c not in pivots]
+    rows, pivots = _int_echelon(m)
+    pivot_rows = list(zip(pivots, rows))
+    den = lcm(*(row[c] for c, row in pivot_rows))
     basis = []
-    for f in free:
-        v = [Q(0)] * n_cols
-        v[f] = Q(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(primitive(tuple(v)))
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [0] * n_cols
+        v[f] = den
+        for c, row in pivot_rows:
+            v[c] = -row[f] * (den // row[c])
+        basis.append(primitive(v))
     return basis
 
 
@@ -287,6 +311,30 @@ def project_many(vs: Sequence[Vec], span: Sequence[Vec], gram: Mat | None = None
             p = add(p, scale(c, s))
         out.append(p)
     return out
+
+
+def det_int(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+
+    Every division is exact (E. Bareiss, Math. Comp. 22, 1968), so the
+    entries stay integers bounded by minors of m.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p, top = a[k][k], a[k][k + 1 :]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i][k + 1 :] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1 :], top)]
+        prev = p
+    return sign * prev if n else 1
 
 
 def lattice_index(sub: Sequence[Vec], sup: Sequence[Vec]) -> int:

@@ -56,12 +56,11 @@ from .linalg import (
     Vec,
     add,
     int_dot,
-    inverse,
     is_zero,
     kernel_basis,
-    mat,
     rank as mat_rank,
     scale,
+    scaled_inverse,
     to_int,
     zero_vec,
 )
@@ -109,7 +108,7 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
             raise AssertionError("orbit average differs from orthogonal projection")
     if not all(map(any, avgs)):
         raise AssertionError("nonzero projection expected off the degenerate case")
-    if mat_rank(mat(avgs)) != len(span):
+    if mat_rank(avgs) != len(span):
         raise AssertionError("projected coroots do not span the fixed subspace")
     if len(orbits.orbits) != len(span) + 1:
         raise AssertionError("orbit count is not the fixed dimension plus one")
@@ -173,12 +172,9 @@ def projector(st: SimpleType, span: tuple[IVec, ...]) -> tuple[tuple[IVec, ...],
     """
     form = coroot_form(st)[0]
     kb = [tuple(int_dot(k, col) for col in form) for k in span]
-    inv = inverse(mat([[int_dot(a, k) for k in span] for a in kb]))
-    den = lcm(*(x.denominator for row in inv for x in row))
-    w = [
-        tuple(int_dot([int(x * den) for x in row], col) for col in zip(*kb))
-        for row in inv
-    ]
+    inv, den = scaled_inverse([[int_dot(a, k) for k in span] for a in kb])
+    cols = list(zip(*kb))
+    w = [tuple(int_dot(row, col) for col in cols) for row in inv]
     return tuple(tuple(int_dot(ka, wc) for wc in zip(*w)) for ka in zip(*span)), den
 
 
@@ -297,7 +293,7 @@ def _integer_roots_of(st: SimpleType) -> tuple[IVec, ...]:
         if n < 8:
             # v lies in the span S of the simple coroots exactly when it is
             # orthogonal to the kernel S^perp of the matrix whose rows are S
-            perp = [tuple(map(int, c)) for c in kernel_basis(mat(d.extended_coroots[1:]))]
+            perp = kernel_basis(d.extended_coroots[1:])
             out = {v for v in out if not any(int_dot(v, c) for c in perp)}
         expect = {6: 72, 7: 126, 8: 240}[n]
     elif fam == "F":
@@ -426,13 +422,16 @@ def _simple_system(roots: list[IVec]) -> list[IVec]:
         if 0 not in vals and len(vals) == len(roots):
             break
         t += 1
-    pos = [v for v in roots if int_dot(v, weights) > 0]
-    pset = set(pos)
-    simples = [
-        a
-        for a in pos
-        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in pos if b != a)
-    ]
+    # A positive root a that is not simple has a - b positive for some
+    # simple b (Humphreys, Lie Algebras 10.2, Lemma A), so b takes a smaller
+    # value on weights than a: scanning in increasing value, only the
+    # simples found so far need trying.
+    pos = sorted((h, v) for v in roots if (h := int_dot(v, weights)) > 0)
+    pset = {v for _, v in pos}
+    simples: list[IVec] = []
+    for _, a in pos:
+        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in simples):
+            simples.append(a)
     return sorted(simples)
 
 

@@ -18,14 +18,15 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .linalg import (
+    IVec,
     Mat,
     Vec,
     add,
+    det_int,
     dot,
     int_dot,
     inverse,
     kernel_basis,
-    lattice_index,
     mat,
     scale,
     sub,
@@ -458,32 +459,38 @@ def alcove_coroot_coords(st: SimpleType) -> tuple[Vec, ...]:
     )
 
 
-def _residue(v: Vec) -> Vec:
-    return tuple(x % 1 for x in v)
+@lru_cache(maxsize=None)
+def alcove_int_coords(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
+    """The alcove vertices' simple-coroot coordinates times L, as int
+    tuples, and L, the LCM of their denominators."""
+    ints, s = to_int(alcove_coroot_coords(st)[1:])
+    return ((0,) * st.rank,) + tuple(ints), s
 
 
 @lru_cache(maxsize=None)
-def _center_residues(st: SimpleType) -> dict[Vec, int]:
+def _center_residues(st: SimpleType) -> dict[IVec, int]:
     """Central node of each class of the coweight lattice mod the coroot
-    lattice, keyed by the fractional parts of simple-coroot coordinates."""
-    coords = alcove_coroot_coords(st)
-    table: dict[Vec, int] = {}
+    lattice, keyed by the residues mod L of the scaled coordinates (the
+    fractional parts of the simple-coroot coordinates, times L)."""
+    coords, s = alcove_int_coords(st)
+    table: dict[IVec, int] = {}
     for c in center_vertex_nodes(st):
-        key = _residue(coords[c])
+        key = tuple(x % s for x in coords[c])
         if key in table:
             raise AssertionError(f"central vertices {table[key]} and {c} share a class")
         table[key] = c
     return table
 
 
-def _center_coords(st: SimpleType, node: int) -> Vec:
+def _center_coords(st: SimpleType, node: int) -> IVec:
     if datum(st).h[node] != 1:
         raise ValueError(f"node {node} does not carry a central vertex")
-    return alcove_coroot_coords(st)[node]
+    return alcove_int_coords(st)[0][node]
 
 
-def _central_node_of(st: SimpleType, v: Vec, failure: str) -> int:
-    c = _center_residues(st).get(_residue(v))
+def _central_node_of(st: SimpleType, v: list[int], failure: str) -> int:
+    s = alcove_int_coords(st)[1]
+    c = _center_residues(st).get(tuple(x % s for x in v))
     if c is None:
         raise AssertionError(failure)
     return c
@@ -494,22 +501,37 @@ def center_element_sum(st: SimpleType, node_a: int, node_b: int) -> int:
     """Group law on center nodes: the node of exp(v_a) * exp(v_b).
 
     exp(v) depends only on v modulo the coroot lattice, that is on the
-    fractional parts of its simple-coroot coordinates.
+    scaled simple-coroot coordinates modulo L.
     """
-    target = add(_center_coords(st, node_a), _center_coords(st, node_b))
+    target = [a + b for a, b in zip(_center_coords(st, node_a), _center_coords(st, node_b))]
     return _central_node_of(st, target, "center nodes not closed under addition")
 
 
 @lru_cache(maxsize=None)
 def center_element_inverse(st: SimpleType, node: int) -> int:
-    target = scale(-1, _center_coords(st, node))
+    target = [-x for x in _center_coords(st, node)]
     return _central_node_of(st, target, "center node has no inverse")
 
 
+@lru_cache(maxsize=None)
 def fundamental_group_order(st: SimpleType) -> int:
-    """Index of the coroot lattice in the coweight lattice."""
-    d = datum(st)
-    return lattice_index(d.coroot_lattice_basis, d.coweight_lattice_basis)
+    """Index of the coroot lattice in the coweight lattice, by two routes.
+
+    It is |det| of the finite Cartan matrix (the coweights are the dual
+    basis of the simple roots, and the Cartan matrix writes the simple
+    coroots in them), and it is the number of h=1 nodes, one per central
+    alcove vertex.  The indivisible roots of BC_n form B_n (A_1 for n = 1)
+    on the same simple roots, so BC_n counts the h=1 nodes of that type.
+    """
+    cart = datum(st).cartan_matrix()
+    det = abs(det_int([row[1:] for row in cart[1:]]))
+    reduced = st
+    if st.family == "BC":
+        reduced = SimpleType("B", st.rank) if st.rank > 1 else SimpleType("A", 1)
+    count = len(center_vertex_nodes(reduced))
+    if det != count:
+        raise AssertionError(f"{st}: |det| of the Cartan matrix is {det}, {count} h=1 nodes")
+    return det
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,11 @@
+from fractions import Fraction as Q
+
 import pytest
 
 from coroots.center import (
+    CenterElement,
     _aut_group,
+    _permute,
     all_subgroups,
     center_group,
     cyclic_subgroups,
@@ -10,14 +14,17 @@ from coroots.center import (
     orbit_data,
     parse_center,
     perm_matrix_on_coroots,
+    perm_matrix_on_coroots_of,
     coroot_coords,
     from_coroot_coords,
     trivial_subgroup,
 )
-from coroots.linalg import mat_vec, sub as vsub
+from coroots.linalg import add, mat_vec, sub as vsub, transpose
+from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
     alcove,
+    alcove_coroot_coords,
     center_element_inverse,
     center_element_sum,
     center_vertex_nodes,
@@ -193,3 +200,103 @@ def test_parse_center():
     with pytest.raises(ValueError):
         parse_center(parse_type("E6"), "c_SO")
     assert parse_center(parse_type("D5"), "c").order == 4
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle for the integer center layer: the vertex oracle and the
+# residue group law as they run on Fraction simple-coroot coordinates.
+
+
+def _apply_perm_coords(perm, g, x):
+    """Coordinates of the image of sum_i x_i a_i^vee under a_i^vee -> a_{perm[i]}^vee."""
+    y = [Q(0)] * len(x)
+    shift = Q(0)
+    for i, xi in enumerate(x, start=1):
+        j = perm[i]
+        if j:
+            y[j - 1] += xi
+        else:
+            shift = xi / g[0]
+    if shift:
+        y = [yj - shift * gj for yj, gj in zip(y, g[1:])]
+    return tuple(y)
+
+
+def _residue(v):
+    return tuple(x % 1 for x in v)
+
+
+class FractionCenter:
+    """The group law and nu on Fraction coordinates, keyed on fractional parts."""
+
+    def __init__(self, st):
+        self.st = st
+        self.g = datum(st).g
+        self.verts = alcove_coroot_coords(st)
+        self.central = center_vertex_nodes(st)
+        self.table = {_residue(self.verts[c]): c for c in self.central}
+        assert len(self.table) == len(self.central)
+
+    def sum(self, a, b):
+        return self.table[_residue(add(self.verts[a], self.verts[b]))]
+
+    def inverse(self, a):
+        return self.table[_residue(tuple(-x for x in self.verts[a]))]
+
+    def order(self, a):
+        order, acc = 1, a
+        while acc != 0:
+            acc, order = self.sum(acc, a), order + 1
+        return order
+
+    def nu(self, target):
+        zeta = self.verts[self.inverse(target)]
+        vertex_set = set(self.verts)
+        winners = []
+        for perm in _aut_group(self.st):
+            if perm[0] != target:
+                continue
+
+            def phi(x):
+                return _apply_perm_coords(perm, self.g, vsub(x, zeta))
+
+            if any(phi(v) not in vertex_set for v in self.verts):
+                continue
+            if all(phi(self.verts[c]) == self.verts[self.sum(target, c)] for c in self.central):
+                winners.append(perm)
+        assert len(winners) == 1
+        return CenterElement(target, winners[0], self.order(target))
+
+
+ORACLE_TYPES = catalog_types(24) + [SimpleType("A", 40)]
+
+
+@pytest.mark.parametrize("st", ORACLE_TYPES, ids=str)
+def test_integer_center_layer_matches_fraction_oracle(st):
+    ref = FractionCenter(st)
+    for a in ref.central:
+        assert center_element_inverse(st, a) == ref.inverse(a)
+        for b in ref.central:
+            assert center_element_sum(st, a, b) == ref.sum(a, b)
+    expect = tuple(ref.nu(c) for c in ref.central)
+    assert tuple(nu(st, c) for c in ref.central) == expect
+    assert center_group(st).elements == expect
+
+
+@pytest.mark.parametrize("st", ORACLE_TYPES, ids=str)
+def test_perm_matrix_is_the_integer_fraction_formula(st):
+    g = datum(st).g
+    n = st.rank
+    units = [tuple(Q(int(k == i)) for k in range(n)) for i in range(n)]
+    for perm in _aut_group(st):
+        m = perm_matrix_on_coroots_of(st, perm)
+        assert all(type(x) is int for row in m for x in row)
+        assert m == transpose(tuple(_apply_perm_coords(perm, g, e) for e in units))
+
+
+def test_permute_rejects_a_non_integral_shift():
+    g = datum(SimpleType("BC", 3)).g
+    assert g[0] == 2
+    assert _permute((0, 1, 2, 3), g, (1, 2, 3)) == (1, 2, 3)
+    with pytest.raises(AssertionError, match="g_0 = 2"):
+        _permute((1, 0, 2, 3), g, (1, 2, 3))

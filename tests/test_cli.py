@@ -155,10 +155,34 @@ def test_check_all_full_rank_within_budget():
 
 @pytest.mark.slow
 def test_check_all_past_the_catalog():
-    """check-all sweeps every type up to rank 16, past the rank-12 catalog."""
-    code, out, _ = run_cli("check-all", "--max-rank", "16")
+    """check-all sweeps every type up to rank 24, past the rank-12 catalog."""
+    code, out, _ = run_cli("check-all", "--max-rank", "24")
     assert code == 0
     assert out.splitlines()[-1] == "all checks passed"
+
+
+def test_check_all_failure_lines_keep_their_reason(monkeypatch, capsys):
+    import coroots.cli as cli
+    from coroots.projection import DiagramReport
+
+    monkeypatch.setattr(
+        cli, "check_samediags", lambda st, sub_, k: DiagramReport(False, "forced mismatch")
+    )
+
+    def broken(st, sub_):
+        raise AssertionError("forced invariant")
+
+    monkeypatch.setattr(cli, "check_diagram1", broken)
+    monkeypatch.setattr(cli, "counts", lambda m: None)
+    assert main(["check-all", "--max-rank", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL samediags: A1/trivial k=1: forced mismatch" in out
+    assert "FAIL samediags: G2/trivial k=2: forced mismatch" in out
+    assert "FAIL diagram1: A2/trivial: AssertionError: forced invariant" in out
+    assert "FAIL numerology: G2" in out  # a plain False result has no detail
+    fails = [line for line in out if line.startswith("FAIL ")]
+    assert out[-1] == f"{len(fails)} failures"
+    assert "samediags: 0 passed" in out and "diagram1: 0 passed" in out
 
 
 def test_b2_alias_via_cli(capsys):

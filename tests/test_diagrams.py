@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from coroots.diagrams import (
     AffineDiagram,
@@ -15,7 +19,9 @@ from coroots.diagrams import (
     orbits_of,
     quotient,
 )
-from coroots.center import all_subgroups, center_group, subgroup_generated
+from coroots.center import all_subgroups, center_group, quotient_diagram, subgroup_generated
+from coroots.derived import derived, quotient_marked
+from coroots.moduli import catalog_types
 from coroots.rootdata import TRIVIAL, SimpleType, parse_type
 
 
@@ -165,3 +171,42 @@ def test_json_round_trip():
     for spec in ["A1", "G2", "BC3", "E7"]:
         d = diagram_of(parse_type(spec))
         assert AffineDiagram.from_json(d.to_json()) == d
+
+
+@lru_cache(maxsize=None)
+def _relabel_pool():
+    """Catalog, quotient and derived diagrams of every type of rank <= 8."""
+    pool = []
+    for st in catalog_types(8) + [SimpleType("BC", n) for n in range(1, 5)]:
+        pool.append(diagram_of(st))
+        if st.family == "BC":
+            continue
+        for sub_ in all_subgroups(st):
+            if not sub_.is_trivial:
+                pool.append(quotient_diagram(st, sub_))
+            mq = quotient_marked(st, sub_)
+            pool.extend(derived(mq, k).diagram for k in mq.admissible_orders() if k > 1)
+    return [d for d in pool if d.n_nodes > 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_classify_is_invariant_under_relabeling(data):
+    d = data.draw(hst.sampled_from(_relabel_pool()))
+    rest = data.draw(hst.permutations(range(1, d.n_nodes)))
+    sigma = (0, *rest)  # old node u becomes new node sigma[u]; node 0 stays
+    inv = [0] * d.n_nodes
+    for u, v in enumerate(sigma):
+        inv[v] = u
+    relabeled = AffineDiagram(
+        tuple(tuple(d.cartan[inv[a]][inv[b]] for b in d.nodes()) for a in d.nodes()),
+        tuple(d.marks[inv[a]] for a in d.nodes()),
+        tuple(d.sq_lengths[inv[a]] for a in d.nodes()),
+    )
+    res, new = classify(d), classify(relabeled)
+    assert (new.type, new.scale) == (res.type, res.scale)
+    # the two node maps differ by an automorphism of the catalog diagram
+    auts = automorphism_group(diagram_of(res.type))
+    assert any(
+        all(new.node_map[sigma[u]] == a[res.node_map[u]] for u in d.nodes()) for a in auts
+    )

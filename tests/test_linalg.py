@@ -2,12 +2,15 @@ from fractions import Fraction as Q
 
 import random
 import tracemalloc
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coroots.linalg import (
+    det_int,
+    scaled_inverse,
     add,
     dot,
     gram_of,
@@ -60,6 +63,17 @@ def test_kernel_vectors_annihilate(m):
     for v in kernel_basis(m):
         assert is_zero(mat_vec(m, v))
         assert all(x.denominator == 1 for x in v)
+
+
+@given(matrices(3, 4))
+@example(mat([[1, 1]]))
+def test_kernel_vectors_are_primitive_with_positive_lead(m):
+    from math import gcd
+
+    for v in kernel_basis(m):
+        assert gcd(*v) == 1
+        assert next(x for x in v if x) > 0
+    assert kernel_basis(mat([[1, 1]])) == [(1, -1)]
 
 
 @given(matrices(4, 3))
@@ -262,3 +276,53 @@ def test_row_echelon_entries_stay_small():
         tracemalloc.stop()
     assert pivots == list(range(16))
     assert peak < 150_000, f"row_echelon peaked at {peak} bytes"
+
+
+def _leibniz_det(m):
+    """Determinant as the signed sum over permutations (independent oracle)."""
+    from itertools import permutations
+
+    n = len(m)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][p[i]]
+        total += term
+    return total
+
+
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[0, 1], [1, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+def test_det_int_matches_leibniz(m):
+    d = det_int(m)
+    assert type(d) is int
+    assert d == _leibniz_det(m)
+
+
+@given(matrices(4, 4))
+@example(mat([[2, 0], [0, 3]]))
+@example(mat([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]]))
+def test_scaled_inverse_is_the_inverse_over_its_lcm_denominator(m):
+    try:
+        rows, den = scaled_inverse(m)
+    except ValueError:
+        assert rank(m) < len(m)
+        return
+    inv = inverse(m)
+    assert den == lcm(*(x.denominator for row in inv for x in row))
+    assert all(type(x) is int for row in rows for x in row)
+    assert [tuple(x * den for x in row) for row in inv] == rows

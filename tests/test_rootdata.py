@@ -9,10 +9,12 @@ from coroots.center import _check_homomorphism, center_group
 from coroots.diagrams import diagram_of
 from coroots.linalg import (
     add,
+    det_int,
     dot,
     in_lattice,
     inverse,
     is_zero,
+    lattice_index,
     mat,
     mat_vec,
     scale,
@@ -384,3 +386,40 @@ def test_parse_aliases():
         parse_type("E9")
     with pytest.raises(ValueError):
         datum(SimpleType("A", 0))
+
+
+TYPES_TO_40 = (
+    [SimpleType("A", n) for n in range(1, 41)]
+    + [SimpleType(f, n) for f in ("B", "C") for n in range(2, 41)]
+    + [SimpleType("D", n) for n in range(4, 41)]
+    + [SimpleType("E", n) for n in (6, 7, 8)]
+    + [SimpleType("F", 4), SimpleType("G", 2)]
+    + [SimpleType("BC", n) for n in range(1, 41)]
+)
+
+
+def test_fundamental_group_order_two_routes_to_rank_40():
+    """|det| of the finite Cartan matrix equals the number of h=1 nodes
+    (of B_n, or A_1, for BC_n, whose indivisible roots form that type)."""
+    for st in TYPES_TO_40:
+        d = datum(st)
+        cart = diagram_of(st).cartan
+        det = abs(det_int([row[1:] for row in cart[1:]]))
+        reduced = st
+        if st.family == "BC":
+            reduced = SimpleType("B", st.rank) if st.rank > 1 else SimpleType("A", 1)
+        h = datum(reduced).h
+        assert det == sum(1 for x in h if x == 1), st
+        assert fundamental_group_order(st) == det, st
+        if st.family != "BC":
+            assert det == center_order(st) == len([x for x in d.h if x == 1]), st
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(24) + [SimpleType("BC", n) for n in range(1, 25)], ids=str
+)
+def test_fundamental_group_order_is_the_lattice_index(st):
+    d = datum(st)
+    assert fundamental_group_order(st) == lattice_index(
+        d.coroot_lattice_basis, d.coweight_lattice_basis
+    )
