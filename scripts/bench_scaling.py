@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Cold wall time of the largest single queries, by rank.
 
-Each query runs --runs times, one after another, each in a fresh
+Each query runs RUNS times, one after another, each in a fresh
 interpreter with PYTHONPATH=src, so every cache starts cold.  The median
 raw wall seconds of each query (not scaled to a reference speed) are
-printed as one JSON object, the "scaling" block of a BENCH_<n>.json file.
+printed as one JSON object {"runs": 3, "unit": "s", LABEL: {query: s}}.
 A query that exits nonzero aborts the run with exit code 1.
 
-    python3 scripts/bench_scaling.py [--runs 3]
+    python3 scripts/bench_scaling.py LABEL
+
+The "scaling" block of a BENCH_<n>.json file is the union of two such
+objects: one printed with LABEL=parent by a copy of this script placed in
+a checkout of the parent commit, one with LABEL=change in this checkout.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNS = 3
 
 QUERIES = {
     "check-all --max-rank 24": ["check-all", "--max-rank", "24"],
@@ -48,16 +53,14 @@ def cold_wall(argv: list[str]) -> float:
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--runs", type=int, default=3, help="fresh processes per query")
+    p.add_argument("label", help="key of the results, e.g. parent or change")
     args = p.parse_args()
-    if args.runs < 1:
-        p.error("--runs must be a positive integer")
     out = {}
     for name, argv in QUERIES.items():
-        times = [cold_wall(argv) for _ in range(args.runs)]
+        times = [cold_wall(argv) for _ in range(RUNS)]
         out[name] = round(statistics.median(times), 3)
         print(f"{name}: {out[name]} s", file=sys.stderr)
-    print(json.dumps({"unit": "s", "runs": args.runs, "median_raw_wall": out}, sort_keys=True))
+    print(json.dumps({"unit": "s", "runs": RUNS, args.label: out}, sort_keys=True))
     return 0
 
 

@@ -76,10 +76,10 @@ def dot(u: Vec, v: Vec, gram: Mat | None = None) -> Q:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     if gram is None:
-        return sum((a * b for a, b in zip(u, v) if a and b), Q(0))
+        return sum((a * b for a, b in zip(u, v)), Q(0))
     diag = _diagonal_of(gram)
     if diag is not None:
-        return sum((a * d * b for a, d, b in zip(u, diag, v) if a and b), Q(0))
+        return sum((a * d * b for a, d, b in zip(u, diag, v)), Q(0))
     return sum(
         (u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))),
         Q(0),

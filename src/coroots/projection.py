@@ -422,16 +422,13 @@ def _simple_system(roots: list[IVec]) -> list[IVec]:
         if 0 not in vals and len(vals) == len(roots):
             break
         t += 1
-    # A positive root a that is not simple has a - b positive for some
-    # simple b (Humphreys, Lie Algebras 10.2, Lemma A), so b takes a smaller
-    # value on weights than a: scanning in increasing value, only the
-    # simples found so far need trying.
-    pos = sorted((h, v) for v in roots if (h := int_dot(v, weights)) > 0)
-    pset = {v for _, v in pos}
-    simples: list[IVec] = []
-    for _, a in pos:
-        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in simples):
-            simples.append(a)
+    pos = [v for v in roots if int_dot(v, weights) > 0]
+    pset = set(pos)
+    simples = [
+        a
+        for a in pos
+        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in pos if b != a)
+    ]
     return sorted(simples)
 
 
