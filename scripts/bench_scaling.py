@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Cold wall time of the largest single queries, by rank.
+"""Cold wall time of the largest single queries, parent against change.
 
-Each query runs RUNS times, one after another, each in a fresh
-interpreter with PYTHONPATH=src, so every cache starts cold.  The median
-raw wall seconds of each query (not scaled to a reference speed) are
-printed as one JSON object {"runs": 3, "unit": "s", LABEL: {query: s}}.
+Each query runs RUNS times on each of two checkouts, the parent commit's
+(given by its root directory) and this one, alternating between them run
+by run and swapping which goes first, each run in a fresh interpreter with
+PYTHONPATH=<checkout>/src so every cache starts cold.  Interleaving the two
+trees keeps load drift on a shared host from reading as a difference.  The
+median raw wall seconds of each query (not scaled to a reference speed)
+are printed as the "scaling" block of a BENCH_<n>.json file:
+{"runs": 3, "unit": "s", "parent": {query: s}, "change": {query: s}}.
 A query that exits nonzero aborts the run with exit code 1.
 
-    python3 scripts/bench_scaling.py LABEL
-
-The "scaling" block of a BENCH_<n>.json file is the union of two such
-objects: one printed with LABEL=parent by a copy of this script placed in
-a checkout of the parent commit, one with LABEL=change in this checkout.
+    python3 scripts/bench_scaling.py PARENT_ROOT
 """
 
 from __future__ import annotations
@@ -38,29 +38,35 @@ QUERIES = {
 }
 
 
-def cold_wall(argv: list[str]) -> float:
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def cold_wall(root: str, argv: list[str]) -> float:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "coroots.cli", *argv],
-        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
-        sys.exit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
+        sys.exit(f"{root}: {' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
     return elapsed
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("label", help="key of the results, e.g. parent or change")
+    p.add_argument("parent", help="root directory of a checkout of the parent commit")
     args = p.parse_args()
-    out = {}
+    trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    out: dict = {"unit": "s", "runs": RUNS, "parent": {}, "change": {}}
     for name, argv in QUERIES.items():
-        times = [cold_wall(argv) for _ in range(RUNS)]
-        out[name] = round(statistics.median(times), 3)
-        print(f"{name}: {out[name]} s", file=sys.stderr)
-    print(json.dumps({"unit": "s", "runs": RUNS, args.label: out}, sort_keys=True))
+        times: dict[str, list[float]] = {"parent": [], "change": []}
+        for run in range(RUNS):
+            order = ("parent", "change") if run % 2 == 0 else ("change", "parent")
+            for label in order:
+                times[label].append(cold_wall(trees[label], argv))
+        for label in trees:
+            out[label][name] = round(statistics.median(times[label]), 3)
+        print(f"{name}: {out['parent'][name]} -> {out['change'][name]} s", file=sys.stderr)
+    print(json.dumps(out, sort_keys=True))
     return 0
 
 

@@ -22,8 +22,8 @@ The subspaces the projected-coroot route works in live in the same
 coordinates, as primitive integer vectors cached per (type, subgroup):
 the fixed subspace of w_C (fixed_subspace_coords) and, inside it, the
 torus t^{w_C}(gbar, k) (torus_subspace_coords), whose defining roots pair
-with coordinates through rows of the integer Cartan matrix.
-fixed_subspace_basis and ambient_vectors convert to ambient vectors.
+with coordinates through rows of the integer Cartan matrix.  Nothing
+downstream converts them back to ambient vectors.
 
 quotient_diagram is the one cached quotient of the extended diagram by a
 subgroup, shared by every consumer.
@@ -32,21 +32,19 @@ subgroup, shared by every consumer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 
 from . import rootdata
-from .diagrams import AffineDiagram, automorphism_group, compose, diagram_of, quotient
-from .linalg import (
-    IVec,
-    Vec,
-    int_dot,
-    kernel_basis,
-    mat_vec,
-    to_int,
-    transpose,
+from .diagrams import (
+    AffineDiagram,
+    automorphism_group,
+    compose,
+    connected_components,
+    diagram_of,
+    quotient,
 )
-from .rootdata import RootDatum, SimpleType
+from .linalg import IVec, int_dot, kernel_basis, transpose
+from .rootdata import SimpleType
 
 
 @dataclass(frozen=True)
@@ -98,11 +96,6 @@ class CenterSubgroup:
         return f"order {self.order} ({kind}), nodes {list(self.nodes)}"
 
 
-def coroot_coords(d: RootDatum, v: Vec) -> Vec:
-    """Coordinates of a coroot-span vector in the simple-coroot basis."""
-    return mat_vec(rootdata.coroot_coord_matrix(d.type), v)
-
-
 def _permute(perm: tuple[int, ...], g: tuple[int, ...], x: IVec) -> IVec:
     """Coordinates of the image of sum_i x_i a_i^vee under a_i^vee -> a_{perm[i]}^vee.
 
@@ -135,18 +128,6 @@ def perm_matrix_on_coroots_of(st: SimpleType, perm: tuple[int, ...]) -> tuple[IV
     n = st.rank
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     return transpose(tuple(_permute(perm, g, e) for e in units))
-
-
-def perm_matrix_on_coroots(d: RootDatum, perm: tuple[int, ...]) -> tuple[IVec, ...]:
-    return perm_matrix_on_coroots_of(d.type, perm)
-
-
-def from_coroot_coords(d: RootDatum, coords: Vec) -> Vec:
-    out = [coords[0] * 0] * d.ambient_dim
-    for j, c in enumerate(coords):
-        for i in range(d.ambient_dim):
-            out[i] += c * d.coroot_lattice_basis[j][i]
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -328,23 +309,6 @@ def torus_subspace_coords(st: SimpleType, sub_: CenterSubgroup, k: int) -> tuple
     )
 
 
-@lru_cache(maxsize=None)
-def _coroot_columns(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
-    ints, s = to_int(rootdata.datum(st).coroot_lattice_basis)
-    return tuple(zip(*ints)), s
-
-
-def ambient_vectors(st: SimpleType, coords, den: int = 1) -> list[Vec]:
-    """Ambient vectors sum_i (x_i / den) a_i^vee of integer coordinates x."""
-    cols, s = _coroot_columns(st)
-    return [tuple(Q(int_dot(x, c), den * s) for c in cols) for x in coords]
-
-
-def fixed_subspace_basis(d: RootDatum, sub_: CenterSubgroup) -> list[Vec]:
-    """Ambient basis of the subspace of the coroot span fixed by w_C."""
-    return ambient_vectors(d.type, fixed_subspace_coords(d.type, sub_))
-
-
 # ---------------------------------------------------------------------------
 # Orbits of a center subgroup on the extended diagram
 
@@ -429,20 +393,7 @@ def _l_c_from_coefficients(st: SimpleType, sub_: CenterSubgroup) -> list[int]:
     if not marked:
         return []
     dia = diagram_of(st)
-    comps = []
-    todo = set(marked)
-    while todo:
-        u = todo.pop()
-        comp = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in dia.neighbors(x):
-                if y in todo:
-                    todo.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
+    comps = connected_components(sorted(marked), dia.bonded)
     for comp in comps:
         _assert_a_type(dia, comp)
     return [len(c) + 1 for c in comps]

@@ -16,11 +16,18 @@ from functools import lru_cache
 from math import gcd
 
 from . import rootdata
-from .center import CenterSubgroup, orbit_data, quotient_diagram, torus_subspace_coords
+from .center import (
+    CenterSubgroup,
+    _assert_a_type,
+    orbit_data,
+    quotient_diagram,
+    torus_subspace_coords,
+)
 from .diagrams import (
     AffineDiagram,
     ClassifyResult,
     classify,
+    connected_components,
     make_diagram,
 )
 from .numerology import I_set, MarkedDiagram, marked
@@ -37,25 +44,6 @@ TYPE_INF = "inf"
 TYPE_DIVISORS = {"inf": 0, "1": 1, "2i": 2, "2ii": 2, "3": 3, "4i": 4, "4ii": 4, "4iii": 4}
 
 
-def _complement_components(m: MarkedDiagram, k: int) -> list[tuple[int, ...]]:
-    iset = set(I_set(m, k))
-    comps = []
-    todo = set(iset)
-    while todo:
-        u = todo.pop()
-        comp = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y in m.diagram.neighbors(x):
-                if y in todo:
-                    todo.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
-
-
 def node_type(m: MarkedDiagram, k: int, v: int) -> str:
     """Survivor type tag: one of inf, 1, 2i, 2ii, 3, 4i, 4ii, 4iii."""
     if m.n[v] % k != 0:
@@ -63,7 +51,9 @@ def node_type(m: MarkedDiagram, k: int, v: int) -> str:
     survivors = [u for u in m.diagram.nodes() if m.n[u] % k == 0]
     if len(survivors) == 1:
         return TYPE_INF
-    comps = _complement_components(m, k)
+    comps = sorted(
+        tuple(sorted(c)) for c in connected_components(I_set(m, k), m.diagram.bonded)
+    )
     adjacent = [c for c in comps if any(m.diagram.bonded(v, u) for u in c)]
     lv = m.diagram.sq_lengths[v]
     if not adjacent:
@@ -121,15 +111,14 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     if base is not None and base.type in (SimpleType("G", 2), SimpleType("BC", 1)):
         if len(survivors) >= 2:
             raise AssertionError("G2/BC1 parent cannot have two survivors")
-    comps = _complement_components(m, k)
+    comps = sorted(
+        tuple(sorted(c)) for c in connected_components(I_set(m, k), m.diagram.bonded)
+    )
     kp = k // gcd(k, m.n0)
     for c in comps:
         if kp % (len(c) + 1) != 0:
             raise AssertionError("complement chain size+1 does not divide k")
-        for u in c:
-            inside = [w for w in m.diagram.neighbors(u) if w in c]
-            if len(inside) > 2 or any(m.diagram.bond_mult(u, w) != 1 for w in inside):
-                raise AssertionError("complement component is not an A chain")
+        _assert_a_type(m.diagram, c)
     types = {v: node_type(m, k, v) for v in survivors}
     if len(survivors) == 1:
         v = survivors[0]

@@ -75,19 +75,23 @@ def _check_gcm(cartan) -> None:
                 raise DiagramError(f"asymmetric zero pattern at ({i},{j})")
 
 
-def _connected(cartan) -> bool:
-    n = len(cartan)
-    if n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in range(n):
-            if v != u and cartan[u][v] != 0 and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+def connected_components(nodes, adjacent) -> list[list]:
+    """Connected components of the graph on `nodes` in which u and w are
+    joined when adjacent(u, w) is true (or a nonzero number).
+
+    Each component lists its nodes in the order they are reached.
+    """
+    todo = list(nodes)
+    comps = []
+    while todo:
+        comp = [todo.pop()]
+        for u in comp:
+            rest = []
+            for w in todo:
+                (comp if adjacent(u, w) else rest).append(w)
+            todo = rest
+        comps.append(comp)
+    return comps
 
 
 def is_affine_type(cartan) -> tuple[int, ...] | None:
@@ -99,7 +103,7 @@ def is_affine_type(cartan) -> tuple[int, ...] | None:
     """
     cartan = tuple(tuple(int(x) for x in row) for row in cartan)
     _check_gcm(cartan)
-    if not _connected(cartan):
+    if len(connected_components(range(len(cartan)), lambda u, v: cartan[u][v])) != 1:
         raise DiagramError("cartan matrix is decomposable")
     if len(cartan) == 1:
         return (1,)
@@ -123,9 +127,7 @@ def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
     else:
         marks = tuple(int(m) for m in marks)
         if len(cartan) > 1:
-            g = 0
-            for m in marks:
-                g = gcd(g, m)
+            g = gcd(*marks)
             if tuple(m // g for m in marks) != derived_marks:
                 raise DiagramError("marks are not the affine relation vector")
     if sq_lengths is None:
@@ -158,10 +160,12 @@ def _lengths_from_cartan(cartan) -> tuple[Q, ...]:
 
 
 def _check_lengths(cartan, lens) -> None:
+    """n(u,v) l(v)^2 = n(v,u) l(u)^2 on every bonded pair (_check_gcm has
+    shown that both entries of an unbonded pair are zero)."""
     n = len(cartan)
     for u in range(n):
-        for v in range(n):
-            if u != v and cartan[u][v] * lens[v] != cartan[v][u] * lens[u]:
+        for v in range(u + 1, n):
+            if cartan[u][v] and cartan[u][v] * lens[v] != cartan[v][u] * lens[u]:
                 raise DiagramError("lengths inconsistent with Cartan integers")
 
 
@@ -308,9 +312,7 @@ def classify(d: AffineDiagram) -> ClassifyResult | None:
     """
     if d.n_nodes == 1:
         return ClassifyResult(TRIVIAL, d.marks[0], (0,))
-    scale = 0
-    for m in d.marks:
-        scale = gcd(scale, m)
+    scale = gcd(*d.marks)
     probe, signature = _relengthed(
         AffineDiagram(d.cartan, tuple(m // scale for m in d.marks), d.sq_lengths)
     )

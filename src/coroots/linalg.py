@@ -5,14 +5,15 @@ Everything in this package is exact: vectors are tuples of
 there is no floating point anywhere.  Matrices are small and dense: the
 catalog stops at rank 12, but the CLI accepts any rank and queries such as
 A40 reach ambient dimension 41.  One fraction-free Gauss-Jordan
-elimination (_int_echelon) serves inverse, kernel_basis, solve, rank and
-in_span: rows are scaled to ints, eliminated with integer row operations
-and reduced by their gcds.  kernel_basis, rank and scaled_inverse read the
-integer rows directly; row_echelon builds Fractions from them for solve.
+elimination (_int_echelon) serves inverse, scaled_inverse, kernel_basis
+and rank: rows are scaled to ints, eliminated with integer row operations
+and reduced by their gcds, and the callers read the integer rows directly.
 
 The hot loops run on ints instead.  `to_int` is the one way in: it scales
 rational vectors by the LCM of their denominators, after which zero tests
 and Cartan integers under a scalar form are plain `int_dot` arithmetic.
+Every catalog form is a scalar times the identity, and `dot` admits no
+other.
 """
 
 from __future__ import annotations
@@ -55,35 +56,13 @@ def scale(c, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-# keyed by id() to avoid rehashing large Fraction tuples; the stored gram
-# reference keeps the id alive
-_diag_memo: dict[int, tuple[Mat, Vec | None]] = {}
-
-
-def _diagonal_of(gram: Mat) -> Vec | None:
-    hit = _diag_memo.get(id(gram))
-    if hit is not None and hit[0] is gram:
-        return hit[1]
-    n = len(gram)
-    ok = all(gram[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-    diag = tuple(gram[i][i] for i in range(n)) if ok else None
-    _diag_memo[id(gram)] = (gram, diag)
-    return diag
-
-
 def dot(u: Vec, v: Vec, gram: Mat | None = None) -> Q:
-    """Inner product, Euclidean or with respect to a Gram matrix."""
+    """Inner product, Euclidean or under a scalar Gram matrix c I (read off
+    its first entry)."""
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
-    if gram is None:
-        return sum((a * b for a, b in zip(u, v)), Q(0))
-    diag = _diagonal_of(gram)
-    if diag is not None:
-        return sum((a * d * b for a, d, b in zip(u, diag, v)), Q(0))
-    return sum(
-        (u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))),
-        Q(0),
-    )
+    total = sum((a * b for a, b in zip(u, v)), Q(0))
+    return total if gram is None else gram[0][0] * total
 
 
 def int_dot(u: IVec, v: IVec) -> int:
@@ -107,10 +86,6 @@ def to_int(vectors, gram: Mat | None = None) -> tuple[list[IVec], int]:
     vectors = [v for v in vectors if not is_zero(v)]
     s = lcm(*(x.denominator for v in vectors for x in v))
     return [tuple(x.numerator * (s // x.denominator) for x in v) for v in vectors], s
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
 
 
 def transpose(m: Mat) -> Mat:
@@ -176,16 +151,6 @@ def _int_echelon(m) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def row_echelon(m: Mat) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    The Fractions x / p_r are built once, from the integer elimination.
-    """
-    rows, pivots = _int_echelon(m)
-    dens = [rows[i][c] for i, c in enumerate(pivots)] + [1] * (len(rows) - len(pivots))
-    return [tuple(Q(x, d) for x in row) for row, d in zip(rows, dens)], pivots
-
-
 def scaled_inverse(m) -> tuple[list[IVec], int]:
     """The inverse of a square matrix as D m^-1 in ints, and D, the LCM of
     its entries' denominators; raises ValueError if m is singular.
@@ -240,79 +205,6 @@ def kernel_basis(m) -> list[IVec]:
     return basis
 
 
-def solve(m: Mat, b: Vec) -> Vec | None:
-    """One exact solution of m x = b, or None if inconsistent."""
-    if not m:
-        return () if is_zero(b) else None
-    n_cols = len(m[0])
-    aug = mat([list(row) + [bi] for row, bi in zip(m, b, strict=True)])
-    rows, pivots = row_echelon(aug)
-    if n_cols in pivots:
-        return None
-    x = [Q(0)] * n_cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n_cols]
-    return tuple(x)
-
-
-def in_span(v: Vec, basis: Sequence[Vec]) -> bool:
-    if not basis:
-        return is_zero(v)
-    return solve(transpose(mat(basis)), v) is not None
-
-
-def coords_in_basis(v: Vec, basis: Sequence[Vec]) -> Vec | None:
-    """Coordinates of v in a linearly independent spanning list, if any."""
-    if not basis:
-        return () if is_zero(v) else None
-    return solve(transpose(mat(basis)), v)
-
-
-def in_lattice(v: Vec, basis: Sequence[Vec]) -> bool:
-    """Membership of v in the integer span of a linearly independent basis."""
-    c = coords_in_basis(v, basis)
-    return c is not None and all(x.denominator == 1 for x in c)
-
-
-def gram_of(vectors: Sequence[Vec], gram: Mat | None = None) -> Mat:
-    """Symmetric matrix of pairwise inner products."""
-    return tuple(tuple(dot(u, v, gram) for v in vectors) for u in vectors)
-
-
-def orthogonal_project(v: Vec, span: Sequence[Vec], gram: Mat | None = None) -> Vec:
-    """Orthogonal projection of v onto span(span) under the given Gram form.
-
-    The spanning vectors need not be independent or orthogonal.  Rejects a
-    form that is degenerate on the span, which signals a bad root datum.
-    """
-    return project_many([v], span, gram)[0]
-
-
-def project_many(vs: Sequence[Vec], span: Sequence[Vec], gram: Mat | None = None) -> list[Vec]:
-    """Orthogonal projections of several vectors onto one span."""
-    if not span:
-        return [zero_vec(len(v)) for v in vs]
-    # Reduce to an independent spanning subset once.
-    indep: list[Vec] = []
-    for s in span:
-        if not in_span(s, indep):
-            indep.append(s)
-    g = gram_of(indep, gram)
-    if rank(g) < len(indep):
-        raise ValueError("gram form degenerate on span")
-    out = []
-    for v in vs:
-        rhs = tuple(dot(v, s, gram) for s in indep)
-        coeffs = solve(g, rhs)
-        if coeffs is None:
-            raise ValueError("gram form degenerate on span")
-        p = zero_vec(len(v))
-        for c, s in zip(coeffs, indep):
-            p = add(p, scale(c, s))
-        out.append(p)
-    return out
-
-
 def det_int(m: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination.
 
@@ -335,44 +227,3 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
             a[i][k + 1 :] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1 :], top)]
         prev = p
     return sign * prev if n else 1
-
-
-def lattice_index(sub: Sequence[Vec], sup: Sequence[Vec]) -> int:
-    """Index of the lattice spanned by `sub` inside the one spanned by `sup`.
-
-    Both lists must be bases of the same rational vector space.
-    """
-    if len(sub) != len(sup):
-        raise ValueError("lattices of different rank")
-    if not sub:
-        return 1
-    coords = [coords_in_basis(v, sup) for v in sub]
-    if any(c is None for c in coords):
-        raise ValueError("sublattice not contained in span")
-    det = _det(mat(coords))
-    if det == 0:
-        raise ValueError("degenerate sublattice")
-    det = abs(det)
-    if det.denominator != 1:
-        raise ValueError("not a sublattice")
-    return int(det)
-
-
-def _det(m: Mat) -> Q:
-    rows = [list(r) for r in m]
-    n = len(rows)
-    det = Q(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det

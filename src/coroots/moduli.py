@@ -15,11 +15,10 @@ from fractions import Fraction as Q
 from math import gcd
 
 from . import rootdata
-from .center import CenterSubgroup, ambient_vectors, torus_subspace_coords
+from .center import CenterSubgroup, all_subgroups, torus_subspace_coords
 from .derived import quotient_marked
 from .diagrams import diagram_of
-from .linalg import Vec
-from .numerology import MarkedDiagram, clocked, euler_phi, marked
+from .numerology import ClockPartition, MarkedDiagram, clocked, marked
 from .projection import annihilator_factors
 from .rootdata import TRIVIAL, SimpleType
 
@@ -88,18 +87,13 @@ def _record(k: int, label: int, d_X: int, shape: str, f_order=None) -> Component
     return ComponentRecord(k, label, d_X, 3 * (d_X - 1), shape, cs, d_X - 1, f_order)
 
 
-def subspace_for(st: SimpleType, sub_: CenterSubgroup, k: int) -> list[Vec]:
-    """Ambient basis of t^{w_C}(gbar, k) (see center.torus_subspace_coords)."""
-    return ambient_vectors(st, torus_subspace_coords(st, sub_, k))
-
-
 def _shape_cyclic(st: SimpleType, sub_: CenterSubgroup, m: MarkedDiagram, k: int, d_X: int) -> str:
     if d_X == 1:
         return SHAPE_POINT
     if sub_.is_trivial:
         return SHAPE_SBAR3
     n0 = m.n0
-    factors = annihilator_factors(st, subspace_for(st, sub_, k))
+    factors = annihilator_factors(st, torus_subspace_coords(st, sub_, k))
     non_a = [f for f in factors if f.family != "A"]
     if n0 % k == 0:
         # L is all of A type: the finite stabilizer on the third factor is
@@ -195,8 +189,6 @@ def rank_zero_list(
             if sum(1 for x in m.n if x % k == 0) == 1:
                 out.append((st, "trivial"))
             continue
-        from .center import all_subgroups
-
         for sub_ in all_subgroups(st):
             if sub_.is_trivial or not sub_.is_cyclic:
                 continue
@@ -219,51 +211,26 @@ def catalog_types(max_rank: int = 12) -> list[SimpleType]:
 
 
 @dataclass(frozen=True)
-class ClockReport:
-    g: int
-    components: tuple[ComponentRecord, ...]
-    windows: dict[tuple[int, int], tuple[int, ...]]
-    parity: str
-    valid: bool
+class ClockReport(ClockPartition):
+    """The J-window partition with the component records that own its windows."""
 
-    def union(self) -> set[int]:
-        out: set[int] = set()
-        for w in self.windows.values():
-            out |= set(w)
-        return out
+    components: tuple[ComponentRecord, ...]
+    valid: bool
 
 
 def clock_report(st: SimpleType, sub_: CenterSubgroup) -> ClockReport:
     """J-window partition of one parity class of Z/2g by the components.
 
-    Each component of order k and invariant ell/k contributes d_X points
-    spaced 2 centered at 2g*ell/k; the windows must tile the even or the
-    odd residues and be invariant under the rotation by 2.
+    The windows, their parity and g come from the quotient marked diagram
+    (numerology.clocked): d_x points spaced 2 centered at 2g r/x.  Each
+    component of order k and invariant ell/k must own the window (k, ell),
+    and its d_X must be that window's size; the component records are
+    derived separately (written out by hand for the non-cyclic D_{2n}
+    center).
     """
     recs = components_for(st, sub_)
-    g = rootdata.dual_coxeter(st)
-    windows: dict[tuple[int, int], tuple[int, ...]] = {}
-    for r in recs:
-        center = (2 * g * r.label) // r.order
-        if (2 * g * r.label) % r.order != 0:
-            raise AssertionError("window center is not integral")
-        windows[(r.order, r.label)] = tuple(
-            (center - r.d_X + 1 + 2 * t) % (2 * g) for t in range(r.d_X)
-        )
-    union: set[int] = set()
-    total = 0
-    for w in windows.values():
-        union |= set(w)
-        total += len(w)
-    evens = set(range(0, 2 * g, 2))
-    odds = set(range(1, 2 * g, 2))
-    valid = len(union) == total and union in (evens, odds)
-    parity = "even" if union == evens else "odd" if union == odds else "mixed"
-    if not valid:
-        raise AssertionError(f"clock windows invalid for {st}")
-    # cross-check against the marked-diagram windows
-    mq = quotient_marked(st, sub_)
-    cp = clocked(mq)
-    if cp.windows != windows or cp.parity != parity:
-        raise AssertionError("component windows disagree with diagram numerology")
-    return ClockReport(g, tuple(recs), windows, parity, valid)
+    cp = clocked(quotient_marked(st, sub_))
+    sizes = {(r.order, r.label): r.d_X for r in recs}
+    if sizes != {key: len(w) for key, w in cp.windows.items()}:
+        raise AssertionError(f"component records disagree with the clock windows of {st}")
+    return ClockReport(cp.g, cp.windows, cp.parity, tuple(recs), True)

@@ -36,10 +36,7 @@ class MarkedDiagram:
 
     @property
     def n0(self) -> int:
-        g = 0
-        for x in self.n:
-            g = gcd(g, x)
-        return g
+        return gcd(*self.n)
 
     def reduced(self) -> tuple[int, ...]:
         n0 = self.n0
@@ -59,19 +56,10 @@ def marked(diagram: AffineDiagram, n=None) -> MarkedDiagram:
         raise ValueError("node function must be positive on every node")
     # n must be a positive multiple of the relation vector
     if diagram.n_nodes > 1:
-        g = _gcd_all(n)
-        if tuple(x // g for x in n) != tuple(
-            m // _gcd_all(diagram.marks) for m in diagram.marks
-        ):
+        g, gm = gcd(*n), gcd(*diagram.marks)
+        if tuple(x // g for x in n) != tuple(m // gm for m in diagram.marks):
             raise ValueError("node function is not a multiple of the marks")
     return MarkedDiagram(diagram, n)
-
-
-def _gcd_all(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g
 
 
 def I_set(m: MarkedDiagram, k: int) -> tuple[int, ...]:
@@ -213,10 +201,7 @@ class ClockPartition:
     parity: str  # "even" or "odd"
 
     def union(self) -> set[int]:
-        out: set[int] = set()
-        for w in self.windows.values():
-            out |= set(w)
-        return out
+        return set().union(*self.windows.values())
 
 
 def clocked(m: MarkedDiagram) -> ClockPartition:
@@ -239,9 +224,7 @@ def clocked(m: MarkedDiagram) -> ClockPartition:
             )
             windows[(x, r)] = pts
     total = sum(len(w) for w in windows.values())
-    union: set[int] = set()
-    for w in windows.values():
-        union |= set(w)
+    union = set().union(*windows.values())
     if len(union) != total:
         raise AssertionError("J windows overlap")
     evens = set(range(0, 2 * g, 2))

@@ -21,9 +21,11 @@ The finite root-set machinery (reflection closure, irreducible components,
 classification) runs on integer vectors.  Every catalog form is a scalar
 times the identity, and the only questions asked of a root set, "is
 (u, v) zero?" and "what is 2(u, v)/(v, v)?", do not change when all vectors
-are scaled by one common positive integer.  So the public functions take
-and return Fraction vectors but scale them once to int tuples
-(linalg.to_int) and use the plain integer dot product in between.
+are scaled by one common positive integer.  So the roots are int tuples
+(_integer_roots_of), restrictions are orbit averages of the int extended
+roots times the LCM of the orbit sizes, and the annihilator of a subspace
+is read off one per-type table of the values r(a_i^vee) on the simple
+coroots, paired with the subspace's simple-coroot coordinates.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from . import rootdata
 from .center import (
     CenterSubgroup,
     OrbitSet,
-    ambient_vectors,
-    fixed_subspace_basis,
     fixed_subspace_coords,
     orbit_data,
     quotient_diagram,
@@ -47,22 +47,24 @@ from .center import (
 from .diagrams import (
     AffineDiagram,
     ClassifyResult,
+    _candidate_types,
+    _isomorphisms,
+    _relengthed,
     classify,
+    connected_components,
     diagram_of,
+    generated_group,
     make_diagram,
+    orbits_of,
 )
 from .linalg import (
     IVec,
     Vec,
-    add,
     int_dot,
-    is_zero,
     kernel_basis,
     rank as mat_rank,
-    scale,
     scaled_inverse,
     to_int,
-    zero_vec,
 )
 from .rootdata import TRIVIAL, SimpleType
 
@@ -70,15 +72,18 @@ from .rootdata import TRIVIAL, SimpleType
 @dataclass(frozen=True)
 class ProjectedSystem:
     type: SimpleType
-    fixed_subspace_basis: tuple[Vec, ...]
+    fixed_coords: tuple[IVec, ...]  # center.fixed_subspace_coords
     orbits: OrbitSet
-    projected_coroots: tuple[Vec, ...]  # one per orbit (zero vectors if degenerate)
+    # one per orbit: simple-coroot coordinates of the projected coroot
+    # times `scale` (zero vectors if degenerate)
+    averages: tuple[IVec, ...]
+    scale: int
     diagram: AffineDiagram
     classified: ClassifyResult
 
     @property
     def rank(self) -> int:
-        return len(self.fixed_subspace_basis)
+        return len(self.fixed_coords)
 
 
 def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
@@ -86,19 +91,13 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     d = rootdata.datum(st)
     orbits = orbit_data(st, sub_)
     span = fixed_subspace_coords(st, sub_)
+    avgs, common = orbit_averages(d.g, orbits.orbits)
     if orbits.degenerate:
         if span:
             raise AssertionError("degenerate orbit with nonzero fixed space")
         dia = AffineDiagram(((2,),), (sum(d.g),), (Q(2),))
-        return ProjectedSystem(
-            st,
-            (),
-            orbits,
-            (zero_vec(d.ambient_dim),),
-            dia,
-            ClassifyResult(TRIVIAL, sum(d.g), (0,)),
-        )
-    avgs, common = orbit_averages(d.g, orbits.orbits)
+        res = ClassifyResult(TRIVIAL, sum(d.g), (0,))
+        return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
     # dual route: the orbit averages must be the orthogonal projections
     p, den = projector(st, span)
     for o, avg in zip(orbits.orbits, avgs):
@@ -130,14 +129,7 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     res = classify(dia)
     if res is None:
         raise AssertionError("projected diagram failed to classify")
-    return ProjectedSystem(
-        st,
-        tuple(fixed_subspace_basis(d, sub_)),
-        orbits,
-        tuple(ambient_vectors(st, avgs, common)),
-        dia,
-        res,
-    )
+    return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
 
 
 @lru_cache(maxsize=None)
@@ -317,12 +309,27 @@ def _integer_roots_of(st: SimpleType) -> tuple[IVec, ...]:
     return tuple(sorted(out))
 
 
-def annihilator_factors(st: SimpleType, subspace) -> list[SimpleType]:
-    """Simple factors of the root subsystem vanishing on a subspace."""
-    basis = to_int(subspace, rootdata.datum(st).gram)[0]
-    return _classify_components(
-        [r for r in _integer_roots_of(st) if not any(int_dot(r, b) for b in basis)]
-    )
+@lru_cache(maxsize=None)
+def _root_coroot_values(st: SimpleType) -> tuple[IVec, ...]:
+    """The values r(a_i^vee) of every root (in _integer_roots_of order) on
+    the simple coroots, all times one positive integer: the roots and the
+    coroots are int tuples and the form is a scalar times the identity."""
+    d = rootdata.datum(st)
+    coroots = to_int(d.coroot_lattice_basis, d.gram)[0]
+    return tuple(tuple(int_dot(r, c) for c in coroots) for r in _integer_roots_of(st))
+
+
+def annihilator_factors(st: SimpleType, coords) -> list[SimpleType]:
+    """Simple factors of the root subsystem vanishing on a subspace, given
+    by the simple-coroot coordinates of a basis.
+
+    A root r takes the value sum_i x_i r(a_i^vee) on sum_i x_i a_i^vee.
+    """
+    return _classify_components([
+        r
+        for r, values in zip(_integer_roots_of(st), _root_coroot_values(st))
+        if not any(int_dot(values, x) for x in coords)
+    ])
 
 
 def _cartan_int(a: IVec, b: IVec) -> int:
@@ -332,36 +339,9 @@ def _cartan_int(a: IVec, b: IVec) -> int:
     return c
 
 
-def classify_root_components(roots, gram) -> list[SimpleType]:
-    """Types of the irreducible factors of a finite root system, sorted."""
-    return _classify_components(to_int(roots, gram)[0])
-
-
 def _classify_components(roots: list[IVec]) -> list[SimpleType]:
-    comps: list[list[IVec]] = []
-    todo = list(roots)
-    while todo:
-        v = todo.pop()
-        comp = [v]
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            rest = []
-            for w in todo:
-                if int_dot(u, w):
-                    comp.append(w)
-                    stack.append(w)
-                else:
-                    rest.append(w)
-            todo = rest
-        comps.append(comp)
-    return sorted(_classify_irreducible(c) for c in comps)
-
-
-def close_under_reflections(vectors, gram) -> list[Vec]:
-    """Reflection closure of a set of exact root vectors, sorted."""
-    ints, s = to_int(vectors, gram)
-    return [tuple(Q(x, s) for x in v) for v in sorted(_reflection_closure(ints))]
+    """Types of the irreducible factors of a finite root system, sorted."""
+    return sorted(_classify_irreducible(c) for c in connected_components(roots, int_dot))
 
 
 def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
@@ -389,12 +369,8 @@ def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
     return roots
 
 
-def classify_finite_roots(roots, gram) -> SimpleType:
-    """Type of an irreducible finite (possibly non-reduced) root system."""
-    return _classify_irreducible(to_int(roots, gram)[0])
-
-
 def _classify_irreducible(roots: list[IVec]) -> SimpleType:
+    """Type of an irreducible finite (possibly non-reduced) root system."""
     if not roots:
         return TRIVIAL
     rset = set(roots)
@@ -432,68 +408,36 @@ def _simple_system(roots: list[IVec]) -> list[IVec]:
     return sorted(simples)
 
 
-_FINITE_ORDER = ("A", "C", "B", "D", "E", "F", "G")
-
-
 def classify_finite_cartan(cartan) -> SimpleType:
-    """Match an indecomposable finite Cartan matrix against the catalog."""
+    """Match an indecomposable finite Cartan matrix against the catalog.
+
+    Both sides are diagrams with unit marks and lengths re-derived from
+    their Cartan integers, matched by the one isomorphism search.  B_n and
+    C_n come before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).
+    """
     n = len(cartan)
     if n == 0:
         return TRIVIAL
-    for fam in _FINITE_ORDER:
-        st = SimpleType(fam, n)
-        try:
-            rootdata.validate_type(st)
-        except ValueError:
-            continue
-        if fam == "B" and n == 2:
-            continue
-        cat = diagram_of(st).cartan
-        # catalog stores the coroot-side matrix; the root-side one is its
-        # transpose (n(a,b) = n(b^v, a^v))
-        finite = tuple(tuple(cat[j][i] for j in range(1, n + 1)) for i in range(1, n + 1))
-        if _cartan_isomorphic(cartan, finite):
-            return st
+    if len(connected_components(range(n), lambda u, v: cartan[u][v])) == 1:
+        probe, signature = _finite_probe(tuple(tuple(int(x) for x in row) for row in cartan))
+        for st in _candidate_types(n):
+            cat, cat_signature = _catalog_finite_probe(st)
+            if cat_signature == signature and _isomorphisms(probe, cat, first_only=True):
+                return st
     raise AssertionError("unrecognized finite Cartan matrix")
 
 
-def _cartan_isomorphic(c1, c2) -> bool:
-    n = len(c1)
-    if len(c2) != n:
-        return False
+def _finite_probe(cartan) -> tuple[AffineDiagram, tuple]:
+    return _relengthed(AffineDiagram(cartan, (1,) * len(cartan), ()))
 
-    def inv(c):
-        return [
-            (tuple(sorted(c[i][j] for j in range(n) if j != i)),
-             tuple(sorted(c[j][i] for j in range(n) if j != i)))
-            for i in range(n)
-        ]
 
-    i1, i2 = inv(c1), inv(c2)
-    if sorted(i1) != sorted(i2):
-        return False
-    perm = [-1] * n
-    used = [False] * n
-
-    def extend(u):
-        if u == n:
-            return True
-        for t in range(n):
-            if used[t] or i1[u] != i2[t]:
-                continue
-            if any(
-                c1[u][v] != c2[t][perm[v]] or c1[v][u] != c2[perm[v]][t]
-                for v in range(u)
-            ):
-                continue
-            perm[u] = t
-            used[t] = True
-            if extend(u + 1):
-                return True
-            used[t] = False
-        return False
-
-    return extend(0)
+@lru_cache(maxsize=None)
+def _catalog_finite_probe(st: SimpleType) -> tuple[AffineDiagram, tuple]:
+    # the catalog stores the coroot-side matrix; the root-side one is its
+    # transpose (n(a,b) = n(b^v, a^v))
+    cat = diagram_of(st).cartan
+    nodes = range(1, st.rank + 1)
+    return _finite_probe(tuple(tuple(cat[j][i] for j in nodes) for i in nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -520,37 +464,9 @@ def fold(st: SimpleType, tau: tuple[int, ...]) -> SimpleType:
                 raise ValueError("tau is not an automorphism of the finite diagram")
     if tau == tuple(range(n + 1)):
         return st
-    group = _perm_closure(tau)
-    orbits = _orbits(group, n)
-    return _restricted_from_orbits(d, orbits, extended=False)
-
-
-def _perm_closure(tau):
-    group = [tuple(range(len(tau)))]
-    p = tau
-    while p not in group:
-        group.append(p)
-        p = tuple(tau[i] for i in p)
-    return group
-
-
-def _orbits(group, n):
-    seen = set()
-    orbits = []
-    for v in range(1, n + 1):
-        if v in seen:
-            continue
-        orb = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for p in group:
-                if p[u] not in orb:
-                    orb.add(p[u])
-                    frontier.append(p[u])
-        seen |= orb
-        orbits.append(tuple(sorted(orb)))
-    return orbits
+    # node 0 is fixed; its orbit is the first one
+    orbits = orbits_of(generated_group([tau], n + 1), n + 1)[1:]
+    return _restricted_from_orbits(d, orbits)
 
 
 def restricted_type(st: SimpleType, sub_: CenterSubgroup) -> SimpleType:
@@ -559,41 +475,31 @@ def restricted_type(st: SimpleType, sub_: CenterSubgroup) -> SimpleType:
     orbits = orbit_data(st, sub_)
     if orbits.degenerate:
         return TRIVIAL
-    return _restricted_from_orbits(d, [o.nodes for o in orbits.orbits], extended=True)
+    return _restricted_from_orbits(d, [o.nodes for o in orbits.orbits])
 
 
-def _restricted_from_orbits(d, orbits, extended: bool) -> SimpleType:
+def _restricted_from_orbits(d, orbits) -> SimpleType:
     """Classify restrictions of the (extended) roots to the fixed subspace.
 
-    The orbit restrictions generate the restricted system under
-    reflections once the doubled restrictions of exceptional orbits
-    (bonded A_2 pairs) are thrown in.
+    The restriction of an orbit is the orbit average of its roots, taken
+    here on the int extended roots times the LCM of the orbit sizes.  The
+    orbit restrictions generate the restricted system under reflections
+    once the doubled restrictions of exceptional orbits (bonded A_2 pairs)
+    are thrown in.
     """
-    basis = []
-    for o in orbits:
-        s = zero_vec(d.ambient_dim)
-        for u in o:
-            s = add(s, d.extended_roots[u])
-        basis.append(scale(Q(1, len(o)), s))
-    # orthogonal projection of each orbit onto the fixed subspace is the
-    # orbit average of the root vectors
-    fixed_dim = mat_rank(tuple(basis))
-    seeds = []
+    roots = to_int(d.extended_roots, d.gram)[0]
+    m = lcm(*(len(o) for o in orbits))
+    avgs = [tuple(m // len(o) * sum(xs) for xs in zip(*(roots[u] for u in o))) for o in orbits]
+    fixed_dim = mat_rank(avgs)
     cart = diagram_of(d.type).cartan
-    for o, avg in zip(orbits, basis):
-        if is_zero(avg):
+    seeds = []
+    for o, avg in zip(orbits, avgs):
+        if not any(avg):
             continue
         seeds.append(avg)
-        bonded_pairs = [
-            (u, v)
-            for i, u in enumerate(o)
-            for v in o[i + 1 :]
-            if cart[u][v] != 0
-        ]
-        if bonded_pairs:
-            seeds.append(scale(2, avg))
-    roots = _reflection_closure(to_int(seeds, d.gram)[0])
-    result = _classify_irreducible(list(roots))
+        if any(cart[u][v] for i, u in enumerate(o) for v in o[i + 1 :]):
+            seeds.append(tuple(2 * x for x in avg))
+    result = _classify_irreducible(list(_reflection_closure(seeds)))
     if result.rank != fixed_dim:
         raise AssertionError("restricted system has unexpected rank")
     return result

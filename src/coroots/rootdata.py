@@ -13,7 +13,7 @@ e_0-e_1, e_1-e_2, ...).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -147,14 +147,6 @@ class RootDatum:
     def nodes(self) -> range:
         return range(self.rank + 1)
 
-    def pairing(self, root_vec: Vec, t: Vec) -> Q:
-        """Value a(t) of the root with vector root_vec on t."""
-        return dot(root_vec, t, self.gram)
-
-    def cartan(self, u: Vec, v: Vec) -> Q:
-        """Cartan number 2<u,v>/<v,v> of two nonzero vectors."""
-        return 2 * dot(u, v, self.gram) / dot(v, v, self.gram)
-
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Extended coroot-diagram Cartan matrix n(i,j) over node ids.
 
@@ -206,19 +198,7 @@ def datum(st: SimpleType) -> RootDatum:
         raise ValueError("the trivial type A0 has no root datum")
     if fam == "B" and n == 2:
         # B_2 is exposed as an alias of C_2 (one datum, C_2 orientation).
-        inner = datum(SimpleType("C", 2))
-        return RootDatum(
-            st,
-            inner.ambient_dim,
-            inner.gram,
-            inner.extended_roots,
-            inner.extended_coroots,
-            inner.h,
-            inner.g,
-            inner.coroot_lattice_basis,
-            inner.coweight_lattice_basis,
-            inner.coweight_coroot_coords,
-        )
+        return replace(datum(SimpleType("C", 2)), type=st)
 
     if fam == "A":
         dim = n + 1
@@ -436,14 +416,6 @@ def center_vertex_nodes(st: SimpleType) -> list[int]:
     """
     d = datum(st)
     return [i for i in d.nodes() if d.h[i] == 1]
-
-
-def center_vertex(st: SimpleType, node: int) -> Vec:
-    """The alcove vertex attached to an h=1 node (node 0 -> origin)."""
-    d = datum(st)
-    if d.h[node] != 1:
-        raise ValueError(f"node {node} does not carry a central vertex")
-    return alcove(st).vertices[node]
 
 
 @lru_cache(maxsize=None)

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .center import all_subgroups, parse_center, quotient_diagram
+from .center import (
+    all_subgroups,
+    l_c_factors,
+    orbit_data,
+    parse_center,
+    quotient_diagram,
+    torus_subspace_coords,
+)
 from .derived import derived, quotient_marked
 from .diagrams import AffineDiagram, classify, diagram_of
-from .moduli import annihilator_factors, catalog_types, subspace_for
-from .projection import nonmultipliable, projection_type, restricted_type
+from .moduli import catalog_types
+from .projection import annihilator_factors, nonmultipliable, projection_type, restricted_type
 from .rootdata import SimpleType
-from .center import l_c_factors, orbit_data
 
 
 def label(st: SimpleType) -> str:
@@ -150,7 +156,7 @@ def torus_table(max_rank: int = 12) -> TableDocument:
                 if not sub_.is_trivial and k % m.n0 == 0:
                     continue  # mirrors the reference table's k not dividing n0
                 dd = derived(m, k)
-                ann = annihilator_factors(st, subspace_for(st, sub_, k))
+                ann = annihilator_factors(st, torus_subspace_coords(st, sub_, k))
                 lbl = " x ".join(label(f) for f in ann) if ann else "1"
                 marks = ",".join(str(x) for x in dd.surviving_values)
                 rows.append(

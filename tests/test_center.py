@@ -1,4 +1,6 @@
 from fractions import Fraction as Q
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -13,13 +15,10 @@ from coroots.center import (
     nu,
     orbit_data,
     parse_center,
-    perm_matrix_on_coroots,
     perm_matrix_on_coroots_of,
-    coroot_coords,
-    from_coroot_coords,
     trivial_subgroup,
 )
-from coroots.linalg import add, mat_vec, sub as vsub, transpose
+from coroots.linalg import add, sub as vsub, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
@@ -30,6 +29,13 @@ from coroots.rootdata import (
     center_vertex_nodes,
     datum,
     parse_type,
+)
+from oracles import (
+    apply_perm_coords as _apply_perm_coords,
+    coroot_coords,
+    from_coroot_coords,
+    mat_vec,
+    perm_matrix_on_coroots,
 )
 
 TYPES_TO_12 = (
@@ -207,21 +213,6 @@ def test_parse_center():
 # residue group law as they run on Fraction simple-coroot coordinates.
 
 
-def _apply_perm_coords(perm, g, x):
-    """Coordinates of the image of sum_i x_i a_i^vee under a_i^vee -> a_{perm[i]}^vee."""
-    y = [Q(0)] * len(x)
-    shift = Q(0)
-    for i, xi in enumerate(x, start=1):
-        j = perm[i]
-        if j:
-            y[j - 1] += xi
-        else:
-            shift = xi / g[0]
-    if shift:
-        y = [yj - shift * gj for yj, gj in zip(y, g[1:])]
-    return tuple(y)
-
-
 def _residue(v):
     return tuple(x % 1 for x in v)
 
@@ -300,3 +291,50 @@ def test_permute_rejects_a_non_integral_shift():
     assert _permute((0, 1, 2, 3), g, (1, 2, 3)) == (1, 2, 3)
     with pytest.raises(AssertionError, match="g_0 = 2"):
         _permute((1, 0, 2, 3), g, (1, 2, 3))
+
+
+def _dictated_factors(st):
+    """Cyclic factor orders of the center the type dictates."""
+    fam, n = st.family, st.rank
+    if fam == "A":
+        return (n + 1,)
+    if fam in ("B", "C") or st == SimpleType("E", 7):
+        return (2,)
+    if fam == "D":
+        return (4,) if n % 2 else (2, 2)
+    return (3,) if st == SimpleType("E", 6) else ()
+
+
+@pytest.mark.parametrize("st", ORACLE_TYPES, ids=str)
+def test_center_group_is_the_group_its_type_dictates(st):
+    """Z/(n+1) for A_n; Z/2 for B, C and E7; Z/4 for D_odd; Z/2 x Z/2 for
+    D_even; Z/3 for E6; trivial for E8, F4 and G2.  Some choice of
+    generators maps the model group bijectively onto the center nodes,
+    turns its addition into the group law and keeps element orders."""
+    factors = _dictated_factors(st)
+    elements = {e.node: e for e in center_group(st).elements}
+    model = list(product(*(range(f) for f in factors)))
+
+    def power(a, k):
+        acc = 0
+        for _ in range(k):
+            acc = center_element_sum(st, acc, a)
+        return acc
+
+    for gens in product(elements, repeat=len(factors)):
+        image = {}
+        for x in model:
+            acc = 0
+            for g, k in zip(gens, x):
+                acc = center_element_sum(st, acc, power(g, k))
+            image[x] = acc
+        if sorted(image.values()) == sorted(elements):
+            break
+    else:
+        pytest.fail(f"no generators realize {factors} in the center of {st}")
+    for x in model:
+        order = lcm(*(f // gcd(f, k) for f, k in zip(factors, x)))
+        assert elements[image[x]].order == order
+        for y in model:
+            xy = tuple((a + b) % f for a, b, f in zip(x, y, factors))
+            assert image[xy] == center_element_sum(st, image[x], image[y])

@@ -19,13 +19,9 @@ from coroots.diagrams import (
 )
 from coroots.linalg import add, dot, kernel_basis, mat, primitive, scale, transpose, zero_vec
 from coroots.numerology import residue_cover
-from coroots.projection import (
-    all_roots_of,
-    close_under_reflections,
-    projection_type,
-    restricted_type,
-)
+from coroots.projection import all_roots_of, projection_type, restricted_type
 from coroots.rootdata import SimpleType, datum, parse_type
+from oracles import close_under_reflections
 
 
 def positive_ray_count(t: SimpleType) -> int:

@@ -2,21 +2,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from coroots.center import (
-    all_subgroups,
-    from_coroot_coords,
-    orbit_data,
-    parse_center,
-    perm_matrix_on_coroots,
-    trivial_subgroup,
-)
+from coroots.center import all_subgroups, orbit_data, parse_center, trivial_subgroup
 from coroots.derived import check_samediags, derived, node_type, quotient_marked
 from coroots.diagrams import diagram_of
-from coroots.linalg import add, dot, kernel_basis, mat, project_many, scale, vec, zero_vec
+from coroots.linalg import add, dot, kernel_basis, mat, scale, vec, zero_vec
 from coroots.moduli import catalog_types
 from coroots.numerology import marked
 from coroots.projection import DiagramReport
 from coroots.rootdata import datum, parse_type
+from oracles import from_coroot_coords, perm_matrix_on_coroots, project_many
 
 
 def lbl(t):
@@ -155,7 +149,7 @@ def test_samediags_sweep(spec):
 
 def _ambient_samediags(st, sub_, k):
     """The Fraction route check_samediags replaced: ambient fixed basis,
-    kernel of the ambient root pairings, linalg.project_many under d.gram."""
+    kernel of the ambient root pairings, oracles.project_many under d.gram."""
     d = datum(st)
     orbits = orbit_data(st, sub_)
     mq = quotient_marked(st, sub_)

