@@ -74,9 +74,7 @@ class ProjectedSystem:
     type: SimpleType
     fixed_coords: tuple[IVec, ...]  # center.fixed_subspace_coords
     orbits: OrbitSet
-    # one per orbit: simple-coroot coordinates of the projected coroot
-    # times `scale` (zero vectors if degenerate)
-    averages: tuple[IVec, ...]
+    averages: tuple[IVec, ...]  # projected coroots' coordinates, times scale
     scale: int
     diagram: AffineDiagram
     classified: ClassifyResult
@@ -315,8 +313,13 @@ def _root_coroot_values(st: SimpleType) -> tuple[IVec, ...]:
     the simple coroots, all times one positive integer: the roots and the
     coroots are int tuples and the form is a scalar times the identity."""
     d = rootdata.datum(st)
-    coroots = to_int(d.coroot_lattice_basis, d.gram)[0]
-    return tuple(tuple(int_dot(r, c) for c in coroots) for r in _integer_roots_of(st))
+    roots, columns = _integer_roots_of(st), []
+    for c in to_int(d.coroot_lattice_basis, d.gram)[0]:
+        col = [0] * len(roots)
+        for k in (k for k, x in enumerate(c) if x):  # a coroot has few nonzero entries
+            col = [v + r[k] * c[k] for v, r in zip(col, roots)]
+        columns.append(col)
+    return tuple(zip(*columns))
 
 
 def annihilator_factors(st: SimpleType, coords) -> list[SimpleType]:

@@ -42,8 +42,7 @@ def mat_vec(m, v):
 
 
 def row_echelon(m):
-    """Reduced row echelon form by Gauss-Jordan elimination on Fractions;
-    returns (rows, pivot column indices)."""
+    """Gauss-Jordan elimination on Fractions: (reduced rows, pivot columns)."""
     rows = [[Q(x) for x in r] for r in m]
     n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
     pivots = []
@@ -97,8 +96,7 @@ def in_lattice(v, basis):
 
 
 def kernel(m):
-    """Basis of the right kernel from the echelon form, each vector scaled
-    to coprime integers with a positive first nonzero entry."""
+    """Right kernel basis, each vector coprime integers with positive lead."""
     rows, pivots = row_echelon(m)
     out = []
     for f in (c for c in range(len(m[0])) if c not in pivots):
@@ -132,8 +130,7 @@ def det(m):
 
 
 def lattice_index(sub, sup):
-    """Index of the lattice spanned by `sub` inside the one spanned by `sup`,
-    both bases of the same rational vector space."""
+    """Index of the lattice of basis `sub` in that of `sup` (same span)."""
     if len(sub) != len(sup):
         raise ValueError("lattices of different rank")
     coords = [coords_in_basis(v, sup) for v in sub]

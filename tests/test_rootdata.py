@@ -10,8 +10,6 @@ from coroots.diagrams import diagram_of
 from coroots.linalg import (
     add,
     det_int,
-    dot,
-    inverse,
     is_zero,
     mat,
     scale,
@@ -33,7 +31,16 @@ from coroots.rootdata import (
     fundamental_group_order,
     parse_type,
 )
-from oracles import cartan, center_vertex, in_lattice, lattice_index, mat_vec, pairing
+from oracles import (
+    cartan,
+    center_vertex,
+    dot,
+    in_lattice,
+    lattice_index,
+    mat_vec,
+    pairing,
+    solve,
+)
 
 ALL_SPECS = (
     [f"A{n}" for n in range(1, 13)]
@@ -329,10 +336,11 @@ def test_cartan_matrix_matches_fraction_route(st):
 
 
 def _fraction_coweights(simple_roots, simple_coroots, gram):
-    """Oracle: the coweights from the inverse of the Fraction pairing matrix."""
+    """Oracle: the coweights from the inverse of the Fraction pairing matrix,
+    column by column through the Fraction elimination."""
     span = mat(simple_coroots)
-    inv = inverse(mat([[dot(a, s, gram) for s in span] for a in simple_roots]))
-    coords = tuple(zip(*inv))
+    p = [[dot(a, s, gram) for s in span] for a in simple_roots]
+    coords = tuple(solve(p, [Q(int(j == i)) for j in range(len(p))]) for i in range(len(p)))
     out = []
     for c in coords:
         w = zero_vec(len(span[0]))
