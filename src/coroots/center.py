@@ -22,8 +22,8 @@ The subspaces the projected-coroot route works in live in the same
 coordinates, as primitive integer vectors cached per (type, subgroup):
 the fixed subspace of w_C (fixed_subspace_coords) and, inside it, the
 torus t^{w_C}(gbar, k) (torus_subspace_coords), whose defining roots pair
-with coordinates through rows of the integer Cartan matrix.  Nothing
-downstream converts them back to ambient vectors.
+with coordinates through rows of the integer Cartan matrix.  Their
+consumers (projection, derived, moduli) read them as coordinates.
 
 quotient_diagram is the one cached quotient of the extended diagram by a
 subgroup, shared by every consumer.

@@ -3,9 +3,9 @@
 The library computes in integer simple-coroot coordinates.  The routes
 here work on Fraction vectors, ambient ones where a root datum is
 involved, with their own Gauss-Jordan elimination and a general Gram
-form.  They share no code with the integer kernels (linalg._int_echelon,
-kernel_basis, scaled_inverse, to_int, int_dot), so a test that compares a
-library result with one of them compares two different routes.
+form.  They share no code with the library's integer elimination, kernels
+and scaling to ints, so a test that compares a library result with one of
+them compares two different routes.
 
 The three adapters at the end are not oracles: they give the integer
 root-set routes of coroots.projection the Fraction-vector signature they
