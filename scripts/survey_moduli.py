@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from coroots.center import all_subgroups
+from coroots.cli import _positive_int
 from coroots.moduli import catalog_types, components_for
 from coroots.rootdata import dual_coxeter
 from coroots.tables import label
@@ -13,7 +14,7 @@ from coroots.tables import label
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-rank", type=int, default=8)
+    ap.add_argument("--max-rank", type=_positive_int, default=8)
     args = ap.parse_args()
     for st in catalog_types(args.max_rank):
         for sub in all_subgroups(st):

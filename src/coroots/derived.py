@@ -30,6 +30,7 @@ from .diagrams import (
     connected_components,
     make_diagram,
 )
+from .linalg import cartan_integers
 from .numerology import I_set, MarkedDiagram, marked
 from .projection import (
     DiagramReport,
@@ -204,11 +205,8 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
     avgs, _ = orbit_averages(rootdata.datum(st).g, surviving)
     p, _ = projector(st, span)
     prods = form_products(st, [apply_projector(p, v) for v in avgs])
-    for i, row in enumerate(prods):
-        for j, x in enumerate(row):
-            c, r = divmod(2 * x, prods[j][j])
-            if r:
-                return DiagramReport(False, f"non-integral coordinate Cartan number at ({i},{j})")
+    for i, row in enumerate(cartan_integers(prods)):
+        for j, c in enumerate(row):
             if c != dd.diagram.cartan[i][j]:
                 return DiagramReport(
                     False,

@@ -183,56 +183,60 @@ def diagram_of(st: SimpleType) -> AffineDiagram:
 
 
 def _invariants(d: AffineDiagram) -> list[tuple]:
-    """Per-node isomorphism invariants, all ints (a length enters as its
-    reduced numerator and denominator), so comparing them builds no
-    Fractions."""
-    base = []
-    for u in d.nodes():
-        row = tuple(sorted(d.cartan[u][v] for v in d.nodes() if v != u))
-        col = tuple(sorted(d.cartan[v][u] for v in d.nodes() if v != u))
-        ln = d.sq_lengths[u]
-        base.append((d.marks[u], ln.numerator, ln.denominator, row, col))
+    """Per-node isomorphism invariants from the marks and Cartan integers.
+
+    Lengths are left out: a bijection that preserves the Cartan integers of
+    an indecomposable matrix preserves the ratios of its lengths too.
+    """
+    base = [
+        (m, tuple(sorted(row)), tuple(sorted(col)))
+        for m, row, col in zip(d.marks, d.cartan, zip(*d.cartan))
+    ]
     # one round of neighbor refinement
     return [
-        (base[u], tuple(sorted(base[v] for v in d.neighbors(u)))) for u in d.nodes()
+        (base[u], tuple(sorted(base[v] for v, x in enumerate(row) if x and v != u)))
+        for u, row in enumerate(d.cartan)
     ]
 
 
 def _isomorphisms(d1: AffineDiagram, d2: AffineDiagram, first_only: bool):
-    """Node bijections p with cartan2[p(u)][p(v)] == cartan1[u][v] and equal marks."""
+    """Node bijections p with cartan2[p(u)][p(v)] == cartan1[u][v] and equal marks.
+
+    Nodes of d1 are placed in the order a graph search reaches them, so each
+    new node meets a placed neighbour and a wrong branch fails at once.
+    """
     if d1.n_nodes != d2.n_nodes:
         return []
     n = d1.n_nodes
     inv1, inv2 = _invariants(d1), _invariants(d2)
     if sorted(inv1) != sorted(inv2):
         return []
+    order = [u for comp in connected_components(range(n), d1.bonded) for u in comp]
     found: list[tuple[int, ...]] = []
     perm = [-1] * n
     used = [False] * n
 
-    def extend(u: int) -> bool:
-        if u == n:
+    def extend(i: int) -> bool:
+        if i == n:
             found.append(tuple(perm))
             return first_only
+        u = order[i]
         for t in range(n):
             if used[t] or inv1[u] != inv2[t]:
                 continue
-            ok = True
-            for v in range(u):
+            for v in order[:i]:
                 if (
                     d1.cartan[u][v] != d2.cartan[t][perm[v]]
                     or d1.cartan[v][u] != d2.cartan[perm[v]][t]
                 ):
-                    ok = False
                     break
-            if not ok:
-                continue
-            perm[u] = t
-            used[t] = True
-            if extend(u + 1):
-                return True
-            used[t] = False
-            perm[u] = -1
+            else:
+                perm[u] = t
+                used[t] = True
+                if extend(i + 1):
+                    return True
+                used[t] = False
+                perm[u] = -1
         return False
 
     extend(0)
@@ -289,38 +293,20 @@ def _candidate_types(rank: int) -> list[SimpleType]:
     return out
 
 
-def _relengthed(d: AffineDiagram) -> tuple[AffineDiagram, tuple]:
-    """d with lengths re-derived from its Cartan matrix, and its sorted
-    invariants: quotient normalizations may rescale lengths, so classify
-    compares only cartan + marks."""
-    r = AffineDiagram(d.cartan, d.marks, _lengths_from_cartan(d.cartan))
-    return r, tuple(sorted(_invariants(r)))
-
-
-@lru_cache(maxsize=None)
-def _catalog_probe(st: SimpleType) -> tuple[AffineDiagram, tuple]:
-    return _relengthed(diagram_of(st))
-
-
 def classify(d: AffineDiagram) -> ClassifyResult | None:
     """Catalog type whose extended coroot diagram is isomorphic to d.
 
     Marks must match the catalog coroot integers up to one global integer
-    factor.  Returns None only for diagrams outside the catalog, which does
-    not happen for affine-type input (the catalog is complete).  Candidates
-    whose invariant signature differs are skipped without a search.
+    factor; lengths may be rescaled.  _isomorphisms rejects a candidate
+    whose sorted invariants differ without a search.  Returns None only for
+    diagrams outside the catalog, which affine-type input never is.
     """
     if d.n_nodes == 1:
         return ClassifyResult(TRIVIAL, d.marks[0], (0,))
     scale = gcd(*d.marks)
-    probe, signature = _relengthed(
-        AffineDiagram(d.cartan, tuple(m // scale for m in d.marks), d.sq_lengths)
-    )
+    probe = AffineDiagram(d.cartan, tuple(m // scale for m in d.marks), d.sq_lengths)
     for st in _candidate_types(d.n_nodes - 1):
-        cat, cat_signature = _catalog_probe(st)
-        if cat_signature != signature:
-            continue
-        iso = _isomorphisms(probe, cat, first_only=True)
+        iso = _isomorphisms(probe, diagram_of(st), first_only=True)
         if iso:
             return ClassifyResult(st, scale, iso[0])
     return None
@@ -431,9 +417,6 @@ def quotient(d: AffineDiagram, group) -> AffineDiagram:
                 )
             cartan[i][j] = vals.pop()
     marks = tuple(sum(d.marks[u] for u in o) for o in orbs)
-    cartan = tuple(tuple(row) for row in cartan)
-    if is_affine_type(cartan) is None:
-        raise DiagramError("quotient cartan matrix is not of affine type")
     return make_diagram(cartan, marks)
 
 

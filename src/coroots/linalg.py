@@ -69,6 +69,21 @@ def int_dot(u: IVec, v: IVec) -> int:
     return sum(map(mul, u, v))
 
 
+def cartan_integers(prods) -> tuple[IVec, ...]:
+    """The Cartan integers n(i, j) = 2 p(i, j) / p(j, j) of a matrix of
+    pairwise inner products; a non-integral entry raises AssertionError."""
+    out = []
+    for i, row in enumerate(prods):
+        ints = []
+        for j, x in enumerate(row):
+            c, r = divmod(2 * x, prods[j][j])
+            if r:
+                raise AssertionError(f"non-integral Cartan integer at ({i},{j})")
+            ints.append(c)
+        out.append(tuple(ints))
+    return tuple(out)
+
+
 def to_int(vectors, gram: Mat | None = None) -> tuple[list[IVec], int]:
     """The nonzero vectors, times the LCM of their denominators, as int tuples.
 

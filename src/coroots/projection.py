@@ -14,8 +14,8 @@ the form is one integer matrix B = s ((a_i^vee, a_j^vee)) per type
 K (K^T B K)^{-1} K^T B, built once per span over one denominator from a
 single small inverse (projector), so projecting is int arithmetic.  Orbit
 averages are scaled to ints by one common L (orbit_averages); their
-pairwise B-values give the Cartan integers by divmod and the squared
-lengths as exact fractions over s L^2.
+pairwise B-values give the Cartan integers (linalg.cartan_integers) and the
+squared lengths as exact fractions over s L^2.
 
 The finite root-set machinery (reflection closure, irreducible components,
 classification) runs on integer vectors.  Every catalog form is a scalar
@@ -25,7 +25,9 @@ are scaled by one common positive integer.  So the roots are int tuples
 (_integer_roots_of), restrictions are orbit averages of the int extended
 roots times the LCM of the orbit sizes, and the annihilator of a subspace
 is read off one per-type table of the values r(a_i^vee) on the simple
-coroots, paired with the subspace's simple-coroot coordinates.
+coroots, paired with the subspace's simple-coroot coordinates.  A root
+set's factors are read off the Cartan matrix of one simple system of its
+indivisible roots (_classify_components).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .diagrams import (
     ClassifyResult,
     _candidate_types,
     _isomorphisms,
-    _relengthed,
     classify,
     connected_components,
     diagram_of,
@@ -60,6 +61,7 @@ from .diagrams import (
 from .linalg import (
     IVec,
     Vec,
+    cartan_integers,
     int_dot,
     kernel_basis,
     rank as mat_rank,
@@ -112,18 +114,9 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     if any(int_dot(orbits.marks, xs) for xs in zip(*avgs)):
         raise AssertionError("projected coroot relation fails")
     prods = form_products(st, avgs)
-    cartan = []
-    for row in prods:
-        out = []
-        for j, x in enumerate(row):
-            c, r = divmod(2 * x, prods[j][j])
-            if r:
-                raise AssertionError("non-integral projected Cartan number")
-            out.append(c)
-        cartan.append(tuple(out))
     s = coroot_form(st)[1]
     lens = tuple(Q(row[i], s * common * common) for i, row in enumerate(prods))
-    dia = make_diagram(tuple(cartan), orbits.marks, lens)
+    dia = make_diagram(cartan_integers(prods), orbits.marks, lens)
     res = classify(dia)
     if res is None:
         raise AssertionError("projected diagram failed to classify")
@@ -335,16 +328,27 @@ def annihilator_factors(st: SimpleType, coords) -> list[SimpleType]:
     ])
 
 
-def _cartan_int(a: IVec, b: IVec) -> int:
-    c, r = divmod(2 * int_dot(a, b), int_dot(b, b))
-    if r:
-        raise AssertionError("non-integral Cartan integer in a finite root set")
-    return c
-
-
 def _classify_components(roots: list[IVec]) -> list[SimpleType]:
-    """Types of the irreducible factors of a finite root system, sorted."""
-    return sorted(_classify_irreducible(c) for c in connected_components(roots, int_dot))
+    """Types of the irreducible factors of a finite (possibly non-reduced)
+    root system, sorted: the components of the Cartan matrix of a simple
+    system of the indivisible roots.  The roots v with 2v a root form a Weyl
+    group orbit, which meets the simple roots: a factor is BC when twice one
+    of its simple roots is a root."""
+    if not roots:
+        return []
+    rset = set(roots)
+    # v / 2 can only be a root when it is an int tuple at the same scale
+    simples = _simple_system([
+        v for v in roots if any(x % 2 for x in v) or tuple(x // 2 for x in v) not in rset
+    ])
+    cartan = cartan_integers([[int_dot(a, b) for b in simples] for a in simples])
+    types = []
+    for block in connected_components(range(len(simples)), lambda i, j: cartan[i][j]):
+        st = classify_finite_cartan([[cartan[i][j] for j in block] for i in block])
+        if any(tuple(2 * x for x in simples[i]) in rset for i in block):
+            st = SimpleType("BC", st.rank)
+        types.append(st)
+    return sorted(types)
 
 
 def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
@@ -372,27 +376,12 @@ def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
     return roots
 
 
-def _classify_irreducible(roots: list[IVec]) -> SimpleType:
-    """Type of an irreducible finite (possibly non-reduced) root system."""
-    if not roots:
-        return TRIVIAL
-    rset = set(roots)
-    non_reduced = any(tuple(2 * x for x in v) in rset for v in roots)
-    # v / 2 can only be a root when it is an int tuple at the same scale
-    indiv = [
-        v
-        for v in roots
-        if any(x % 2 for x in v) or tuple(x // 2 for x in v) not in rset
-    ]
-    simples = _simple_system(indiv)
-    cartan = tuple(tuple(_cartan_int(a, b) for b in simples) for a in simples)
-    st = classify_finite_cartan(cartan)
-    if non_reduced:
-        return SimpleType("BC", st.rank)
-    return st
-
-
 def _simple_system(roots: list[IVec]) -> list[IVec]:
+    """Simple roots of a reduced root system for a generic functional, sorted.
+
+    The positive roots are scanned by increasing value: one that is not
+    simple is a simple root found before it plus a positive root (Humphreys,
+    Introduction to Lie Algebras, 10.2 Lemma A)."""
     dim = len(roots[0])
     t = 1
     while True:
@@ -401,46 +390,41 @@ def _simple_system(roots: list[IVec]) -> list[IVec]:
         if 0 not in vals and len(vals) == len(roots):
             break
         t += 1
-    pos = [v for v in roots if int_dot(v, weights) > 0]
-    pset = set(pos)
-    simples = [
-        a
-        for a in pos
-        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in pos if b != a)
-    ]
+    pos = sorted((h, v) for v in roots if (h := int_dot(v, weights)) > 0)
+    pset = {v for _, v in pos}
+    simples: list[IVec] = []
+    for _, a in pos:
+        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in simples):
+            simples.append(a)
     return sorted(simples)
 
 
 def classify_finite_cartan(cartan) -> SimpleType:
     """Match an indecomposable finite Cartan matrix against the catalog.
 
-    Both sides are diagrams with unit marks and lengths re-derived from
-    their Cartan integers, matched by the one isomorphism search.  B_n and
-    C_n come before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).
+    Both sides are diagrams with unit marks, matched by the one isomorphism
+    search; a decomposable matrix matches no catalog one.  B_n and C_n come
+    before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).
     """
     n = len(cartan)
     if n == 0:
         return TRIVIAL
-    if len(connected_components(range(n), lambda u, v: cartan[u][v])) == 1:
-        probe, signature = _finite_probe(tuple(tuple(int(x) for x in row) for row in cartan))
-        for st in _candidate_types(n):
-            cat, cat_signature = _catalog_finite_probe(st)
-            if cat_signature == signature and _isomorphisms(probe, cat, first_only=True):
-                return st
+    probe = AffineDiagram(tuple(tuple(int(x) for x in row) for row in cartan), (1,) * n, ())
+    for st in _candidate_types(n):
+        if _isomorphisms(probe, _catalog_finite(st), first_only=True):
+            return st
     raise AssertionError("unrecognized finite Cartan matrix")
 
 
-def _finite_probe(cartan) -> tuple[AffineDiagram, tuple]:
-    return _relengthed(AffineDiagram(cartan, (1,) * len(cartan), ()))
-
-
 @lru_cache(maxsize=None)
-def _catalog_finite_probe(st: SimpleType) -> tuple[AffineDiagram, tuple]:
+def _catalog_finite(st: SimpleType) -> AffineDiagram:
     # the catalog stores the coroot-side matrix; the root-side one is its
     # transpose (n(a,b) = n(b^v, a^v))
     cat = diagram_of(st).cartan
     nodes = range(1, st.rank + 1)
-    return _finite_probe(tuple(tuple(cat[j][i] for j in nodes) for i in nodes))
+    return AffineDiagram(
+        tuple(tuple(cat[j][i] for j in nodes) for i in nodes), (1,) * st.rank, ()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +486,10 @@ def _restricted_from_orbits(d, orbits) -> SimpleType:
         seeds.append(avg)
         if any(cart[u][v] for i, u in enumerate(o) for v in o[i + 1 :]):
             seeds.append(tuple(2 * x for x in avg))
-    result = _classify_irreducible(list(_reflection_closure(seeds)))
-    if result.rank != fixed_dim:
-        raise AssertionError("restricted system has unexpected rank")
-    return result
+    factors = _classify_components(list(_reflection_closure(seeds)))
+    if len(factors) != 1 or factors[0].rank != fixed_dim:
+        raise AssertionError(f"restricted factors {factors}, want one of rank {fixed_dim}")
+    return factors[0]
 
 
 def nonmultipliable(st: SimpleType) -> SimpleType:

@@ -22,6 +22,7 @@ from .linalg import (
     Mat,
     Vec,
     add,
+    cartan_integers,
     det_int,
     dot,
     int_dot,
@@ -151,20 +152,10 @@ class RootDatum:
         """Extended coroot-diagram Cartan matrix n(i,j) over node ids.
 
         The coroots are scaled once to int tuples (the form is a scalar
-        times the identity), so n(i,j) = 2(u,v)/(v,v) is an integer divmod.
+        times the identity), so n(i,j) = 2(u,v)/(v,v) on their dot products.
         """
         cr = to_int(self.extended_coroots, self.gram)[0]
-        sq = [int_dot(v, v) for v in cr]
-        out = []
-        for u in cr:
-            row = []
-            for v, vv in zip(cr, sq):
-                n, r = divmod(2 * int_dot(u, v), vv)
-                if r:
-                    raise AssertionError("non-integral Cartan number in catalog")
-                row.append(n)
-            out.append(tuple(row))
-        return tuple(out)
+        return cartan_integers([[int_dot(u, v) for v in cr] for u in cr])
 
     def coroot_sq_lengths(self) -> tuple[Q, ...]:
         return tuple(dot(v, v, self.gram) for v in self.extended_coroots)

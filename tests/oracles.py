@@ -16,12 +16,8 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 
 from coroots.linalg import add, is_zero, mat, scale, transpose
-from coroots.rootdata import alcove, datum
-from coroots.projection import (
-    _classify_components,
-    _classify_irreducible,
-    _reflection_closure,
-)
+from coroots.projection import _classify_components, _reflection_closure
+from coroots.rootdata import TRIVIAL, alcove, datum
 
 # ---------------------------------------------------------------------------
 # Linear algebra on Fractions
@@ -260,8 +256,12 @@ def close_under_reflections(vectors, gram):
 
 
 def classify_finite_roots(roots, gram):
-    """Type of an irreducible finite (possibly non-reduced) root system."""
-    return _classify_irreducible(_scaled(roots, gram)[0])
+    """Type of an irreducible finite (possibly non-reduced) root system;
+    A0 for an empty one."""
+    factors = _classify_components(_scaled(roots, gram)[0])
+    if len(factors) > 1:
+        raise AssertionError("root system is not irreducible")
+    return factors[0] if factors else TRIVIAL
 
 
 def classify_root_components(roots, gram):

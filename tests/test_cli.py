@@ -208,6 +208,13 @@ def test_scripts_run(tmp_path):
         capture_output=True, text=True, cwd=REPO,
     )
     assert proc.returncode == 0 and "D4" in proc.stdout
+    for bad in ("0", "-2"):
+        proc = subprocess.run(
+            [sys.executable, str(scripts / "survey_moduli.py"), "--max-rank", bad],
+            capture_output=True, text=True, cwd=REPO,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "argument --max-rank: must be a positive integer" in proc.stderr
 
 
 def test_run_check_all_script_rejects_max_rank_0():

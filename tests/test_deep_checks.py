@@ -19,7 +19,13 @@ from coroots.diagrams import (
 )
 from coroots.linalg import add, dot, kernel_basis, mat, primitive, scale, transpose, zero_vec
 from coroots.numerology import residue_cover
-from coroots.projection import all_roots_of, projection_type, restricted_type
+from coroots.moduli import catalog_types
+from coroots.projection import (
+    all_roots_of,
+    classify_finite_cartan,
+    projection_type,
+    restricted_type,
+)
 from coroots.rootdata import SimpleType, datum, parse_type
 from oracles import close_under_reflections
 
@@ -210,6 +216,34 @@ def test_classify_invariant_under_relabeling(spec):
         lens = tuple(d.sq_lengths[perm[i]] for i in range(n))
         res = classify(AffineDiagram(cartan, marks, lens))
         assert res is not None and res.type == st_ and res.scale == 1
+
+
+def _relabeled(m, perm):
+    return tuple(tuple(m[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "st_", catalog_types(24) + [SimpleType("BC", n) for n in range(1, 25)], ids=str
+)
+def test_classification_invariant_under_relabeling_to_rank_24(st_):
+    """classify on the extended diagram, and classify_finite_cartan on its
+    finite part in both orientations, under three random relabelings."""
+    d = diagram_of(st_)
+    fin = tuple(row[1:] for row in d.cartan[1:])
+    wants = [classify_finite_cartan(m) for m in (fin, transpose(fin))]
+    if st_.family != "BC":
+        assert wants[1] == st_  # the catalog stores the coroot-side matrix
+    rng = random.Random(str(st_))
+    for _ in range(3):
+        perm = rng.sample(range(d.n_nodes), d.n_nodes)
+        marks = tuple(d.marks[u] for u in perm)
+        lens = tuple(d.sq_lengths[u] for u in perm)
+        res = classify(AffineDiagram(_relabeled(d.cartan, perm), marks, lens))
+        assert (res.type, res.scale) == (st_, 1)
+        perm = rng.sample(range(st_.rank), st_.rank)
+        for m, want in zip((fin, transpose(fin)), wants):
+            assert classify_finite_cartan(_relabeled(m, perm)) == want
 
 
 @pytest.mark.parametrize("spec,center", [("E7", "full"), ("D6", "full"), ("B5", "full"), ("C5", "full")])

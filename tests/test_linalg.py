@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coroots.linalg import (
     _int_echelon,
+    cartan_integers,
     det_int,
     scaled_inverse,
     add,
@@ -308,3 +309,10 @@ def test_scaled_inverse_is_the_inverse_over_its_lcm_denominator(m):
     assert den == lcm(*(x.denominator for row in inv for x in row))
     assert all(type(x) is int for row in rows for x in row)
     assert [tuple(x * den for x in row) for row in inv] == rows
+
+
+def test_cartan_integers():
+    # G2 simple roots (1, -1, 0) and (-2, 1, 1): dot products 2, -3, 6
+    assert cartan_integers([[2, -3], [-3, 6]]) == ((2, -1), (-3, 2))
+    with pytest.raises(AssertionError, match=r"non-integral Cartan integer at \(1,0\)"):
+        cartan_integers([[4, -1], [-1, 2]])

@@ -16,6 +16,7 @@ from coroots.diagrams import diagram_of
 from coroots.linalg import (
     add,
     dot,
+    int_dot,
     is_zero,
     kernel_basis,
     mat,
@@ -29,6 +30,8 @@ from coroots.linalg import (
 from coroots.moduli import catalog_types
 from coroots.projection import (
     _integer_roots_of,
+    _root_coroot_values,
+    _simple_system,
     all_roots_of,
     annihilator_factors,
     check_diagram1,
@@ -433,6 +436,46 @@ def test_annihilator_factors_match_fraction_route(st):
             kept = [r for r in roots if all(pairing(d, r, b) == 0 for b in space)]
             want = _fraction_components(kept, d.gram)
             assert annihilator_factors(st, coords) == want, (st, sub_.nodes, k)
+
+
+@pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
+def test_simple_system_matches_pairwise_definition(st):
+    """The scan against the simple roots found so far gives the positive
+    roots that are not a sum of two positive roots: on every catalog root
+    system, and up to rank 8 on every annihilator root set."""
+    roots = list(_integer_roots_of(st))
+    sets = [roots]
+    if st.rank <= 8:
+        for sub_ in all_subgroups(st):
+            for k in quotient_marked(st, sub_).admissible_orders():
+                coords = torus_subspace_coords(st, sub_, k)
+                kept = [
+                    r
+                    for r, values in zip(roots, _root_coroot_values(st))
+                    if not any(int_dot(values, x) for x in coords)
+                ]
+                if kept:
+                    sets.append(kept)
+    for rs in sets:
+        assert _simple_system(rs) == sorted(_fraction_simple_system(rs, None))
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [("BC2", "A1"), ("BC1", "BC3", "C2"), ("G2", "BC2", "BC2"), ("BC1", "B3", "A2")],
+)
+def test_components_of_direct_sums_with_non_reduced_factors(specs):
+    """Each factor keeps its own BC test when several are summed."""
+    blocks = [all_roots_of(parse_type(s)) for s in specs]
+    dims = [len(b[0]) for b in blocks]
+    roots = [
+        zero_vec(sum(dims[:i])) + v + zero_vec(sum(dims[i + 1 :]))
+        for i, b in enumerate(blocks)
+        for v in b
+    ]
+    want = sorted(parse_type(s) for s in specs)
+    assert _fraction_components(roots, None) == want
+    assert classify_root_components(roots, None) == want
 
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
