@@ -6,10 +6,12 @@ Each query runs RUNS times on each of two checkouts, the parent commit's
 by run and swapping which goes first, each run in a fresh interpreter with
 PYTHONPATH=<checkout>/src so every cache starts cold.  Interleaving the two
 trees keeps load drift on a shared host from reading as a difference.  The
-median raw wall seconds of each query (not scaled to a reference speed)
-are printed as the "scaling" block of a BENCH_<n>.json file:
-{"runs": 3, "unit": "s", "parent": {query: s}, "change": {query: s}}.
-A query that exits nonzero aborts the run with exit code 1.
+median and quartiles of each query's raw wall seconds (not scaled to a
+reference speed) are printed as the "scaling" block of a BENCH_<n>.json file:
+{"runs": 7, "unit": "s", "parent": {query: {"median": s, "q1_q3": [s, s]}},
+"change": {...}}.  `datum --group A1` is the cold-start floor: interpreter
+start and package import with next to no computation.  A query that exits
+nonzero aborts the run with exit code 1.
 
     python3 scripts/bench_scaling.py PARENT_ROOT
 """
@@ -25,7 +27,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUNS = 3
+RUNS = 7
 
 QUERIES = {
     "check-all --max-rank 24": ["check-all", "--max-rank", "24"],
@@ -35,6 +37,7 @@ QUERIES = {
     ],
     "components --group C30 --center full": ["components", "--group", "C30", "--center", "full"],
     "datum --group A40": ["datum", "--group", "A40"],
+    "datum --group A1": ["datum", "--group", "A1"],
 }
 
 
@@ -64,8 +67,12 @@ def main() -> int:
             for label in order:
                 times[label].append(cold_wall(trees[label], argv))
         for label in trees:
-            out[label][name] = round(statistics.median(times[label]), 3)
-        print(f"{name}: {out['parent'][name]} -> {out['change'][name]} s", file=sys.stderr)
+            q1, _, q3 = statistics.quantiles(times[label], n=4)
+            out[label][name] = {
+                "median": round(statistics.median(times[label]), 3),
+                "q1_q3": [round(q1, 3), round(q3, 3)],
+            }
+        print(f"{name}: {out['parent'][name]} -> {out['change'][name]}", file=sys.stderr)
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -31,8 +31,8 @@ subgroup, shared by every consumer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import rootdata
 from .diagrams import (
@@ -47,8 +47,7 @@ from .linalg import IVec, int_dot, kernel_basis, transpose
 from .rootdata import SimpleType
 
 
-@dataclass(frozen=True)
-class CenterElement:
+class CenterElement(NamedTuple):
     node: int
     perm: tuple[int, ...]
     order: int
@@ -58,8 +57,7 @@ class CenterElement:
         return self.node == 0
 
 
-@dataclass(frozen=True)
-class CenterSubgroup:
+class CenterSubgroup(NamedTuple):
     type: SimpleType
     elements: tuple[CenterElement, ...]  # sorted by node id, identity first
 
@@ -313,8 +311,7 @@ def torus_subspace_coords(st: SimpleType, sub_: CenterSubgroup, k: int) -> tuple
 # Orbits of a center subgroup on the extended diagram
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     nodes: tuple[int, ...]
     eps: int
     mark: int
@@ -324,8 +321,7 @@ class Orbit:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class OrbitSet:
+class OrbitSet(NamedTuple):
     orbits: tuple[Orbit, ...]
     degenerate: bool
 

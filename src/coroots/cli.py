@@ -22,7 +22,7 @@ from .center import (
     quotient_diagram,
 )
 from .derived import check_samediags, derived, quotient_marked
-from .diagrams import DiagramError, classify, diagram_of
+from .diagrams import DiagramError, classify, diagram_of, label, render_diagram
 from .moduli import (
     SHAPE_DISPLAY,
     record_to_json,
@@ -34,7 +34,6 @@ from .moduli import (
 from .numerology import check_assumption, clocked, counts, marked
 from .projection import DiagramReport, check_diagram1
 from .rootdata import SimpleType, dual_coxeter, parse_type
-from .tables import all_tables, label, render_diagram
 
 SCHEMA_DIAGRAM = "coroots/diagram/v1"
 SCHEMA_COMPONENTS = "coroots/components/v1"
@@ -276,6 +275,8 @@ def cmd_rank_zero(args) -> int:
 
 
 def cmd_paper_tables(args) -> int:
+    from .tables import all_tables
+
     outdir = args.out or os.environ.get("COROOTS_TABLE_DIR", "golden")
     os.makedirs(outdir, exist_ok=True)
     for doc in all_tables(args.max_rank):

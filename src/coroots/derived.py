@@ -10,10 +10,10 @@ rebuilds the same diagram from exact coordinates and compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import rootdata
 from .center import (
@@ -81,8 +81,7 @@ def node_type(m: MarkedDiagram, k: int, v: int) -> str:
     )
 
 
-@dataclass(frozen=True)
-class DerivedDiagram:
+class DerivedDiagram(NamedTuple):
     parent: MarkedDiagram
     k: int
     survivors: tuple[int, ...]

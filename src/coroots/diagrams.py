@@ -8,18 +8,17 @@ catalog diagrams node 0 is the extended node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import rootdata
 from .linalg import kernel_basis, transpose
 from .rootdata import FAMILIES, TRIVIAL, SimpleType
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
+class AffineDiagram(NamedTuple):
     cartan: tuple[tuple[int, ...], ...]
     marks: tuple[int, ...]
     sq_lengths: tuple[Q, ...]
@@ -55,6 +54,40 @@ class AffineDiagram:
             tuple(int(m) for m in obj["marks"]),
             tuple(Q(s) for s in obj["sq_lengths"]),
         )
+
+
+def label(st: SimpleType) -> str:
+    if st.rank == 0:
+        return "0"
+    return f"{st.family}{st.rank}"
+
+
+def render_diagram(d: AffineDiagram) -> str:
+    """Deterministic one-line-per-bond ASCII rendering.
+
+    A node prints as id(mark); a bond of multiplicity m prints as =m=> with
+    the arrow toward the shorter node, --- when m = 1, and <=2=> for the
+    two-node cycle.
+    """
+    if d.n_nodes == 1:
+        return f"*({d.marks[0]})"
+    lines = [" ".join(f"{u}({d.marks[u]})" for u in d.nodes())]
+    for u in d.nodes():
+        for v in d.nodes():
+            if v <= u or not d.bonded(u, v):
+                continue
+            nuv, nvu = d.cartan[u][v], d.cartan[v][u]
+            m = nuv * nvu
+            if nuv == nvu == -1:
+                bond = "---"
+            elif nuv == nvu:
+                bond = f"<={m}=>"
+            elif abs(nuv) > abs(nvu):
+                bond = f"={m}=>"
+            else:
+                bond = f"<={m}="
+            lines.append(f"  {u}({d.marks[u]}) {bond} {v}({d.marks[v]})")
+    return "\n".join(lines)
 
 
 class DiagramError(ValueError):
@@ -182,8 +215,8 @@ def diagram_of(st: SimpleType) -> AffineDiagram:
 # isomorphism and automorphisms
 
 
-def _invariants(d: AffineDiagram) -> list[tuple]:
-    """Per-node isomorphism invariants from the marks and Cartan integers.
+def _invariants(d: AffineDiagram) -> tuple[tuple, tuple]:
+    """Per-node isomorphism invariants (marks, Cartan integers) and their sorted list.
 
     Lengths are left out: a bijection that preserves the Cartan integers of
     an indecomposable matrix preserves the ratios of its lengths too.
@@ -193,24 +226,29 @@ def _invariants(d: AffineDiagram) -> list[tuple]:
         for m, row, col in zip(d.marks, d.cartan, zip(*d.cartan))
     ]
     # one round of neighbor refinement
-    return [
+    inv = tuple(
         (base[u], tuple(sorted(base[v] for v, x in enumerate(row) if x and v != u)))
         for u, row in enumerate(d.cartan)
-    ]
+    )
+    return inv, tuple(sorted(inv))
 
 
-def _isomorphisms(d1: AffineDiagram, d2: AffineDiagram, first_only: bool):
+@lru_cache(maxsize=None)
+def _catalog_invariants(st: SimpleType) -> tuple[tuple, tuple]:
+    return _invariants(diagram_of(st))
+
+
+def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: bool):
     """Node bijections p with cartan2[p(u)][p(v)] == cartan1[u][v] and equal marks.
 
-    Nodes of d1 are placed in the order a graph search reaches them, so each
-    new node meets a placed neighbour and a wrong branch fails at once.
+    inv1, inv2 are _invariants(d1), _invariants(d2), which callers compute
+    once.  Nodes of d1 are placed in the order a graph search reaches them,
+    so each new node meets a placed neighbour and a wrong branch fails at once.
     """
-    if d1.n_nodes != d2.n_nodes:
+    if d1.n_nodes != d2.n_nodes or inv1[1] != inv2[1]:
         return []
     n = d1.n_nodes
-    inv1, inv2 = _invariants(d1), _invariants(d2)
-    if sorted(inv1) != sorted(inv2):
-        return []
+    inv1, inv2 = inv1[0], inv2[0]
     order = [u for comp in connected_components(range(n), d1.bonded) for u in comp]
     found: list[tuple[int, ...]] = []
     perm = [-1] * n
@@ -245,7 +283,8 @@ def _isomorphisms(d1: AffineDiagram, d2: AffineDiagram, first_only: bool):
 
 def automorphism_group(d: AffineDiagram) -> list[tuple[int, ...]]:
     """All mark-preserving Cartan-matrix automorphisms, sorted."""
-    return sorted(_isomorphisms(d, d, first_only=False))
+    inv = _invariants(d)
+    return sorted(_isomorphisms(d, inv, d, inv, first_only=False))
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -272,8 +311,7 @@ def generated_group(gens, n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     type: SimpleType
     scale: int  # marks are scale * (catalog coroot integers)
     node_map: tuple[int, ...]  # input node -> catalog node
@@ -297,16 +335,20 @@ def classify(d: AffineDiagram) -> ClassifyResult | None:
     """Catalog type whose extended coroot diagram is isomorphic to d.
 
     Marks must match the catalog coroot integers up to one global integer
-    factor; lengths may be rescaled.  _isomorphisms rejects a candidate
-    whose sorted invariants differ without a search.  Returns None only for
+    factor; lengths may be rescaled.  d's invariants are computed once, the
+    catalog's once per type, and _isomorphisms rejects a candidate whose
+    sorted invariants differ without a search.  Returns None only for
     diagrams outside the catalog, which affine-type input never is.
     """
     if d.n_nodes == 1:
         return ClassifyResult(TRIVIAL, d.marks[0], (0,))
     scale = gcd(*d.marks)
     probe = AffineDiagram(d.cartan, tuple(m // scale for m in d.marks), d.sq_lengths)
+    inv = _invariants(probe)
     for st in _candidate_types(d.n_nodes - 1):
-        iso = _isomorphisms(probe, diagram_of(st), first_only=True)
+        iso = _isomorphisms(
+            probe, inv, diagram_of(st), _catalog_invariants(st), first_only=True
+        )
         if iso:
             return ClassifyResult(st, scale, iso[0])
     return None

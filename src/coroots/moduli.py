@@ -10,9 +10,9 @@ the annihilator subgroup's simple factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
+from typing import NamedTuple
 
 from . import rootdata
 from .center import CenterSubgroup, all_subgroups, torus_subspace_coords
@@ -35,8 +35,7 @@ SHAPE_DISPLAY = {
 }
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(NamedTuple):
     order: int
     label: int  # unit mod order; (order, cs) identifies the component
     d_X: int
@@ -210,12 +209,15 @@ def catalog_types(max_rank: int = 12) -> list[SimpleType]:
     return out
 
 
-@dataclass(frozen=True)
-class ClockReport(ClockPartition):
+class ClockReport(NamedTuple):
     """The J-window partition with the component records that own its windows."""
-
+    g: int
+    windows: dict[tuple[int, int], tuple[int, ...]]  # (x, r) -> residues mod 2g
+    parity: str  # "even" or "odd"
     components: tuple[ComponentRecord, ...]
     valid: bool
+
+    union = ClockPartition.union
 
 
 def clock_report(st: SimpleType, sub_: CenterSubgroup) -> ClockReport:

@@ -8,8 +8,8 @@ and the rotation-invariant partition of Z/2g by the J(x,r) windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .diagrams import AffineDiagram
 
@@ -29,8 +29,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(NamedTuple):
     diagram: AffineDiagram
     n: tuple[int, ...]
 
@@ -69,8 +68,7 @@ def I_set(m: MarkedDiagram, k: int) -> tuple[int, ...]:
     return tuple(v for v in m.diagram.nodes() if m.n[v] % k != 0)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     subgroup_orders: tuple[int, ...]  # cyclic subgroups of Z/k, by order
     assignment: tuple[tuple[int, ...], ...]  # nodes assigned to each subgroup
 
@@ -140,8 +138,7 @@ def check_assumption(m: MarkedDiagram, k: int) -> Decomposition | None:
     return Decomposition(tuple(orders), tuple(assignment))
 
 
-@dataclass(frozen=True)
-class NumerologyCounts:
+class NumerologyCounts(NamedTuple):
     N: int
     g: int
     i: dict[int, int]
@@ -194,8 +191,7 @@ def counts(m: MarkedDiagram) -> NumerologyCounts:
     return NumerologyCounts(N, g, i, d)
 
 
-@dataclass(frozen=True)
-class ClockPartition:
+class ClockPartition(NamedTuple):
     g: int
     windows: dict[tuple[int, int], tuple[int, ...]]  # (x, r) -> residues mod 2g
     parity: str  # "even" or "odd"

@@ -32,11 +32,11 @@ indivisible roots (_classify_components).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from . import rootdata
 from .center import (
@@ -50,6 +50,7 @@ from .diagrams import (
     AffineDiagram,
     ClassifyResult,
     _candidate_types,
+    _invariants,
     _isomorphisms,
     classify,
     connected_components,
@@ -71,8 +72,7 @@ from .linalg import (
 from .rootdata import TRIVIAL, SimpleType
 
 
-@dataclass(frozen=True)
-class ProjectedSystem:
+class ProjectedSystem(NamedTuple):
     type: SimpleType
     fixed_coords: tuple[IVec, ...]  # center.fixed_subspace_coords
     orbits: OrbitSet
@@ -184,8 +184,7 @@ def orbit_averages(g: tuple[int, ...], orbits) -> tuple[list[IVec], int]:
     return [tuple(m // o.size * x for x in s) for o, s in zip(orbits, sums)], m * g[0]
 
 
-@dataclass(frozen=True)
-class DiagramReport:
+class DiagramReport(NamedTuple):
     equal: bool
     detail: str
     node_bijection: tuple[int, ...] | None = None
@@ -410,21 +409,23 @@ def classify_finite_cartan(cartan) -> SimpleType:
     if n == 0:
         return TRIVIAL
     probe = AffineDiagram(tuple(tuple(int(x) for x in row) for row in cartan), (1,) * n, ())
+    inv = _invariants(probe)
     for st in _candidate_types(n):
-        if _isomorphisms(probe, _catalog_finite(st), first_only=True):
+        if _isomorphisms(probe, inv, *_catalog_finite(st), first_only=True):
             return st
     raise AssertionError("unrecognized finite Cartan matrix")
 
 
 @lru_cache(maxsize=None)
-def _catalog_finite(st: SimpleType) -> AffineDiagram:
+def _catalog_finite(st: SimpleType) -> tuple[AffineDiagram, tuple]:
     # the catalog stores the coroot-side matrix; the root-side one is its
     # transpose (n(a,b) = n(b^v, a^v))
     cat = diagram_of(st).cartan
     nodes = range(1, st.rank + 1)
-    return AffineDiagram(
+    fin = AffineDiagram(
         tuple(tuple(cat[j][i] for j in nodes) for i in nodes), (1,) * st.rank, ()
     )
+    return fin, _invariants(fin)
 
 
 # ---------------------------------------------------------------------------

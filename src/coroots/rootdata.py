@@ -13,9 +13,9 @@ e_0-e_1, e_1-e_2, ...).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
+from typing import NamedTuple
 
 from .linalg import (
     IVec,
@@ -52,8 +52,7 @@ CENTER_ORDER = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
+class SimpleType(NamedTuple):
     family: str
     rank: int
 
@@ -127,8 +126,7 @@ def validate_type(st: SimpleType) -> None:
         raise ValueError(f"invalid simple type {fam}{n}")
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     type: SimpleType
     ambient_dim: int
     gram: Mat
@@ -161,8 +159,7 @@ class RootDatum:
         return tuple(dot(v, v, self.gram) for v in self.extended_coroots)
 
 
-@dataclass(frozen=True)
-class AlcoveData:
+class AlcoveData(NamedTuple):
     vertices: tuple[Vec, ...]  # vertex i corresponds to node i; vertex 0 is the origin
     barycenter: Vec
 
@@ -189,7 +186,7 @@ def datum(st: SimpleType) -> RootDatum:
         raise ValueError("the trivial type A0 has no root datum")
     if fam == "B" and n == 2:
         # B_2 is exposed as an alias of C_2 (one datum, C_2 orientation).
-        return replace(datum(SimpleType("C", 2)), type=st)
+        return datum(SimpleType("C", 2))._replace(type=st)
 
     if fam == "A":
         dim = n + 1

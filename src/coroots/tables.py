@@ -9,7 +9,7 @@ tests diff them against the checked-in golden copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .center import (
     all_subgroups,
@@ -20,48 +20,13 @@ from .center import (
     torus_subspace_coords,
 )
 from .derived import derived, quotient_marked
-from .diagrams import AffineDiagram, classify, diagram_of
+from .diagrams import classify, diagram_of, label, render_diagram
 from .moduli import catalog_types
 from .projection import annihilator_factors, nonmultipliable, projection_type, restricted_type
 from .rootdata import SimpleType
 
 
-def label(st: SimpleType) -> str:
-    if st.rank == 0:
-        return "0"
-    return f"{st.family}{st.rank}"
-
-
-def render_diagram(d: AffineDiagram) -> str:
-    """Deterministic one-line-per-bond ASCII rendering.
-
-    A node prints as id(mark); a bond of multiplicity m prints as =m=> with
-    the arrow toward the shorter node, --- when m = 1, and <=2=> for the
-    two-node cycle.
-    """
-    if d.n_nodes == 1:
-        return f"*({d.marks[0]})"
-    lines = [" ".join(f"{u}({d.marks[u]})" for u in d.nodes())]
-    for u in d.nodes():
-        for v in d.nodes():
-            if v <= u or not d.bonded(u, v):
-                continue
-            nuv, nvu = d.cartan[u][v], d.cartan[v][u]
-            m = nuv * nvu
-            if nuv == nvu == -1:
-                bond = "---"
-            elif nuv == nvu:
-                bond = f"<={m}=>"
-            elif abs(nuv) > abs(nvu):
-                bond = f"={m}=>"
-            else:
-                bond = f"<={m}="
-            lines.append(f"  {u}({d.marks[u]}) {bond} {v}({d.marks[v]})")
-    return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class TableDocument:
+class TableDocument(NamedTuple):
     name: str
     title: str
     rows: tuple[str, ...]

@@ -217,6 +217,23 @@ def test_scripts_run(tmp_path):
         assert "argument --max-rank: must be a positive integer" in proc.stderr
 
 
+def test_cold_queries_skip_dataclasses_and_tables():
+    """A cold query imports neither dataclasses nor the reference tables."""
+    code = (
+        "import sys\n"
+        "from coroots.cli import main\n"
+        "main(['components', '--group', 'A2', '--center', 'full'])\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses imported'\n"
+        "main(['datum', '--group', 'A1'])\n"
+        "assert 'coroots.tables' not in sys.modules, 'coroots.tables imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "extended coroot diagram of A1" in proc.stdout
+
+
 def test_run_check_all_script_rejects_max_rank_0():
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_check_all.py"), "--max-rank", "0"],
