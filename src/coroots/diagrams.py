@@ -249,6 +249,7 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
         return []
     n = d1.n_nodes
     inv1, inv2 = inv1[0], inv2[0]
+    c1, c2 = d1.cartan, d2.cartan  # locals: field reads are slow in the search loop
     order = [u for comp in connected_components(range(n), d1.bonded) for u in comp]
     found: list[tuple[int, ...]] = []
     perm = [-1] * n
@@ -263,10 +264,7 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
             if used[t] or inv1[u] != inv2[t]:
                 continue
             for v in order[:i]:
-                if (
-                    d1.cartan[u][v] != d2.cartan[t][perm[v]]
-                    or d1.cartan[v][u] != d2.cartan[perm[v]][t]
-                ):
+                if c1[u][v] != c2[t][perm[v]] or c1[v][u] != c2[perm[v]][t]:
                     break
             else:
                 perm[u] = t
@@ -402,7 +400,7 @@ def orbit_kind(d: AffineDiagram, orbit: tuple[int, ...]) -> int:
 
 
 def _validate_subgroup(d: AffineDiagram, group) -> list[tuple[int, ...]]:
-    n = d.n_nodes
+    n, cartan, marks = d.n_nodes, d.cartan, d.marks
     perms = [tuple(p) for p in group]
     ident = tuple(range(n))
     if ident not in perms:
@@ -412,11 +410,9 @@ def _validate_subgroup(d: AffineDiagram, group) -> list[tuple[int, ...]]:
             raise DiagramError(f"{p} is not a permutation of the nodes")
         for u in range(n):
             for v in range(n):
-                if d.cartan[p[u]][p[v]] != d.cartan[u][v]:
+                if cartan[p[u]][p[v]] != cartan[u][v]:
                     raise DiagramError(f"{p} is not a diagram automorphism")
-        if d.marks[p[0]] != d.marks[0] or any(
-            d.marks[p[u]] != d.marks[u] for u in range(n)
-        ):
+        if marks[p[0]] != marks[0] or any(marks[p[u]] != marks[u] for u in range(n)):
             raise DiagramError(f"{p} does not preserve the marks")
     for p in perms:
         for q in perms:

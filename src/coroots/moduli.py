@@ -211,6 +211,7 @@ def catalog_types(max_rank: int = 12) -> list[SimpleType]:
 
 class ClockReport(NamedTuple):
     """The J-window partition with the component records that own its windows."""
+
     g: int
     windows: dict[tuple[int, int], tuple[int, ...]]  # (x, r) -> residues mod 2g
     parity: str  # "even" or "odd"
