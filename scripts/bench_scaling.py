@@ -8,9 +8,12 @@ PYTHONPATH=<checkout>/src so every cache starts cold.  Interleaving the two
 trees keeps load drift on a shared host from reading as a difference.  The
 median and quartiles of each query's raw wall seconds (not scaled to a
 reference speed) are printed as the "scaling" block of a BENCH_<n>.json file:
-{"runs": 7, "unit": "s", "parent": {query: {"median": s, "q1_q3": [s, s]}},
-"change": {...}}.  `datum --group A1` is the cold-start floor: interpreter
-start and package import with next to no computation.  A query that exits
+{"runs": 7, "unit": "s", "bytecode_cached": bool, "parent": {query:
+{"median": s, "q1_q3": [s, s]}}, "change": {...}}.  `datum --group A1` is the
+cold-start floor: interpreter start and package import with next to no
+computation.  "bytecode_cached" is false when the children may not write
+bytecode (PYTHONDONTWRITEBYTECODE or -B, which they inherit), so each one
+compiles the package afresh; runs with and without it do not compare.  A query that exits
 nonzero aborts the run with exit code 1.
 
     python3 scripts/bench_scaling.py PARENT_ROOT
@@ -59,7 +62,13 @@ def main() -> int:
     p.add_argument("parent", help="root directory of a checkout of the parent commit")
     args = p.parse_args()
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    out: dict = {"unit": "s", "runs": RUNS, "parent": {}, "change": {}}
+    out: dict = {
+        "unit": "s",
+        "runs": RUNS,
+        "bytecode_cached": not sys.dont_write_bytecode,
+        "parent": {},
+        "change": {},
+    }
     for name, argv in QUERIES.items():
         times: dict[str, list[float]] = {"parent": [], "change": []}
         for run in range(RUNS):

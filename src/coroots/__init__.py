@@ -2,7 +2,7 @@
 simple Lie groups, computed from extended coroot diagrams."""
 
 from .center import center_group, parse_center
-from .derived import check_samediags, derived, quotient_marked
+from .derived import check_samediags, quotient_marked
 from .diagrams import classify, diagram_of, is_affine_type, quotient
 from .moduli import clock_report, components_for, rank_zero_list
 from .projection import check_diagram1, fold, project
@@ -17,7 +17,6 @@ __all__ = [
     "clock_report",
     "components_for",
     "datum",
-    "derived",
     "diagram_of",
     "dual_coxeter",
     "fold",

@@ -389,7 +389,8 @@ def _l_c_from_coefficients(st: SimpleType, sub_: CenterSubgroup) -> list[int]:
     if not marked:
         return []
     dia = diagram_of(st)
-    comps = connected_components(sorted(marked), dia.bonded)
+    cartan = dia.cartan
+    comps = connected_components(sorted(marked), lambda u, v: cartan[u][v])
     for comp in comps:
         _assert_a_type(dia, comp)
     return [len(c) + 1 for c in comps]

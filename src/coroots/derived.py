@@ -45,6 +45,13 @@ TYPE_INF = "inf"
 TYPE_DIVISORS = {"inf": 0, "1": 1, "2i": 2, "2ii": 2, "3": 3, "4i": 4, "4ii": 4, "4iii": 4}
 
 
+def _i_components(m: MarkedDiagram, k: int) -> list[tuple[int, ...]]:
+    """Connected components of I_set(m, k), each sorted, in sorted order."""
+    cartan = m.diagram.cartan
+    comps = connected_components(I_set(m, k), lambda u, v: cartan[u][v])
+    return sorted(tuple(sorted(c)) for c in comps)
+
+
 def node_type(m: MarkedDiagram, k: int, v: int) -> str:
     """Survivor type tag: one of inf, 1, 2i, 2ii, 3, 4i, 4ii, 4iii."""
     if m.n[v] % k != 0:
@@ -52,9 +59,7 @@ def node_type(m: MarkedDiagram, k: int, v: int) -> str:
     survivors = [u for u in m.diagram.nodes() if m.n[u] % k == 0]
     if len(survivors) == 1:
         return TYPE_INF
-    comps = sorted(
-        tuple(sorted(c)) for c in connected_components(I_set(m, k), m.diagram.bonded)
-    )
+    comps = _i_components(m, k)
     adjacent = [c for c in comps if any(m.diagram.bonded(v, u) for u in c)]
     lv = m.diagram.sq_lengths[v]
     if not adjacent:
@@ -111,9 +116,7 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     if base is not None and base.type in (SimpleType("G", 2), SimpleType("BC", 1)):
         if len(survivors) >= 2:
             raise AssertionError("G2/BC1 parent cannot have two survivors")
-    comps = sorted(
-        tuple(sorted(c)) for c in connected_components(I_set(m, k), m.diagram.bonded)
-    )
+    comps = _i_components(m, k)
     kp = k // gcd(k, m.n0)
     for c in comps:
         if kp % (len(c) + 1) != 0:

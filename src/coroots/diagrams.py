@@ -204,11 +204,11 @@ def _check_lengths(cartan, lens) -> None:
 
 @lru_cache(maxsize=None)
 def diagram_of(st: SimpleType) -> AffineDiagram:
-    """Extended coroot diagram of a catalog type."""
-    if st.is_trivial:
-        return AffineDiagram(((2,),), (1,), (Q(2),))
-    d = rootdata.datum(st)
-    return AffineDiagram(d.cartan_matrix(), d.g, d.coroot_sq_lengths())
+    """Extended coroot diagram of a catalog type, off the bond table
+    (rootdata.extended_cartan) without building the datum: the marks are
+    the kernel of the transposed matrix, the lengths follow from the Cartan
+    integers with the shortest 2."""
+    return make_diagram(rootdata.extended_cartan(st))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
     n = d1.n_nodes
     inv1, inv2 = inv1[0], inv2[0]
     c1, c2 = d1.cartan, d2.cartan  # locals: field reads are slow in the search loop
-    order = [u for comp in connected_components(range(n), d1.bonded) for u in comp]
+    order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
     found: list[tuple[int, ...]] = []
     perm = [-1] * n
     used = [False] * n

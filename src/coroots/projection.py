@@ -445,7 +445,7 @@ def fold(st: SimpleType, tau: tuple[int, ...]) -> SimpleType:
         tau = (0,) + tuple(tau)
     if len(tau) != n + 1 or tau[0] != 0 or sorted(tau) != list(range(n + 1)):
         raise ValueError("tau must be a permutation of the finite nodes")
-    cart = d.cartan_matrix()
+    cart = rootdata.extended_cartan(st)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if cart[tau[i]][tau[j]] != cart[i][j]:

@@ -177,6 +177,45 @@ def _coroot_of(root: Vec, gram: Mat) -> Vec:
     return scale(2 / dot(root, root, gram), root)
 
 
+def _chain(a: int, b: int) -> list[tuple[int, int, int, int]]:
+    return [(i, i + 1, 1, 1) for i in range(a, b)]
+
+
+# Bonds (u, v, a, b) of each family's extended coroot diagram: the Cartan
+# integers are n(u,v) = -a and n(v,u) = -b, every other pair is unbonded.
+_BONDS = {
+    "A": lambda n: _chain(0, n) + [(0, n, 1, 1)],
+    "B": lambda n: [(0, 2, 1, 1)] + _chain(1, n - 1) + [(n - 1, n, 1, 2)],
+    "C": lambda n: [(0, 1, 1, 2)] + _chain(1, n - 1) + [(n - 1, n, 2, 1)],
+    "D": lambda n: [(0, 2, 1, 1), (n - 2, n, 1, 1)] + _chain(1, n - 1),
+    "E": lambda n: [{6: (0, 2, 1, 1), 7: (0, 1, 1, 1), 8: (0, 8, 1, 1)}[n],
+                    (1, 3, 1, 1), (2, 4, 1, 1)] + _chain(3, n),
+    "F": lambda n: _chain(0, 2) + [(2, 3, 1, 2), (3, 4, 1, 1)],
+    "G": lambda n: [(0, 2, 1, 1), (1, 2, 3, 1)],
+    "BC": lambda n: [(0, 1, 1, 2)] + _chain(1, n - 1) + [(n - 1, n, 1, 2)],
+}
+_SPECIAL_BONDS = {
+    TRIVIAL: [],
+    SimpleType("A", 1): [(0, 1, 2, 2)],
+    SimpleType("B", 2): _BONDS["C"](2),  # the C_2 orientation, as in datum
+    SimpleType("BC", 1): [(0, 1, 1, 4)],
+}
+
+
+@lru_cache(maxsize=None)
+def extended_cartan(st: SimpleType) -> tuple[tuple[int, ...], ...]:
+    """Extended coroot-diagram Cartan matrix of a catalog type, off the bond
+    table: node 0 is the extended node, nodes 1..n are numbered as in the
+    datum.  datum() checks its coroot vectors against this matrix."""
+    validate_type(st)
+    n = st.rank
+    bonds = _SPECIAL_BONDS[st] if st in _SPECIAL_BONDS else _BONDS[st.family](n)
+    cart = [[2 * (i == j) for j in range(n + 1)] for i in range(n + 1)]
+    for u, v, a, b in bonds:
+        cart[u][v], cart[v][u] = -a, -b
+    return tuple(map(tuple, cart))
+
+
 @lru_cache(maxsize=None)
 def datum(st: SimpleType) -> RootDatum:
     """The catalog realization of a simple type in standard coordinates."""
@@ -273,7 +312,10 @@ def datum(st: SimpleType) -> RootDatum:
 
     roots = (scale(-1, highest),) + tuple(simples)
     coroots = tuple(_coroot_of(r, gram) for r in roots)
-    g = _coroot_integers(coroots)
+    ker = kernel_basis(transpose(extended_cartan(st)))
+    if len(ker) != 1 or min(ker[0]) <= 0:
+        raise AssertionError(f"the bond table of {st} has no unique positive relation")
+    g = ker[0]
     q_basis = coroots[1:]
     p_basis, p_coords = _coweights(roots[1:], q_basis, gram)
     d = RootDatum(
@@ -290,23 +332,6 @@ def datum(st: SimpleType) -> RootDatum:
     )
     _check_datum(d)
     return d
-
-
-def _coroot_integers(coroots: tuple[Vec, ...]) -> tuple[int, ...]:
-    """Coefficients of the single relation among the extended coroots.
-
-    Normalized to positive coprime integers; for the reduced families the
-    extended node gets coefficient 1, for BC it is 2.
-    """
-    ker = kernel_basis(transpose(mat(coroots)))
-    if len(ker) != 1:
-        raise AssertionError("extended coroots do not satisfy a unique relation")
-    rel = ker[0]
-    if rel[0] < 0:
-        rel = scale(-1, rel)
-    if any(x <= 0 or x.denominator != 1 for x in rel):
-        raise AssertionError("coroot relation is not positive integral")
-    return tuple(int(x) for x in rel)
 
 
 def _coweights(simple_roots, simple_coroots, gram) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -335,7 +360,8 @@ def _coweights(simple_roots, simple_coroots, gram) -> tuple[tuple[Vec, ...], tup
 
 
 def _check_datum(d: RootDatum) -> None:
-    """The catalog relations, the normalization and coweight duality.
+    """The bond table, the catalog relations, the normalization and
+    coweight duality.
 
     All tests are integer sums: roots, coroots and coweights are scaled to
     ints (by s_a, s_c and s_w) and the form is c times the identity, so
@@ -345,6 +371,8 @@ def _check_datum(d: RootDatum) -> None:
     c = d.gram[0][0]
     roots, s_a = to_int(d.extended_roots, d.gram)
     coroots, s_c = to_int(d.extended_coroots, d.gram)
+    if d.cartan_matrix() != extended_cartan(d.type):
+        raise AssertionError(f"coroot vectors of {d.type} disagree with the bond table")
     # single exact relations with the catalog integers
     for ints, coeffs in ((roots, d.h), (coroots, d.g)):
         if any(int_dot(coeffs, xs) for xs in zip(*ints)):
@@ -483,7 +511,7 @@ def fundamental_group_order(st: SimpleType) -> int:
     alcove vertex.  The indivisible roots of BC_n form B_n (A_1 for n = 1)
     on the same simple roots, so BC_n counts the h=1 nodes of that type.
     """
-    cart = datum(st).cartan_matrix()
+    cart = extended_cartan(st)
     det = abs(det_int([row[1:] for row in cart[1:]]))
     reduced = st
     if st.family == "BC":

@@ -234,6 +234,30 @@ def test_cold_queries_skip_dataclasses_and_tables():
     assert "extended coroot diagram of A1" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derived", "--group", "D13", "--center", "trivial", "--k", "2"],
+        ["project", "--group", "D13", "--center", "full"],
+    ],
+    ids=" ".join,
+)
+def test_cold_query_builds_one_datum(argv):
+    """Classifying a diagram reads catalog diagrams off the bond table, so a
+    cold query builds the datum of its own type only."""
+    code = (
+        "from coroots import rootdata\n"
+        "from coroots.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('datum misses', rootdata.datum.cache_info().misses)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "datum misses 1"
+
+
 def test_run_check_all_script_rejects_max_rank_0():
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_check_all.py"), "--max-rank", "0"],

@@ -215,3 +215,10 @@ def test_samediags_matches_ambient_route(st):
             assert check_samediags(st, sub, k) == _ambient_samediags(st, sub, k), (
                 st, sub.nodes, k,
             )
+
+
+def test_derived_submodule_is_not_shadowed():
+    """The package does not bind the function derived over its submodule."""
+    import coroots.derived as m
+
+    assert callable(m.quotient_marked)

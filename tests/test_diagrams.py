@@ -1,3 +1,4 @@
+from fractions import Fraction as Q
 from functools import lru_cache
 
 import pytest
@@ -21,8 +22,9 @@ from coroots.diagrams import (
 )
 from coroots.center import all_subgroups, center_group, quotient_diagram, subgroup_generated
 from coroots.derived import derived, quotient_marked
+from coroots.linalg import kernel_basis, to_int, transpose
 from coroots.moduli import catalog_types
-from coroots.rootdata import TRIVIAL, SimpleType, parse_type
+from coroots.rootdata import TRIVIAL, SimpleType, datum, extended_cartan, parse_type
 
 
 def test_is_affine_type_examples():
@@ -40,6 +42,32 @@ def test_is_affine_type_rejects_bad_input():
         is_affine_type([[2, -1, 0], [-1, 2, -1], [-1, -1, 2]])
     with pytest.raises(DiagramError, match="decomposable"):
         is_affine_type([[2, 0], [0, 2]])
+
+
+@pytest.mark.parametrize(
+    "st",
+    catalog_types(40) + [SimpleType("B", 2)] + [SimpleType("BC", n) for n in range(1, 41)],
+    ids=str,
+)
+def test_diagram_of_matches_the_datum_vectors(st):
+    """The bond-table diagram equals the one read off the datum's coroot
+    vectors: their Cartan integers, the relation among them and their
+    lengths, in values and in types."""
+    d = datum(st)
+    ints = to_int(d.extended_coroots, d.gram)[0]
+    (relation,) = kernel_basis(transpose(ints))
+    expected = AffineDiagram(d.cartan_matrix(), relation, d.coroot_sq_lengths())
+    got = diagram_of(st)
+    assert got == expected
+    assert [type(x) for x in got.marks + got.sq_lengths] == [
+        type(x) for x in expected.marks + expected.sq_lengths
+    ]
+
+
+def test_extended_cartan_special_cases():
+    assert extended_cartan(SimpleType("A", 1)) == ((2, -2), (-2, 2))
+    assert extended_cartan(SimpleType("BC", 1)) == ((2, -1), (-4, 2))
+    assert diagram_of(TRIVIAL) == AffineDiagram(((2,),), (1,), (Q(2),))
 
 
 def test_classify_examples():

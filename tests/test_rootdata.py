@@ -16,6 +16,7 @@ from coroots.linalg import (
     sub,
     zero_vec,
 )
+from coroots import rootdata
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
@@ -428,3 +429,12 @@ def test_fundamental_group_order_is_the_lattice_index(st):
     assert fundamental_group_order(st) == lattice_index(
         d.coroot_lattice_basis, d.coweight_lattice_basis
     )
+
+
+def test_datum_rejects_a_bond_table_that_disagrees(monkeypatch):
+    """The datum's coroot vectors are checked against the bond table: a
+    table with C_3's last bond reversed (BC_3's, still of affine type) fails."""
+    bc3 = rootdata.extended_cartan(SimpleType("BC", 3))
+    monkeypatch.setattr(rootdata, "extended_cartan", lambda st: bc3)
+    with pytest.raises(AssertionError, match="bond table"):
+        datum.__wrapped__(SimpleType("C", 3))
