@@ -122,7 +122,7 @@ def perm_matrix_on_coroots_of(st: SimpleType, perm: tuple[int, ...]) -> tuple[IV
     Column i is e_{perm[i]}, or the coordinates -(g_1..g_n) of the extended
     coroot when perm[i] = 0.
     """
-    g = rootdata.datum(st).g
+    g = diagram_of(st).marks
     n = st.rank
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     return transpose(tuple(_permute(perm, g, e) for e in units))
@@ -142,9 +142,9 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
     permute the alcove vertices and act on the central vertices as
     translation by the element.  Exactly one diagram automorphism passes.
     """
-    d = rootdata.datum(st)
-    if d.h[target_node] != 1:
+    if rootdata.root_integers(st)[target_node] != 1:
         raise ValueError(f"node {target_node} does not carry a central element")
+    g = diagram_of(st).marks
     verts = rootdata.alcove_int_coords(st)[0]
     central = rootdata.center_vertex_nodes(st)
     zeta = verts[rootdata.center_element_inverse(st, target_node)]
@@ -157,7 +157,7 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
             continue
 
         def phi(x: IVec) -> IVec:
-            return _permute(perm, d.g, tuple(a - b for a, b in zip(x, zeta)))
+            return _permute(perm, g, tuple(a - b for a, b in zip(x, zeta)))
 
         if any(phi(v) not in vertex_set for v in verts):
             continue
@@ -333,19 +333,19 @@ class OrbitSet(NamedTuple):
 def orbit_data(st: SimpleType, sub_: CenterSubgroup) -> OrbitSet:
     from .diagrams import orbit_kind, orbits_of
 
-    d = rootdata.datum(st)
     dia = diagram_of(st)
+    g = dia.marks
     orbs = orbits_of(sub_.perms(), dia.n_nodes)
     for o in orbs:
-        marks = {d.g[u] for u in o}
+        marks = {g[u] for u in o}
         if len(marks) != 1:
             raise AssertionError("coroot integers not constant on an orbit")
     if len(orbs) == 1:
-        return OrbitSet((Orbit(orbs[0], 1, sum(d.g)),), True)
+        return OrbitSet((Orbit(orbs[0], 1, sum(g)),), True)
     out = []
     for o in orbs:
         eps = orbit_kind(dia, o)
-        out.append(Orbit(o, eps, len(o) * d.g[o[0]]))
+        out.append(Orbit(o, eps, len(o) * g[o[0]]))
     return OrbitSet(tuple(out), False)
 
 

@@ -17,7 +17,6 @@ import sys
 from . import rootdata
 from .center import (
     all_subgroups,
-    center_group,
     parse_center,
     quotient_diagram,
 )
@@ -95,15 +94,15 @@ def _diagram_payload(d, extra=None) -> dict:
 
 def cmd_datum(args) -> int:
     st = _parse_type(args.group)
-    d = rootdata.datum(st)
     dia = diagram_of(st)
+    h = rootdata.root_integers(st)
     order = rootdata.fundamental_group_order(st)
     payload = _diagram_payload(
         dia,
         {
             "group": label(st),
             "dual_coxeter": dual_coxeter(st),
-            "root_integers": list(d.h),
+            "root_integers": list(h),
             "center_order": order,
         },
     )
@@ -111,8 +110,8 @@ def cmd_datum(args) -> int:
         [
             f"extended coroot diagram of {label(st)}",
             render_diagram(dia),
-            f"coroot integers: {list(d.g)}",
-            f"root integers:   {list(d.h)}",
+            f"coroot integers: {list(dia.marks)}",
+            f"root integers:   {list(h)}",
             f"dual Coxeter number: {dual_coxeter(st)}",
             f"center order: {order}",
         ]
@@ -305,65 +304,55 @@ def run_check_all(max_rank: int, emit) -> bool:
     }
     failures: list[str] = []
 
-    def attempt(name, fn, ctx):
-        """Run one check; fn returns a DiagramReport or a bool."""
+    def guarded(name, fn, ctx):
+        """fn(), or None once its exception is recorded as a failure."""
         try:
-            res = fn()
+            return fn()
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             failures.append(f"{name}: {ctx}: {type(exc).__name__}: {exc}")
-            return
+            return None
+
+    def attempt(name, fn, ctx):
+        """Run one check; fn returns a DiagramReport, a bool or the data later
+        checks build on.  Returns that result if it passed, else None."""
+        res = guarded(name, fn, ctx)
         if isinstance(res, DiagramReport) and not res.equal:
             failures.append(f"{name}: {ctx}: {res.detail}")
         elif res is False:
             failures.append(f"{name}: {ctx}")
-        else:
+        elif res is not None:
             checks[name] += 1
+            return res
+        return None
 
+    def check_marked(m, ctx):
+        attempt("numerology", lambda: counts(m) is not None, ctx)
+        attempt("clock", lambda: clocked(m) is not None, ctx)
+        for k in m.admissible_orders():
+            if k > 1:
+                attempt("assumption", lambda: check_assumption(m, k) is not None, f"{ctx} k={k}")
+
+    # attempt calls fn at once, so the lambdas below read the loop variables
+    # as they are; a type whose center or marking fails skips what builds on it
     bc_types = [SimpleType("BC", n) for n in range(1, max_rank + 1)]
     for st in catalog_types(max_rank) + bc_types:
+        subs = []
         if st.family != "BC":
-            attempt("nu-oracle", lambda st=st: center_group(st) is not None, label(st))
-            subs = all_subgroups(st)
-        else:
-            subs = []
-        m0 = marked(diagram_of(st))
-        attempt("numerology", lambda m0=m0: counts(m0) is not None, label(st))
-        attempt("clock", lambda m0=m0: clocked(m0) is not None, label(st))
-        for k in m0.admissible_orders():
-            if k > 1:
-                attempt(
-                    "assumption",
-                    lambda m0=m0, k=k: check_assumption(m0, k) is not None,
-                    f"{label(st)} k={k}",
-                )
+            # all_subgroups realizes the center through the nu oracle first
+            subs = attempt("nu-oracle", lambda: all_subgroups(st), label(st)) or []
+        m0 = guarded("marked", lambda: marked(diagram_of(st)), label(st))
+        if m0 is not None:
+            check_marked(m0, label(st))
         for sub_ in subs:
             ctx = f"{label(st)}/{sub_.describe()}"
-            attempt(
-                "diagram1",
-                lambda st=st, sub_=sub_: check_diagram1(st, sub_),
-                ctx,
-            )
-            mq = quotient_marked(st, sub_)
-            if not sub_.is_trivial:
-                attempt("numerology", lambda mq=mq: counts(mq) is not None, ctx)
-                attempt("clock", lambda mq=mq: clocked(mq) is not None, ctx)
-            for k in mq.admissible_orders():
-                attempt(
-                    "samediags",
-                    lambda st=st, sub_=sub_, k=k: check_samediags(st, sub_, k),
-                    f"{ctx} k={k}",
-                )
-                if k > 1 and not sub_.is_trivial:
-                    attempt(
-                        "assumption",
-                        lambda mq=mq, k=k: check_assumption(mq, k) is not None,
-                        f"{ctx} k={k}",
-                    )
-            attempt(
-                "components",
-                lambda st=st, sub_=sub_: clock_report(st, sub_).valid,
-                ctx,
-            )
+            attempt("diagram1", lambda: check_diagram1(st, sub_), ctx)
+            mq = guarded("quotient", lambda: quotient_marked(st, sub_), ctx)
+            if mq is not None:
+                if not sub_.is_trivial:
+                    check_marked(mq, ctx)
+                for k in mq.admissible_orders():
+                    attempt("samediags", lambda: check_samediags(st, sub_, k), f"{ctx} k={k}")
+            attempt("components", lambda: clock_report(st, sub_).valid, ctx)
     for name in sorted(checks):
         emit(f"{name}: {checks[name]} passed")
     if failures:

@@ -15,7 +15,6 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from . import rootdata
 from .center import (
     CenterSubgroup,
     _assert_a_type,
@@ -28,6 +27,7 @@ from .diagrams import (
     ClassifyResult,
     classify,
     connected_components,
+    diagram_of,
     make_diagram,
 )
 from .linalg import cartan_integers
@@ -204,7 +204,7 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
     if len(surviving) == 1:
         ok = not span or not any(row[i] for i, row in enumerate(form_products(st, span)))
         return DiagramReport(bool(ok and dd.diagram.n_nodes == 1), "rank-0 case")
-    avgs, _ = orbit_averages(rootdata.datum(st).g, surviving)
+    avgs, _ = orbit_averages(diagram_of(st).marks, surviving)
     p, _ = projector(st, span)
     prods = form_products(st, [apply_projector(p, v) for v in avgs])
     for i, row in enumerate(cartan_integers(prods)):

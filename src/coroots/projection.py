@@ -7,34 +7,35 @@ combinatorial quotient diagram.  fold() and restricted_type() classify the
 restricted root system (nonzero restrictions of roots) by reflection
 closure of the orbit restrictions.
 
-The projected coroots are computed in simple-coroot coordinates, where
-every extended coroot is an integer vector (e_i, or -g/g_0 for node 0) and
-the form is one integer matrix B = s ((a_i^vee, a_j^vee)) per type
-(coroot_form).  The orthogonal projector onto a span K is
-K (K^T B K)^{-1} K^T B, built once per span over one denominator from a
-single small inverse (projector), so projecting is int arithmetic.  Orbit
-averages are scaled to ints by one common L (orbit_averages); their
-pairwise B-values give the Cartan integers (linalg.cartan_integers) and the
-squared lengths as exact fractions over s L^2.
+Everything here is read off the catalog diagram and computed in integer
+coordinates, with no ambient realization.  The projected coroots live in
+simple-coroot coordinates, where every extended coroot is an integer
+vector (e_i, or -g/g_0 for node 0) and the form is one integer matrix
+B = s ((a_i^vee, a_j^vee)) per type (coroot_form).  The orthogonal
+projector onto a span K is K (K^T B K)^{-1} K^T B, built once per span
+over one denominator from a single small inverse (projector), so
+projecting is int arithmetic.  Orbit averages are scaled to ints by one
+common L (orbit_averages); their pairwise B-values give the Cartan
+integers (linalg.cartan_integers) and the squared lengths as exact
+fractions over s L^2.
 
-The finite root-set machinery (reflection closure, irreducible components,
-classification) runs on integer vectors.  Every catalog form is a scalar
-times the identity, and the only questions asked of a root set, "is
-(u, v) zero?" and "what is 2(u, v)/(v, v)?", do not change when all vectors
-are scaled by one common positive integer.  So the roots are int tuples
-(_integer_roots_of), restrictions are orbit averages of the int extended
-roots times the LCM of the orbit sizes, and the annihilator of a subspace
-is read off one per-type table of the values r(a_i^vee) on the simple
-coroots, paired with the subspace's simple-coroot coordinates.  A root
-set's factors are read off the Cartan matrix of one simple system of its
-indivisible roots (_classify_components).
+Roots live in simple-root coordinates, with products through the integer
+root form ((a_i, a_j)) up to a positive scale (root_form).  root_system
+generates every root from the Cartan matrix by the root-string rule, with
+its values on the simple coroots; the annihilator of a subspace keeps the
+roots whose values vanish on the subspace's simple-coroot coordinates.
+Restrictions are orbit averages of the extended roots (e_i, or -h for
+node 0) times the LCM of the orbit sizes.  Scaling all vectors by one
+positive integer, or the form by a positive scalar, changes neither "is
+(u, v) zero?" nor 2(u, v)/(v, v), the only questions asked of a root set.
+A root set's factors are read off the Cartan matrix of one simple system
+of its indivisible roots (_classify_components).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import product
 from math import lcm
 from typing import NamedTuple
 
@@ -64,10 +65,8 @@ from .linalg import (
     Vec,
     cartan_integers,
     int_dot,
-    kernel_basis,
     rank as mat_rank,
     scaled_inverse,
-    to_int,
 )
 from .rootdata import TRIVIAL, SimpleType
 
@@ -88,22 +87,22 @@ class ProjectedSystem(NamedTuple):
 
 def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     """Projected-coroot system of the fixed subspace of a center subgroup."""
-    d = rootdata.datum(st)
+    g = diagram_of(st).marks
     orbits = orbit_data(st, sub_)
     span = fixed_subspace_coords(st, sub_)
-    avgs, common = orbit_averages(d.g, orbits.orbits)
+    avgs, common = orbit_averages(g, orbits.orbits)
     if orbits.degenerate:
         if span:
             raise AssertionError("degenerate orbit with nonzero fixed space")
-        dia = AffineDiagram(((2,),), (sum(d.g),), (Q(2),))
-        res = ClassifyResult(TRIVIAL, sum(d.g), (0,))
+        dia = AffineDiagram(((2,),), (sum(g),), (Q(2),))
+        res = ClassifyResult(TRIVIAL, sum(g), (0,))
         return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
     # dual route: the orbit averages must be the orthogonal projections
     p, den = projector(st, span)
     for o, avg in zip(orbits.orbits, avgs):
-        direct = apply_projector(p, _extended_coroot_coords(d.g, o.nodes[0]))
+        direct = apply_projector(p, _extended_coroot_coords(g, o.nodes[0]))
         # avg / common == direct / (den g_0)
-        if any(a * den * d.g[0] != b * common for a, b in zip(avg, direct)):
+        if any(a * den * g[0] != b * common for a, b in zip(avg, direct)):
             raise AssertionError("orbit average differs from orthogonal projection")
     if not all(map(any, avgs)):
         raise AssertionError("nonzero projection expected off the degenerate case")
@@ -123,26 +122,40 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
 
 
-@lru_cache(maxsize=None)
-def coroot_form(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
-    """The form on the simple coroots as an integer matrix B, and its scale s.
-
-    B = s ((a_i^vee, a_j^vee)) for the least positive integer s; each entry
-    (a_i^vee, a_j^vee) = n(i, j) |a_j^vee|^2 / 2 is read off the catalog
-    diagram.
-    """
+def _integer_form(st: SimpleType, entry) -> tuple[tuple[IVec, ...], int]:
+    """The matrix of entry(cartan, sq_lengths, i, j) over the finite nodes
+    of the catalog diagram, times the least positive integer s that makes
+    it integral; returns it and s."""
     dia = diagram_of(st)
     nodes = range(1, dia.n_nodes)
-    form = [[dia.cartan[i][j] * dia.sq_lengths[j] / 2 for j in nodes] for i in nodes]
+    form = [[entry(dia.cartan, dia.sq_lengths, i, j) for j in nodes] for i in nodes]
     s = lcm(*(x.denominator for row in form for x in row))
     return tuple(tuple(int(x * s) for x in row) for row in form), s
 
 
-def form_products(st: SimpleType, vectors) -> list[list[int]]:
-    """Pairwise values of B on integer coordinate vectors."""
-    form = coroot_form(st)[0]
+@lru_cache(maxsize=None)
+def coroot_form(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
+    """The form on the simple coroots as an integer matrix B, and its scale s:
+    B = s ((a_i^vee, a_j^vee)), with (a_i^vee, a_j^vee) = n(i, j) |a_j^vee|^2 / 2."""
+    return _integer_form(st, lambda c, sq, i, j: c[i][j] * sq[j] / 2)
+
+
+@lru_cache(maxsize=None)
+def root_form(st: SimpleType) -> tuple[IVec, ...]:
+    """The form on the simple roots as an integer matrix, a positive multiple
+    of ((a_i, a_j)) = (2 n(i, j) / |a_i^vee|^2)."""
+    return _integer_form(st, lambda c, sq, i, j: 2 * c[i][j] / sq[i])[0]
+
+
+def products(form, vectors) -> list[list[int]]:
+    """Pairwise values of a symmetric integer form on integer coordinate vectors."""
     images = [tuple(int_dot(v, col) for col in form) for v in vectors]
     return [[int_dot(a, v) for v in vectors] for a in images]
+
+
+def form_products(st: SimpleType, vectors) -> list[list[int]]:
+    """Pairwise values of B on integer coroot coordinate vectors."""
+    return products(coroot_form(st)[0], vectors)
 
 
 @lru_cache(maxsize=None)
@@ -215,103 +228,79 @@ def check_diagram1(st: SimpleType, sub_: CenterSubgroup) -> DiagramReport:
 # ---------------------------------------------------------------------------
 # Finite root-set machinery (restriction side)
 
-# every root times this scale is an int tuple (the LCM of its denominators)
-_ROOT_SCALE = {"C": 2, "BC": 2, "E": 2, "F": 2}
+# number of roots of each family, the check on the generated root set
+_ROOT_COUNT = {
+    "A": lambda n: n * (n + 1),
+    "B": lambda n: 2 * n * n,
+    "C": lambda n: 2 * n * n,
+    "D": lambda n: 2 * n * (n - 1),
+    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
+    "F": lambda n: 48,
+    "G": lambda n: 12,
+    "BC": lambda n: 2 * n * (n + 1),
+}
+
+
+@lru_cache(maxsize=None)
+def root_system(st: SimpleType) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
+    """Every root of a catalog type in simple-root coordinates, and the
+    values r(a_i^vee) of each on the simple coroots.
+
+    The positive roots are generated height by height from the simple ones
+    (Humphreys, Introduction to Lie Algebras, 9.4 and 10.1).  The a_j-string
+    through a positive root r is r - p a_j, ..., r + q a_j with
+    p - q = r(a_j^vee), and p is known once the lower heights are, so r + a_j
+    is a root exactly when r(a_j^vee) < p.  Since a_j(a_i^vee) = n(i, j), the
+    values of r + a_j are those of r plus column j of the table.  BC_n adds
+    the doubles of its short roots.  The count is checked per family.
+    """
+    cart, n = rootdata.extended_cartan(st), st.rank
+    cols = [tuple(cart[i][j] for i in range(1, n + 1)) for j in range(1, n + 1)]
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    values = dict(zip(units, cols))
+    layer = units
+    while layer:
+        nxt = []
+        for r in layer:
+            vr = values[r]
+            for j in range(n):
+                if vr[j] >= 0:  # a root needs p > 0, so r - a_j >= 0
+                    if not r[j]:
+                        continue
+                    p, down = 0, list(r)
+                    down[j] -= 1
+                    while tuple(down) in values:
+                        p += 1
+                        down[j] -= 1
+                    if vr[j] >= p:
+                        continue
+                up = r[:j] + (r[j] + 1,) + r[j + 1 :]
+                if up not in values:
+                    values[up] = tuple(x + y for x, y in zip(vr, cols[j]))
+                    nxt.append(up)
+        layer = nxt
+    roots = list(values.items())
+    roots += [(tuple(-x for x in r), tuple(-x for x in v)) for r, v in roots]
+    if st.family == "BC":
+        # (r, r) = sum_i r_i (r, a_i) = sum_i r_i r(a_i^vee) (a_i, a_i) / 2
+        diag = [row[i] for i, row in enumerate(root_form(st))]
+        sq = [sum(x * y * z for x, y, z in zip(r, v, diag)) for r, v in roots]
+        short = min(sq)
+        roots += [
+            (tuple(2 * x for x in r), tuple(2 * x for x in v))
+            for (r, v), x in zip(roots, sq)
+            if x == short
+        ]
+    if len(roots) != _ROOT_COUNT[st.family](n):
+        raise AssertionError(f"generated {len(roots)} roots for {st}")
+    return tuple(r for r, _ in roots), tuple(v for _, v in roots)
 
 
 @lru_cache(maxsize=None)
 def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
-    """Every root of a catalog type as an exact vector, in sorted order."""
-    s = _ROOT_SCALE.get(st.family, 1)
-    return tuple(tuple(Q(x, s) for x in v) for v in _integer_roots_of(st))
-
-
-@lru_cache(maxsize=None)
-def _integer_roots_of(st: SimpleType) -> tuple[IVec, ...]:
-    """Every root of a catalog type times _ROOT_SCALE, generated directly as
-    int tuples, in sorted order.
-
-    The count is checked against the known cardinality for each family, and
-    the scaled simple roots must be among the generated ones.
-    """
-    d = rootdata.datum(st)
-    fam, n = st.family, st.rank
-    dim = d.ambient_dim
-    out: set[IVec] = set()
-
-    def axes(m, c):
-        for i in range(m):
-            for x in (c, -c):
-                out.add(tuple(x if k == i else 0 for k in range(dim)))
-
-    def pairs(m, c, signs=((1, 1), (1, -1), (-1, 1), (-1, -1))):
-        for i in range(m):
-            for j in range(i + 1, m):
-                for si, sj in signs:
-                    v = [0] * dim
-                    v[i], v[j] = si * c, sj * c
-                    out.add(tuple(v))
-
-    if fam == "A":
-        pairs(n + 1, 1, ((1, -1), (-1, 1)))
-        expect = n * (n + 1)
-    elif fam in ("B", "C", "D", "BC"):
-        pairs(n, 1)
-        if fam in ("B", "BC"):
-            axes(n, 1)
-        if fam in ("C", "BC"):
-            axes(n, 2)
-        expect = {
-            "B": 2 * n * n,
-            "C": 2 * n * n,
-            "D": 2 * n * (n - 1),
-            "BC": 2 * n * n + 2 * n,
-        }[fam]
-    elif fam == "E":
-        # E8 in the even coordinate system; E7/E6 are the roots lying in the
-        # span of their simple roots
-        pairs(8, 2)
-        out.update(v for v in product((1, -1), repeat=8) if v.count(-1) % 2 == 0)
-        if n < 8:
-            # v lies in the span S of the simple coroots exactly when it is
-            # orthogonal to the kernel S^perp of the matrix whose rows are S
-            perp = kernel_basis(d.extended_coroots[1:])
-            out = {v for v in out if not any(int_dot(v, c) for c in perp)}
-        expect = {6: 72, 7: 126, 8: 240}[n]
-    elif fam == "F":
-        axes(4, 2)
-        pairs(4, 2)
-        out.update(product((1, -1), repeat=4))
-        expect = 48
-    elif fam == "G":
-        pairs(3, 1, ((1, -1), (-1, 1)))
-        for i in range(3):
-            v = tuple(2 if k == i else -1 for k in range(3))
-            out.update((v, tuple(-x for x in v)))
-        expect = 12
-    else:  # pragma: no cover
-        raise AssertionError(fam)
-    if len(out) != expect:
-        raise AssertionError(f"generated {len(out)} roots for {st}, expected {expect}")
-    s = _ROOT_SCALE.get(fam, 1)
-    if any(tuple(s * x for x in v) not in out for v in d.extended_roots[1:]):
-        raise AssertionError("simple roots missing from the generated root set")
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _root_coroot_values(st: SimpleType) -> tuple[IVec, ...]:
-    """The values r(a_i^vee) of every root (in _integer_roots_of order) on
-    the simple coroots, all times one positive integer: the roots and the
-    coroots are int tuples and the form is a scalar times the identity."""
-    d = rootdata.datum(st)
-    roots, columns = _integer_roots_of(st), []
-    for c in to_int(d.coroot_lattice_basis, d.gram)[0]:
-        col = [0] * len(roots)
-        for k in (k for k, x in enumerate(c) if x):  # a coroot has few nonzero entries
-            col = [v + r[k] * c[k] for v, r in zip(col, roots)]
-        columns.append(col)
-    return tuple(zip(*columns))
+    """Every root of a catalog type as an exact vector of its datum, in
+    sorted order.  Only the tests and the stage benchmark read it."""
+    return tuple(sorted(rootdata.ambient_roots(st, root_system(st)[0])))
 
 
 def annihilator_factors(st: SimpleType, coords) -> list[SimpleType]:
@@ -320,19 +309,19 @@ def annihilator_factors(st: SimpleType, coords) -> list[SimpleType]:
 
     A root r takes the value sum_i x_i r(a_i^vee) on sum_i x_i a_i^vee.
     """
-    return _classify_components([
-        r
-        for r, values in zip(_integer_roots_of(st), _root_coroot_values(st))
-        if not any(int_dot(values, x) for x in coords)
-    ])
+    roots, values = root_system(st)
+    return _classify_components(
+        [r for r, v in zip(roots, values) if not any(int_dot(v, x) for x in coords)],
+        root_form(st),
+    )
 
 
-def _classify_components(roots: list[IVec]) -> list[SimpleType]:
+def _classify_components(roots: list[IVec], form) -> list[SimpleType]:
     """Types of the irreducible factors of a finite (possibly non-reduced)
-    root system, sorted: the components of the Cartan matrix of a simple
-    system of the indivisible roots.  The roots v with 2v a root form a Weyl
-    group orbit, which meets the simple roots: a factor is BC when twice one
-    of its simple roots is a root."""
+    root system, sorted: the components of the Cartan matrix, under the
+    integer form, of a simple system of the indivisible roots.  The roots v
+    with 2v a root form a Weyl group orbit, which meets the simple roots: a
+    factor is BC when twice one of its simple roots is a root."""
     if not roots:
         return []
     rset = set(roots)
@@ -340,7 +329,7 @@ def _classify_components(roots: list[IVec]) -> list[SimpleType]:
     simples = _simple_system([
         v for v in roots if any(x % 2 for x in v) or tuple(x // 2 for x in v) not in rset
     ])
-    cartan = cartan_integers([[int_dot(a, b) for b in simples] for a in simples])
+    cartan = cartan_integers(products(form, simples))
     types = []
     for block in connected_components(range(len(simples)), lambda i, j: cartan[i][j]):
         st = classify_finite_cartan([[cartan[i][j] for j in block] for i in block])
@@ -350,21 +339,25 @@ def _classify_components(roots: list[IVec]) -> list[SimpleType]:
     return sorted(types)
 
 
-def _reflection_closure(seeds: list[IVec]) -> set[IVec]:
-    """The orbit of the seeds under the group their reflections generate.
+def _reflection_closure(seeds: list[IVec], form) -> set[IVec]:
+    """The orbit of the seeds under the group their reflections generate,
+    with products through the symmetric integer form.
 
     That group already contains the reflection in every root of the orbit
     (s_{w a} = w s_a w^-1), so the orbit is the closure under all of them
     (Bourbaki, Lie Groups VI 1.5); it holds -a = s_a(a) as well.  Each new
     root is reflected in the seeds only.
     """
-    walls = [(u, int_dot(u, u)) for u in dict.fromkeys(seeds)]
+    walls = []
+    for u in dict.fromkeys(seeds):
+        bu = tuple(int_dot(u, col) for col in form)
+        walls.append((u, bu, int_dot(u, bu)))
     roots = set(seeds)
     frontier = list(roots)
     while frontier:
         v = frontier.pop()
-        for u, uu in walls:
-            c, r = divmod(2 * int_dot(v, u), uu)
+        for u, bu, uu in walls:
+            c, r = divmod(2 * int_dot(v, bu), uu)
             if r:
                 raise AssertionError("non-integral reflection coefficient")
             if c:
@@ -439,8 +432,7 @@ def fold(st: SimpleType, tau: tuple[int, ...]) -> SimpleType:
     1..n given on the finite nodes; it must preserve the finite Cartan
     matrix.
     """
-    d = rootdata.datum(st)
-    n = d.rank
+    n = st.rank
     if len(tau) == n:
         tau = (0,) + tuple(tau)
     if len(tau) != n + 1 or tau[0] != 0 or sorted(tau) != list(range(n + 1)):
@@ -454,32 +446,34 @@ def fold(st: SimpleType, tau: tuple[int, ...]) -> SimpleType:
         return st
     # node 0 is fixed; its orbit is the first one
     orbits = orbits_of(generated_group([tau], n + 1), n + 1)[1:]
-    return _restricted_from_orbits(d, orbits)
+    return _restricted_from_orbits(st, orbits)
 
 
 def restricted_type(st: SimpleType, sub_: CenterSubgroup) -> SimpleType:
     """Type of the restricted root system of a center subgroup's Weyl part."""
-    d = rootdata.datum(st)
     orbits = orbit_data(st, sub_)
     if orbits.degenerate:
         return TRIVIAL
-    return _restricted_from_orbits(d, [o.nodes for o in orbits.orbits])
+    return _restricted_from_orbits(st, [o.nodes for o in orbits.orbits])
 
 
-def _restricted_from_orbits(d, orbits) -> SimpleType:
+def _restricted_from_orbits(st: SimpleType, orbits) -> SimpleType:
     """Classify restrictions of the (extended) roots to the fixed subspace.
 
     The restriction of an orbit is the orbit average of its roots, taken
-    here on the int extended roots times the LCM of the orbit sizes.  The
-    orbit restrictions generate the restricted system under reflections
-    once the doubled restrictions of exceptional orbits (bonded A_2 pairs)
-    are thrown in.
+    here in simple-root coordinates (e_i for node i, -h for node 0, as
+    sum_i h_i a_i = 0) times the LCM of the orbit sizes.  The orbit
+    restrictions generate the restricted system under reflections once the
+    doubled restrictions of exceptional orbits (bonded A_2 pairs) are
+    thrown in.
     """
-    roots = to_int(d.extended_roots, d.gram)[0]
+    h, n = rootdata.root_integers(st), st.rank
+    roots = [tuple(-x for x in h[1:])]
+    roots += [tuple(int(k == i) for k in range(1, n + 1)) for i in range(1, n + 1)]
     m = lcm(*(len(o) for o in orbits))
     avgs = [tuple(m // len(o) * sum(xs) for xs in zip(*(roots[u] for u in o))) for o in orbits]
     fixed_dim = mat_rank(avgs)
-    cart = diagram_of(d.type).cartan
+    cart = diagram_of(st).cartan
     seeds = []
     for o, avg in zip(orbits, avgs):
         if not any(avg):
@@ -487,7 +481,8 @@ def _restricted_from_orbits(d, orbits) -> SimpleType:
         seeds.append(avg)
         if any(cart[u][v] for i, u in enumerate(o) for v in o[i + 1 :]):
             seeds.append(tuple(2 * x for x in avg))
-    factors = _classify_components(list(_reflection_closure(seeds)))
+    form = root_form(st)
+    factors = _classify_components(list(_reflection_closure(seeds, form)), form)
     if len(factors) != 1 or factors[0].rank != fixed_dim:
         raise AssertionError(f"restricted factors {factors}, want one of rank {fixed_dim}")
     return factors[0]

@@ -1,9 +1,15 @@
-"""Catalog of simple (and BC) root systems with exact realizations.
+"""Catalog of simple (and BC) root systems: the bond table and what it decides.
 
-Each type is realized with explicit rational coordinates and a rational
-Gram matrix normalized so that short coroots have squared length 2.  Only
-the extended simple roots/coroots and the lattice bases are materialized;
-full root enumeration lives with the consumers that need it.
+Every query reads one per-family bond table (extended_cartan), the
+extended coroot-diagram Cartan matrix.  Off it come the root integers h
+(sum_i h_i a_i = 0) and coroot integers g (sum_i g_i a_i^vee = 0) as
+positive kernels, and the alcove vertices in simple-coroot coordinates,
+which give the group law on the center.
+
+datum() is the ambient realization of a type: rational coordinates and a
+Gram matrix with short coroots of squared length 2.  It takes h and g from
+the table and checks its vectors against both.  No query builds it; the
+tests and the stage benchmark read it as a second route to the table.
 
 Node numbering: node 0 is always the extended node, nodes 1..n follow the
 Bourbaki numbering of the finite diagram (for classical types, the chain
@@ -30,6 +36,7 @@ from .linalg import (
     kernel_basis,
     mat,
     scale,
+    scaled_inverse,
     sub,
     to_int,
     transpose,
@@ -38,19 +45,6 @@ from .linalg import (
 )
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
-
-# Known orders of the center (coweight/coroot lattice index) per family.
-CENTER_ORDER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2,
-    "C": lambda n: 2,
-    "D": lambda n: 4,
-    "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
-    "F": lambda n: 1,
-    "G": lambda n: 1,
-    "BC": lambda n: 1,
-}
-
 
 class SimpleType(NamedTuple):
     family: str
@@ -155,13 +149,9 @@ class RootDatum(NamedTuple):
         cr = to_int(self.extended_coroots, self.gram)[0]
         return cartan_integers([[int_dot(u, v) for v in cr] for u in cr])
 
-    def coroot_sq_lengths(self) -> tuple[Q, ...]:
-        return tuple(dot(v, v, self.gram) for v in self.extended_coroots)
-
 
 class AlcoveData(NamedTuple):
     vertices: tuple[Vec, ...]  # vertex i corresponds to node i; vertex 0 is the origin
-    barycenter: Vec
 
 
 def _basis_vec(i: int, n: int) -> Vec:
@@ -216,6 +206,32 @@ def extended_cartan(st: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, cart))
 
 
+def _positive_relation(m, st: SimpleType) -> tuple[int, ...]:
+    if st == TRIVIAL:
+        raise ValueError("the trivial type A0 has no root datum")
+    ker = kernel_basis(m)
+    if len(ker) != 1 or min(ker[0]) <= 0:
+        raise AssertionError(f"the bond table of {st} has no unique positive relation")
+    return ker[0]
+
+
+@lru_cache(maxsize=None)
+def root_integers(st: SimpleType) -> tuple[int, ...]:
+    """The root integers h, with sum_i h_i a_i = 0 on the extended roots.
+
+    The table holds n(i, j) = a_j(a_i^vee), so h is its positive kernel;
+    AssertionError unless that kernel is one positive vector.
+    """
+    return _positive_relation(extended_cartan(st), st)
+
+
+@lru_cache(maxsize=None)
+def coroot_integers(st: SimpleType) -> tuple[int, ...]:
+    """The coroot integers g, with sum_i g_i a_i^vee = 0: the positive
+    kernel of the transposed table, checked as for root_integers."""
+    return _positive_relation(transpose(extended_cartan(st)), st)
+
+
 @lru_cache(maxsize=None)
 def datum(st: SimpleType) -> RootDatum:
     """The catalog realization of a simple type in standard coordinates."""
@@ -233,14 +249,12 @@ def datum(st: SimpleType) -> RootDatum:
         e = [_basis_vec(i, dim) for i in range(dim)]
         simples = [sub(e[i], e[i + 1]) for i in range(n)]
         highest = sub(e[0], e[n])
-        h = (1,) + (1,) * n
     elif fam == "B":
         dim = n
         gram = _identity(dim)
         e = [_basis_vec(i, dim) for i in range(dim)]
         simples = [sub(e[i], e[i + 1]) for i in range(n - 1)] + [e[n - 1]]
         highest = add(e[0], e[1])
-        h = (1, 1) + (2,) * (n - 1)
     elif fam == "C":
         dim = n
         gram = _identity(dim, 2)
@@ -249,14 +263,12 @@ def datum(st: SimpleType) -> RootDatum:
         cr = [sub(e[i], e[i + 1]) for i in range(n - 1)] + [e[n - 1]]
         simples = [_coroot_of(v, gram) for v in cr]
         highest = e[0]
-        h = (1,) + (2,) * (n - 1) + (1,)
     elif fam == "D":
         dim = n
         gram = _identity(dim)
         e = [_basis_vec(i, dim) for i in range(dim)]
         simples = [sub(e[i], e[i + 1]) for i in range(n - 1)] + [add(e[n - 2], e[n - 1])]
         highest = add(e[0], e[1])
-        h = (1, 1) + (2,) * (n - 3) + (1, 1)
     elif fam == "E":
         dim = 8
         gram = _identity(dim)
@@ -269,13 +281,10 @@ def datum(st: SimpleType) -> RootDatum:
         simples = all_simple[:n]
         if n == 8:
             highest = add(e[6], e[7])
-            h = (1, 2, 3, 4, 6, 5, 4, 3, 2)
         elif n == 7:
             highest = sub(e[7], e[6])
-            h = (1, 2, 2, 3, 4, 3, 2, 1)
         else:
             highest = scale(half, vec([1, 1, 1, 1, 1, -1, -1, 1]))
-            h = (1, 1, 2, 2, 3, 2, 1)
     elif fam == "F":
         dim = 4
         gram = _identity(dim)
@@ -287,14 +296,12 @@ def datum(st: SimpleType) -> RootDatum:
             scale(Q(1, 2), vec([1, -1, -1, -1])),
         ]
         highest = add(e[0], e[1])
-        h = (1, 2, 3, 4, 2)
     elif fam == "G":
         dim = 3
         gram = _identity(dim, Q(1, 3))
         e = [_basis_vec(i, dim) for i in range(dim)]
         simples = [sub(e[0], e[1]), vec([-2, 1, 1])]
         highest = vec([-1, -1, 2])
-        h = (1, 3, 2)
     elif fam == "BC":
         dim = n
         gram = _identity(dim, 2)
@@ -306,16 +313,11 @@ def datum(st: SimpleType) -> RootDatum:
         cr = [sub(e[i], e[i + 1]) for i in range(n - 1)] + [scale(2, e[n - 1])]
         simples = [_coroot_of(v, gram) for v in cr]
         highest = e[0]
-        h = (1,) + (2,) * n
     else:  # pragma: no cover
         raise AssertionError(fam)
 
     roots = (scale(-1, highest),) + tuple(simples)
     coroots = tuple(_coroot_of(r, gram) for r in roots)
-    ker = kernel_basis(transpose(extended_cartan(st)))
-    if len(ker) != 1 or min(ker[0]) <= 0:
-        raise AssertionError(f"the bond table of {st} has no unique positive relation")
-    g = ker[0]
     q_basis = coroots[1:]
     p_basis, p_coords = _coweights(roots[1:], q_basis, gram)
     d = RootDatum(
@@ -324,14 +326,22 @@ def datum(st: SimpleType) -> RootDatum:
         gram,
         roots,
         coroots,
-        h,
-        g,
+        root_integers(st),
+        coroot_integers(st),
         q_basis,
         p_basis,
         p_coords,
     )
     _check_datum(d)
     return d
+
+
+def ambient_roots(st: SimpleType, coords) -> list[Vec]:
+    """The datum's vectors sum_i c_i a_i of roots given by their simple-root
+    coordinates c."""
+    simples, s = to_int(datum(st).extended_roots[1:])
+    cols = list(zip(*simples))
+    return [tuple(Q(int_dot(r, col), s) for col in cols) for r in coords]
 
 
 def _coweights(simple_roots, simple_coroots, gram) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -398,16 +408,13 @@ def dual_coxeter(st: SimpleType) -> int:
     """Dual Coxeter number, the sum of the extended coroot integers."""
     if st == TRIVIAL:
         return 1
-    return sum(datum(st).g)
-
-
-def center_order(st: SimpleType) -> int:
-    return CENTER_ORDER[st.family](st.rank)
+    return sum(coroot_integers(st))
 
 
 @lru_cache(maxsize=None)
 def alcove(st: SimpleType) -> AlcoveData:
-    """Alcove vertex data: the origin plus the vertices opposite each wall.
+    """Alcove vertex data in the datum's ambient coordinates: the origin
+    plus the vertices opposite each wall.
 
     Vertex i (for a finite node i) is the fundamental coweight divided by
     the root integer; it lies on every simple-root wall except the i-th and
@@ -417,11 +424,7 @@ def alcove(st: SimpleType) -> AlcoveData:
     verts = [zero_vec(d.ambient_dim)]
     for i in range(1, d.rank + 1):
         verts.append(scale(Q(1, d.h[i]), d.coweight_lattice_basis[i - 1]))
-    bary = zero_vec(d.ambient_dim)
-    for v in verts:
-        bary = add(bary, v)
-    bary = scale(Q(1, len(verts)), bary)
-    return AlcoveData(tuple(verts), bary)
+    return AlcoveData(tuple(verts))
 
 
 def center_vertex_nodes(st: SimpleType) -> list[int]:
@@ -430,20 +433,22 @@ def center_vertex_nodes(st: SimpleType) -> list[int]:
     These are exactly the nodes with root integer 1; node 0 stands for the
     identity (vertex at the origin).
     """
-    d = datum(st)
-    return [i for i in d.nodes() if d.h[i] == 1]
+    return [i for i, x in enumerate(root_integers(st)) if x == 1]
 
 
 @lru_cache(maxsize=None)
 def alcove_coroot_coords(st: SimpleType) -> tuple[Vec, ...]:
     """Simple-coroot coordinates of the alcove vertices, node by node.
 
-    Vertex i is the i-th fundamental coweight divided by h_i (see alcove),
-    and the datum already holds the coweights' coordinates.
+    Vertex i is the i-th fundamental coweight w_i divided by h_i.  With
+    P[k][j] = a_k(a_j^vee) = n(j, k), w_i = sum_j (P^-1)[j][i] a_j^vee is
+    dual to the simple roots, so its coordinates are column i of P^-1.
     """
-    d = datum(st)
-    return (zero_vec(d.rank),) + tuple(
-        scale(Q(1, h), c) for h, c in zip(d.h[1:], d.coweight_coroot_coords)
+    cart, n = extended_cartan(st), st.rank
+    inv, den = scaled_inverse([[cart[j][k] for j in range(1, n + 1)] for k in range(1, n + 1)])
+    h = root_integers(st)
+    return (zero_vec(n),) + tuple(
+        tuple(Q(x, den * h[i]) for x in col) for i, col in enumerate(zip(*inv), start=1)
     )
 
 
@@ -471,7 +476,7 @@ def _center_residues(st: SimpleType) -> dict[IVec, int]:
 
 
 def _center_coords(st: SimpleType, node: int) -> IVec:
-    if datum(st).h[node] != 1:
+    if root_integers(st)[node] != 1:
         raise ValueError(f"node {node} does not carry a central vertex")
     return alcove_int_coords(st)[0][node]
 
@@ -516,7 +521,7 @@ def fundamental_group_order(st: SimpleType) -> int:
     reduced = st
     if st.family == "BC":
         reduced = SimpleType("B", st.rank) if st.rank > 1 else SimpleType("A", 1)
-    count = len(center_vertex_nodes(reduced))
+    count = root_integers(reduced).count(1)
     if det != count:
         raise AssertionError(f"{st}: |det| of the Cartan matrix is {det}, {count} h=1 nodes")
     return det

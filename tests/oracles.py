@@ -9,7 +9,12 @@ them compares two different routes.
 
 The three adapters at the end are not oracles: they give the integer
 root-set routes of coroots.projection the Fraction-vector signature they
-once had, so tests can feed them Fraction roots.
+once had, so tests can feed them Fraction roots.  Ambient vectors under a
+scalar form go in with the identity as the integer form.
+
+The root-datum section also holds what only tests read: the squared
+coroot lengths of a datum, the alcove barycenter and the known center
+orders per family.
 """
 
 from fractions import Fraction as Q
@@ -187,6 +192,37 @@ def center_vertex(st, node):
     return alcove(st).vertices[node]
 
 
+def coroot_sq_lengths(d):
+    """Squared lengths of the extended coroots under the Gram form."""
+    return tuple(dot(v, v, d.gram) for v in d.extended_coroots)
+
+
+def barycenter(st):
+    """Barycenter of the ambient alcove vertices."""
+    verts = alcove(st).vertices
+    total = tuple(Q(0) for _ in verts[0])
+    for v in verts:
+        total = add(total, v)
+    return scale(Q(1, len(verts)), total)
+
+
+# Known orders of the center (coweight/coroot lattice index) per family.
+CENTER_ORDER = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2,
+    "C": lambda n: 2,
+    "D": lambda n: 4,
+    "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
+    "F": lambda n: 1,
+    "G": lambda n: 1,
+    "BC": lambda n: 1,
+}
+
+
+def center_order(st):
+    return CENTER_ORDER[st.family](st.rank)
+
+
 def coroot_coords(d, v):
     """Coordinates of a coroot-span vector in the simple-coroot basis."""
     return coords_in_basis(v, d.coroot_lattice_basis)
@@ -238,27 +274,30 @@ def fixed_subspace_basis(d, sub_):
 
 
 def _scaled(vectors, gram):
-    """The nonzero vectors times the LCM of their denominators, as int tuples;
-    the form must be a scalar times the identity."""
+    """The nonzero vectors times the LCM of their denominators, as int
+    tuples, with the identity as their integer form; the Gram form must be
+    a scalar times the identity."""
     if gram is not None:
         n, c = len(gram), gram[0][0]
         if c <= 0 or any(gram[i][j] != c * (i == j) for i in range(n) for j in range(n)):
             raise ValueError("the root-set machinery needs a scalar Gram matrix")
     vectors = [v for v in vectors if not is_zero(v)]
     s = lcm(*(x.denominator for v in vectors for x in v))
-    return [tuple(int(x * s) for x in v) for v in vectors], s
+    dim = len(vectors[0]) if vectors else 0
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return [tuple(int(x * s) for x in v) for v in vectors], identity, s
 
 
 def close_under_reflections(vectors, gram):
     """Reflection closure of a set of exact root vectors, sorted."""
-    ints, s = _scaled(vectors, gram)
-    return [tuple(Q(x, s) for x in v) for v in sorted(_reflection_closure(ints))]
+    ints, identity, s = _scaled(vectors, gram)
+    return [tuple(Q(x, s) for x in v) for v in sorted(_reflection_closure(ints, identity))]
 
 
 def classify_finite_roots(roots, gram):
     """Type of an irreducible finite (possibly non-reduced) root system;
     A0 for an empty one."""
-    factors = _classify_components(_scaled(roots, gram)[0])
+    factors = classify_root_components(roots, gram)
     if len(factors) > 1:
         raise AssertionError("root system is not irreducible")
     return factors[0] if factors else TRIVIAL
@@ -266,4 +305,4 @@ def classify_finite_roots(roots, gram):
 
 def classify_root_components(roots, gram):
     """Types of the irreducible factors of a finite root system, sorted."""
-    return _classify_components(_scaled(roots, gram)[0])
+    return _classify_components(*_scaled(roots, gram)[:2])

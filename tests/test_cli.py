@@ -8,6 +8,7 @@ import pytest
 from coroots.cli import main, run_check_all
 from coroots.diagrams import AffineDiagram
 from coroots.moduli import record_from_json
+from coroots.rootdata import SimpleType
 from coroots.tables import render_diagram
 from coroots.diagrams import diagram_of
 from coroots.rootdata import parse_type
@@ -239,12 +240,19 @@ def test_cold_queries_skip_dataclasses_and_tables():
     [
         ["derived", "--group", "D13", "--center", "trivial", "--k", "2"],
         ["project", "--group", "D13", "--center", "full"],
+        ["components", "--group", "A13", "--center", "full"],
+        ["components", "--group", "C14", "--center", "full"],
+        ["check-all", "--max-rank", "6"],
+        ["paper-tables", "--max-rank", "6"],
+        ["datum", "--group", "BC3"],
     ],
     ids=" ".join,
 )
-def test_cold_query_builds_one_datum(argv):
-    """Classifying a diagram reads catalog diagrams off the bond table, so a
-    cold query builds the datum of its own type only."""
+def test_cold_query_builds_no_datum(argv, tmp_path):
+    """Every query reads the bond table only: a cold run builds no ambient
+    root datum."""
+    if argv[0] == "paper-tables":
+        argv = argv + ["--out", str(tmp_path)]
     code = (
         "from coroots import rootdata\n"
         "from coroots.cli import main\n"
@@ -255,7 +263,31 @@ def test_cold_query_builds_one_datum(argv):
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "datum misses 1"
+    assert proc.stdout.splitlines()[-1] == "datum misses 0"
+
+
+def test_check_all_reports_a_failing_center_and_goes_on(monkeypatch, capsys):
+    """A center that fails inside the nu-oracle check is reported as that
+    check's failure; the other types are still checked and summarized."""
+    from coroots import center
+
+    nu = center.nu
+
+    def failing_nu(st, node):
+        if st == SimpleType("A", 3) and node == 2:
+            raise AssertionError("forced failure")
+        return nu(st, node)
+
+    center.center_group.cache_clear()
+    monkeypatch.setattr(center, "nu", failing_nu)
+    assert main(["check-all", "--max-rank", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["FAIL nu-oracle: A3: AssertionError: forced failure", "1 failures"]
+    summary = dict(line.split(": ") for line in lines[:-2])
+    assert summary["nu-oracle"] == "11 passed"
+    assert set(summary) == {
+        "assumption", "clock", "components", "diagram1", "nu-oracle", "numerology", "samediags",
+    }
 
 
 def test_run_check_all_script_rejects_max_rank_0():

@@ -25,6 +25,7 @@ from coroots.derived import derived, quotient_marked
 from coroots.linalg import kernel_basis, to_int, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import TRIVIAL, SimpleType, datum, extended_cartan, parse_type
+from oracles import coroot_sq_lengths
 
 
 def test_is_affine_type_examples():
@@ -56,7 +57,7 @@ def test_diagram_of_matches_the_datum_vectors(st):
     d = datum(st)
     ints = to_int(d.extended_coroots, d.gram)[0]
     (relation,) = kernel_basis(transpose(ints))
-    expected = AffineDiagram(d.cartan_matrix(), relation, d.coroot_sq_lengths())
+    expected = AffineDiagram(d.cartan_matrix(), relation, coroot_sq_lengths(d))
     got = diagram_of(st)
     assert got == expected
     assert [type(x) for x in got.marks + got.sq_lengths] == [

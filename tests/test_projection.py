@@ -23,14 +23,11 @@ from coroots.linalg import (
     rank,
     scale,
     sub,
-    to_int,
     vec,
     zero_vec,
 )
 from coroots.moduli import catalog_types
 from coroots.projection import (
-    _integer_roots_of,
-    _root_coroot_values,
     _simple_system,
     all_roots_of,
     annihilator_factors,
@@ -41,6 +38,7 @@ from coroots.projection import (
     project,
     projection_type,
     restricted_type,
+    root_system,
 )
 from coroots.rootdata import SimpleType, datum, parse_type
 from oracles import (
@@ -51,6 +49,7 @@ from oracles import (
     fixed_subspace_basis,
     from_coroot_coords,
     in_span,
+    mat_vec,
     pairing,
     perm_matrix_on_coroots,
     project_many,
@@ -261,12 +260,28 @@ def test_all_roots_counts():
     "st", catalog_types(12) + [SimpleType("BC", n) for n in range(1, 13)], ids=str
 )
 def test_integer_roots_are_the_scaled_roots(st):
-    """The directly generated integer roots are the Fraction roots scaled
-    by the LCM of their denominators."""
-    roots = _integer_roots_of(st)
-    want = to_int(all_roots_of(st), datum(st).gram)[0]
-    assert len(roots) == len(want) and set(roots) == set(want)
-    assert all(type(x) is int for r in roots for x in r)
+    """The roots generated in integer simple-root coordinates, mapped
+    through the datum's simple roots, are the Fraction reflection closure
+    of those simple roots (with the doubled short roots for BC), and each
+    generated value vector is the Fraction pairing with the simple coroots."""
+    d = datum(st)
+    simples, coroots = d.extended_roots[1:], d.extended_coroots[1:]
+    want = close_under_reflections(simples, d.gram)
+    if st.family == "BC":
+        short = min(dot(v, v, d.gram) for v in want)
+        want += [scale(2, v) for v in want if dot(v, v, d.gram) == short]
+    roots, values = root_system(st)
+    assert all(type(x) is int for r in roots + values for x in r)
+    # the Gram images of the coroots: a pairing is then one Euclidean dot
+    gram_coroots = [mat_vec(d.gram, c) for c in coroots]
+    ambient = []
+    for r, vals in zip(roots, values):
+        v = zero_vec(d.ambient_dim)
+        for c, a in zip(r, simples):
+            v = add(v, scale(c, a))
+        assert vals == tuple(dot(v, gc) for gc in gram_coroots), (st, r)
+        ambient.append(v)
+    assert list(all_roots_of(st)) == sorted(ambient) == sorted(want)
 
 
 def test_classify_root_components():
@@ -443,16 +458,16 @@ def test_simple_system_matches_pairwise_definition(st):
     """The scan against the simple roots found so far gives the positive
     roots that are not a sum of two positive roots: on every catalog root
     system, and up to rank 8 on every annihilator root set."""
-    roots = list(_integer_roots_of(st))
-    sets = [roots]
+    roots, values = root_system(st)
+    sets = [list(roots)]
     if st.rank <= 8:
         for sub_ in all_subgroups(st):
             for k in quotient_marked(st, sub_).admissible_orders():
                 coords = torus_subspace_coords(st, sub_, k)
                 kept = [
                     r
-                    for r, values in zip(roots, _root_coroot_values(st))
-                    if not any(int_dot(values, x) for x in coords)
+                    for r, vals in zip(roots, values)
+                    if not any(int_dot(vals, x) for x in coords)
                 ]
                 if kept:
                     sets.append(kept)
