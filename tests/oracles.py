@@ -34,8 +34,9 @@ def dot(u, v, gram=None):
         raise ValueError("dimension mismatch")
     if gram is None:
         return sum((a * b for a, b in zip(u, v)), Q(0))
-    n = len(u)
-    return sum((u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n)), Q(0))
+    # root and coroot vectors are sparse: only nonzero entries contribute
+    support = [j for j, x in enumerate(v) if x]
+    return sum((a * gram[i][j] * v[j] for i, a in enumerate(u) if a for j in support), Q(0))
 
 
 def mat_vec(m, v):

@@ -278,7 +278,8 @@ def test_integer_roots_are_the_scaled_roots(st):
     for r, vals in zip(roots, values):
         v = zero_vec(d.ambient_dim)
         for c, a in zip(r, simples):
-            v = add(v, scale(c, a))
+            if c:
+                v = add(v, scale(c, a))
         assert vals == tuple(dot(v, gc) for gc in gram_coroots), (st, r)
         ambient.append(v)
     assert list(all_roots_of(st)) == sorted(ambient) == sorted(want)
