@@ -35,6 +35,7 @@ RUNS = 7
 QUERIES = {
     "check-all --max-rank 24": ["check-all", "--max-rank", "24"],
     "components --group A40 --center full": ["components", "--group", "A40", "--center", "full"],
+    "components --group A80 --center full": ["components", "--group", "A80", "--center", "full"],
     "derived --group D30 --center trivial --k 2": [
         "derived", "--group", "D30", "--center", "trivial", "--k", "2",
     ],

@@ -10,29 +10,12 @@ invariant, 2 usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import rootdata
-from .center import (
-    all_subgroups,
-    parse_center,
-    quotient_diagram,
-)
-from .derived import check_samediags, derived, quotient_marked
 from .diagrams import DiagramError, classify, diagram_of, label, render_diagram
-from .moduli import (
-    SHAPE_DISPLAY,
-    record_to_json,
-    catalog_types,
-    clock_report,
-    components_for,
-    rank_zero_list,
-)
-from .numerology import check_assumption, clocked, counts, marked
-from .projection import DiagramReport, check_diagram1
-from .rootdata import SimpleType, dual_coxeter, parse_type
+from .rootdata import dual_coxeter, parse_type
 
 SCHEMA_DIAGRAM = "coroots/diagram/v1"
 SCHEMA_COMPONENTS = "coroots/components/v1"
@@ -61,6 +44,8 @@ def _parse_group(text: str):
 
 
 def _parse_center(st, text: str):
+    from .center import parse_center
+
     try:
         return parse_center(st, text)
     except ValueError as exc:
@@ -80,6 +65,8 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
@@ -121,6 +108,8 @@ def cmd_datum(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .center import quotient_diagram
+
     st = _parse_type(args.group)
     sub_ = _parse_center(st, args.center)
     q = quotient_diagram(st, sub_)
@@ -146,7 +135,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .projection import project
+    from .projection import check_diagram1, project
 
     st = _parse_type(args.group)
     sub_ = _parse_center(st, args.center)
@@ -175,6 +164,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_derived(args) -> int:
+    from .derived import check_samediags, derived, quotient_marked
+
     st = _parse_type(args.group)
     sub_ = _parse_center(st, args.center)
     m = quotient_marked(st, sub_)
@@ -207,6 +198,8 @@ def cmd_derived(args) -> int:
 
 
 def cmd_components(args) -> int:
+    from .moduli import SHAPE_DISPLAY, components_for, record_to_json
+
     st = _parse_group(args.group)
     sub_ = _parse_center(st, args.center)
     recs = components_for(st, sub_)
@@ -231,6 +224,8 @@ def cmd_components(args) -> int:
 
 
 def cmd_clock(args) -> int:
+    from .moduli import clock_report
+
     st = _parse_group(args.group)
     sub_ = _parse_center(st, args.center)
     cr = clock_report(st, sub_)
@@ -256,6 +251,8 @@ def cmd_clock(args) -> int:
 
 
 def cmd_rank_zero(args) -> int:
+    from .moduli import rank_zero_list
+
     rows = rank_zero_list(args.k, args.central, args.max_rank)
     payload = {
         "schema": "coroots/rank-zero/v1",
@@ -292,76 +289,8 @@ def cmd_check_all(args) -> int:
 
 
 def run_check_all(max_rank: int, emit) -> bool:
-    """Every cross-check over the catalog; prints one line per family."""
-    checks = {
-        "nu-oracle": 0,
-        "diagram1": 0,
-        "samediags": 0,
-        "assumption": 0,
-        "numerology": 0,
-        "clock": 0,
-        "components": 0,
-    }
-    failures: list[str] = []
-
-    def guarded(name, fn, ctx):
-        """fn(), or None once its exception is recorded as a failure."""
-        try:
-            return fn()
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            failures.append(f"{name}: {ctx}: {type(exc).__name__}: {exc}")
-            return None
-
-    def attempt(name, fn, ctx):
-        """Run one check; fn returns a DiagramReport, a bool or the data later
-        checks build on.  Returns that result if it passed, else None."""
-        res = guarded(name, fn, ctx)
-        if isinstance(res, DiagramReport) and not res.equal:
-            failures.append(f"{name}: {ctx}: {res.detail}")
-        elif res is False:
-            failures.append(f"{name}: {ctx}")
-        elif res is not None:
-            checks[name] += 1
-            return res
-        return None
-
-    def check_marked(m, ctx):
-        attempt("numerology", lambda: counts(m) is not None, ctx)
-        attempt("clock", lambda: clocked(m) is not None, ctx)
-        for k in m.admissible_orders():
-            if k > 1:
-                attempt("assumption", lambda: check_assumption(m, k) is not None, f"{ctx} k={k}")
-
-    # attempt calls fn at once, so the lambdas below read the loop variables
-    # as they are; a type whose center or marking fails skips what builds on it
-    bc_types = [SimpleType("BC", n) for n in range(1, max_rank + 1)]
-    for st in catalog_types(max_rank) + bc_types:
-        subs = []
-        if st.family != "BC":
-            # all_subgroups realizes the center through the nu oracle first
-            subs = attempt("nu-oracle", lambda: all_subgroups(st), label(st)) or []
-        m0 = guarded("marked", lambda: marked(diagram_of(st)), label(st))
-        if m0 is not None:
-            check_marked(m0, label(st))
-        for sub_ in subs:
-            ctx = f"{label(st)}/{sub_.describe()}"
-            attempt("diagram1", lambda: check_diagram1(st, sub_), ctx)
-            mq = guarded("quotient", lambda: quotient_marked(st, sub_), ctx)
-            if mq is not None:
-                if not sub_.is_trivial:
-                    check_marked(mq, ctx)
-                for k in mq.admissible_orders():
-                    attempt("samediags", lambda: check_samediags(st, sub_, k), f"{ctx} k={k}")
-            attempt("components", lambda: clock_report(st, sub_).valid, ctx)
-    for name in sorted(checks):
-        emit(f"{name}: {checks[name]} passed")
-    if failures:
-        for f in failures:
-            emit(f"FAIL {f}")
-        emit(f"{len(failures)} failures")
-        return False
-    emit("all checks passed")
-    return True
+    from .checks import run_check_all
+    return run_check_all(max_rank, emit)
 
 
 def build_parser() -> argparse.ArgumentParser:

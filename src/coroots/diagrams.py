@@ -243,7 +243,11 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
 
     inv1, inv2 are _invariants(d1), _invariants(d2), which callers compute
     once.  Nodes of d1 are placed in the order a graph search reaches them,
-    so each new node meets a placed neighbour and a wrong branch fails at once.
+    so each new node u but a component's first has a placed neighbour; u's
+    image is drawn, in ascending order, from the neighbours of that
+    neighbour's image, since any other target breaks the bond.  The bonds
+    of u are checked against its placed neighbours only, and the image must
+    have as many placed neighbours, so no other bond appears.
     """
     if d1.n_nodes != d2.n_nodes or inv1[1] != inv2[1]:
         return []
@@ -251,6 +255,11 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
     inv1, inv2 = inv1[0], inv2[0]
     c1, c2 = d1.cartan, d2.cartan  # locals: field reads are slow in the search loop
     order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
+    nbrs2 = [[w for w in range(n) if w != t and (c2[t][w] or c2[w][t])] for t in range(n)]
+    # per step: the node and its neighbours placed before it, in placement order
+    steps = [
+        (u, [v for v in order[:i] if c1[u][v] or c1[v][u]]) for i, u in enumerate(order)
+    ]
     found: list[tuple[int, ...]] = []
     perm = [-1] * n
     used = [False] * n
@@ -259,11 +268,11 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
         if i == n:
             found.append(tuple(perm))
             return first_only
-        u = order[i]
-        for t in range(n):
-            if used[t] or inv1[u] != inv2[t]:
+        u, back = steps[i]
+        for t in nbrs2[perm[back[0]]] if back else range(n):
+            if used[t] or inv1[u] != inv2[t] or sum(used[w] for w in nbrs2[t]) != len(back):
                 continue
-            for v in order[:i]:
+            for v in back:
                 if c1[u][v] != c2[t][perm[v]] or c1[v][u] != c2[perm[v]][t]:
                     break
             else:

@@ -14,12 +14,16 @@ scalar form go in with the identity as the integer form.
 
 The root-datum section also holds what only tests read: the squared
 coroot lengths of a datum, the alcove barycenter and the known center
-orders per family.
+orders per family.  Two more routes follow it: the Weyl part w_c of each
+central element as a product of longest elements, which shares no code
+with coroots.center, and the full-scan isomorphism search that the
+library's neighbour-driven search must agree with.
 """
 
 from fractions import Fraction as Q
 from math import gcd, lcm
 
+from coroots.diagrams import connected_components
 from coroots.linalg import add, is_zero, mat, scale, transpose
 from coroots.projection import _classify_components, _reflection_closure
 from coroots.rootdata import TRIVIAL, alcove, datum
@@ -268,6 +272,98 @@ def fixed_subspace_basis(d, sub_):
             rows += [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
     coords = kernel(rows) if rows else [[int(j == i) for j in range(n)] for i in range(n)]
     return [from_coroot_coords(d, c) for c in coords]
+
+
+# ---------------------------------------------------------------------------
+# Weyl group elements by descent
+
+
+def _longest(cartan, nodes):
+    """The longest element w of the Weyl group generated by the reflections
+    at `nodes`, as the images w(a_j) of the simple roots in integer
+    simple-root coordinates; cartan[j][i] = a_i(a_j^vee).  Built by descent:
+    w becomes w s_j while some j in nodes has w(a_j) > 0."""
+    n = len(cartan)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    while True:
+        j = next((j for j in nodes if max(cols[j]) > 0), None)
+        if j is None:
+            return cols
+        wj = cols[j]
+        for i in range(n):
+            if cartan[j][i]:  # (w s_j)(a_i) = w(a_i) - a_i(a_j^vee) w(a_j)
+                cols[i] = [x - cartan[j][i] * y for x, y in zip(cols[i], wj)]
+
+
+def w_c_perms(st):
+    """{c: perm} over the nontrivial central nodes c (root integer 1), where
+    w_c = w_0^J w_0 with J the finite nodes other than c (Bourbaki, Lie
+    Groups and Lie Algebras VI.2.3) maps a_i to a_{perm[i]}.
+
+    The Cartan integers and the root integers h come from the ambient
+    datum's vectors, and the extended root a_0 = -theta = -sum h_i a_i is
+    written in simple-root coordinates."""
+    d = datum(st)
+    roots, n = d.extended_roots, st.rank
+    cartan = [[int(pairing(d, roots[i], d.extended_coroots[j])) for i in range(1, n + 1)]
+              for j in range(1, n + 1)]
+    h = [int(x) for x in coords_in_basis(scale(-1, roots[0]), roots[1:])]
+    ext = [tuple(-x for x in h)] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+    def act(cols, x):
+        return tuple(sum(xj * col[k] for xj, col in zip(x, cols)) for k in range(n))
+
+    w0 = _longest(cartan, range(n))
+    out = {}
+    for c in (j + 1 for j in range(n) if h[j] == 1):
+        w0_J = _longest(cartan, [j for j in range(n) if j != c - 1])
+        out[c] = tuple(ext.index(act(w0_J, act(w0, a))) for a in ext)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Diagram isomorphisms by a full scan
+
+
+def scan_isomorphisms(d1, inv1, d2, inv2, first_only):
+    """Node bijections p with cartan2[p(u)][p(v)] == cartan1[u][v] and equal
+    marks, in the order coroots.diagrams._isomorphisms finds them.
+
+    inv1, inv2 are diagrams._invariants of d1, d2.  Nodes of d1 are placed
+    in the same graph-search order, but each tries every unused target with
+    equal invariants against every node placed so far."""
+    if d1.n_nodes != d2.n_nodes or inv1[1] != inv2[1]:
+        return []
+    n = d1.n_nodes
+    inv1, inv2 = inv1[0], inv2[0]
+    c1, c2 = d1.cartan, d2.cartan
+    order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
+    found = []
+    perm = [-1] * n
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            found.append(tuple(perm))
+            return first_only
+        u = order[i]
+        for t in range(n):
+            if used[t] or inv1[u] != inv2[t]:
+                continue
+            for v in order[:i]:
+                if c1[u][v] != c2[t][perm[v]] or c1[v][u] != c2[perm[v]][t]:
+                    break
+            else:
+                perm[u] = t
+                used[t] = True
+                if extend(i + 1):
+                    return True
+                used[t] = False
+                perm[u] = -1
+        return False
+
+    extend(0)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     from_coroot_coords,
     mat_vec,
     perm_matrix_on_coroots,
+    w_c_perms,
 )
 
 TYPES_TO_12 = (
@@ -272,6 +273,17 @@ def test_integer_center_layer_matches_fraction_oracle(st):
     expect = tuple(ref.nu(c) for c in ref.central)
     assert tuple(nu(st, c) for c in ref.central) == expect
     assert center_group(st).elements == expect
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("st", ORACLE_TYPES, ids=str)
+def test_nu_is_w0J_w0(st):
+    """The Weyl part of each nontrivial central element is w_0^J w_0, built
+    by descent with no alcove."""
+    expect = w_c_perms(st)
+    assert sorted(expect) == center_vertex_nodes(st)[1:]
+    for c, perm in expect.items():
+        assert nu(st, c).perm == perm
 
 
 @pytest.mark.parametrize("st", ORACLE_TYPES, ids=str)

@@ -109,12 +109,12 @@ def test_non_integer_k_is_a_usage_error():
 
 
 def test_internal_invariant_failure_exits_1(capsys, monkeypatch):
-    import coroots.cli
+    import coroots.moduli
 
     def broken(st, sub_):
         raise AssertionError("center nodes not closed under addition")
 
-    monkeypatch.setattr(coroots.cli, "components_for", broken)
+    monkeypatch.setattr(coroots.moduli, "components_for", broken)
     assert main(["components", "--group", "A2", "--center", "full"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -163,18 +163,18 @@ def test_check_all_past_the_catalog():
 
 
 def test_check_all_failure_lines_keep_their_reason(monkeypatch, capsys):
-    import coroots.cli as cli
+    import coroots.checks as checks
     from coroots.projection import DiagramReport
 
     monkeypatch.setattr(
-        cli, "check_samediags", lambda st, sub_, k: DiagramReport(False, "forced mismatch")
+        checks, "check_samediags", lambda st, sub_, k: DiagramReport(False, "forced mismatch")
     )
 
     def broken(st, sub_):
         raise AssertionError("forced invariant")
 
-    monkeypatch.setattr(cli, "check_diagram1", broken)
-    monkeypatch.setattr(cli, "counts", lambda m: None)
+    monkeypatch.setattr(checks, "check_diagram1", broken)
+    monkeypatch.setattr(checks, "counts", lambda m: None)
     assert main(["check-all", "--max-rank", "2"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "FAIL samediags: A1/trivial k=1: forced mismatch" in out
@@ -233,6 +233,68 @@ def test_cold_queries_skip_dataclasses_and_tables():
     )
     assert proc.returncode == 0, proc.stderr
     assert "extended coroot diagram of A1" in proc.stdout
+
+
+def modules_loaded_by(argv):
+    """Exit code of main(argv) in a fresh interpreter, and the coroots
+    modules and json it left in sys.modules."""
+    code = (
+        "import sys\n"
+        "from coroots.cli import main\n"
+        "try:\n"
+        f"    rc = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "loaded = [m for m in sys.modules if m.startswith('coroots.') or m == 'json']\n"
+        "print(rc, *sorted(loaded))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(rc), set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["datum", "--group", "A1"], 0), (["--help"], 0), (["datum", "--group", "X9"], 2)],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_diagram_queries_load_only_the_diagram_layer(argv, code):
+    rc, loaded = modules_loaded_by(argv)
+    assert rc == code
+    beyond = ("center", "projection", "derived", "numerology", "moduli", "tables", "checks")
+    assert loaded.isdisjoint({"json", *(f"coroots.{m}" for m in beyond)}), loaded
+
+
+def test_project_loads_no_moduli_layer():
+    rc, loaded = modules_loaded_by(["project", "--group", "D13", "--center", "full",
+                                    "--format", "json"])
+    assert rc == 0
+    assert loaded.isdisjoint({"coroots.derived", "coroots.numerology", "coroots.moduli"})
+
+
+def test_check_all_reads_the_catalog_at_call_time():
+    """A catalog_types patched after the CLI is imported, as the benchmark's
+    catalog shuffle does, is the one check-all visits."""
+    code = (
+        "import coroots.cli\n"
+        "from coroots import moduli\n"
+        "from coroots.rootdata import SimpleType\n"
+        "moduli.catalog_types = lambda max_rank=12: [SimpleType('A', 1)]\n"
+        "lines = []\n"
+        "assert coroots.cli.run_check_all(12, lines.append)\n"
+        "print(*lines, sep='\\n')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = dict(line.split(": ") for line in proc.stdout.splitlines()[:-1])
+    # A1 has two center subgroups; the BC types have no center to check
+    assert summary["nu-oracle"] == "1 passed"
+    assert summary["diagram1"] == summary["components"] == "2 passed"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as hst
 from coroots.diagrams import (
     AffineDiagram,
     DiagramError,
+    _invariants,
     automorphism_group,
     classify,
     compose,
@@ -25,7 +26,7 @@ from coroots.derived import derived, quotient_marked
 from coroots.linalg import kernel_basis, to_int, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import TRIVIAL, SimpleType, datum, extended_cartan, parse_type
-from oracles import coroot_sq_lengths
+from oracles import coroot_sq_lengths, scan_isomorphisms
 
 
 def test_is_affine_type_examples():
@@ -89,6 +90,30 @@ def test_classify_is_mark_sensitive():
     doubled = AffineDiagram(a1.cartan, (3, 3), a1.sq_lengths)
     res = classify(doubled)
     assert res.type == SimpleType("A", 1) and res.scale == 3
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "st", catalog_types(40) + [SimpleType("BC", n) for n in range(1, 41)], ids=str
+)
+def test_automorphism_group_matches_the_full_scan(st):
+    d = diagram_of(st)
+    inv = _invariants(d)
+    assert automorphism_group(d) == sorted(scan_isomorphisms(d, inv, d, inv, first_only=False))
+
+
+@pytest.mark.parametrize("st", catalog_types(12), ids=str)
+def test_classify_node_map_is_the_full_scans_first(st):
+    """The neighbour-driven search finds the same first isomorphism."""
+    for sub_ in all_subgroups(st):
+        q = quotient_diagram(st, sub_)
+        if q.n_nodes == 1:
+            continue
+        res = classify(q)
+        probe = AffineDiagram(q.cartan, tuple(m // res.scale for m in q.marks), q.sq_lengths)
+        cat = diagram_of(res.type)
+        first = scan_isomorphisms(probe, _invariants(probe), cat, _invariants(cat), True)
+        assert res.node_map == first[0]
 
 
 def test_automorphism_groups():
