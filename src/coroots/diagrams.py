@@ -215,26 +215,23 @@ def diagram_of(st: SimpleType) -> AffineDiagram:
 # isomorphism and automorphisms
 
 
-def _invariants(d: AffineDiagram) -> tuple[tuple, tuple]:
-    """Per-node isomorphism invariants (marks, Cartan integers) and their sorted list.
+def _invariants(d: AffineDiagram) -> tuple[tuple, tuple, tuple]:
+    """Per-node isomorphism invariants (marks, Cartan integers), their sorted
+    list, and each node's neighbours in ascending order.
 
     Lengths are left out: a bijection that preserves the Cartan integers of
     an indecomposable matrix preserves the ratios of its lengths too.
     """
-    base = [
-        (m, tuple(sorted(row)), tuple(sorted(col)))
-        for m, row, col in zip(d.marks, d.cartan, zip(*d.cartan))
-    ]
+    c, nodes = d.cartan, range(d.n_nodes)
+    nbrs = tuple(tuple(v for v in nodes if v != u and (c[u][v] or c[v][u])) for u in nodes)
+    base = [(m, tuple(sorted(row)), tuple(sorted(col))) for m, row, col in zip(d.marks, c, zip(*c))]
     # one round of neighbor refinement
-    inv = tuple(
-        (base[u], tuple(sorted(base[v] for v, x in enumerate(row) if x and v != u)))
-        for u, row in enumerate(d.cartan)
-    )
-    return inv, tuple(sorted(inv))
+    inv = tuple((base[u], tuple(sorted(base[v] for v in nbrs[u]))) for u in nodes)
+    return inv, tuple(sorted(inv)), nbrs
 
 
 @lru_cache(maxsize=None)
-def _catalog_invariants(st: SimpleType) -> tuple[tuple, tuple]:
+def _catalog_invariants(st: SimpleType) -> tuple[tuple, tuple, tuple]:
     return _invariants(diagram_of(st))
 
 
@@ -252,17 +249,16 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
     if d1.n_nodes != d2.n_nodes or inv1[1] != inv2[1]:
         return []
     n = d1.n_nodes
-    inv1, inv2 = inv1[0], inv2[0]
+    (inv1, _, nbrs1), (inv2, _, nbrs2) = inv1, inv2
     c1, c2 = d1.cartan, d2.cartan  # locals: field reads are slow in the search loop
     order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
-    nbrs2 = [[w for w in range(n) if w != t and (c2[t][w] or c2[w][t])] for t in range(n)]
-    # per step: the node and its neighbours placed before it, in placement order
-    steps = [
-        (u, [v for v in order[:i] if c1[u][v] or c1[v][u]]) for i, u in enumerate(order)
-    ]
+    pos = {u: i for i, u in enumerate(order)}
+    # per step: the node and its neighbours placed before it
+    steps = [(u, [v for v in nbrs1[u] if pos[v] < i]) for i, u in enumerate(order)]
     found: list[tuple[int, ...]] = []
     perm = [-1] * n
     used = [False] * n
+    placed_nbrs2 = [0] * n  # per node of d2, how many of its neighbours are images
 
     def extend(i: int) -> bool:
         if i == n:
@@ -270,7 +266,7 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
             return first_only
         u, back = steps[i]
         for t in nbrs2[perm[back[0]]] if back else range(n):
-            if used[t] or inv1[u] != inv2[t] or sum(used[w] for w in nbrs2[t]) != len(back):
+            if used[t] or placed_nbrs2[t] != len(back) or inv1[u] != inv2[t]:
                 continue
             for v in back:
                 if c1[u][v] != c2[t][perm[v]] or c1[v][u] != c2[perm[v]][t]:
@@ -278,8 +274,12 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
             else:
                 perm[u] = t
                 used[t] = True
+                for w in nbrs2[t]:
+                    placed_nbrs2[w] += 1
                 if extend(i + 1):
                     return True
+                for w in nbrs2[t]:
+                    placed_nbrs2[w] -= 1
                 used[t] = False
                 perm[u] = -1
         return False
