@@ -18,15 +18,10 @@ oracle checks against looks up the scaled coordinates' residues mod L
 (rootdata.center_element_sum), and an automorphism's matrix on the
 coroots is an integer matrix (perm_matrix_on_coroots_of).
 
-The subspaces the projected-coroot route works in live in the same
-coordinates, as primitive integer vectors cached per (type, subgroup):
-the fixed subspace of w_C (fixed_subspace_coords) and, inside it, the
-torus t^{w_C}(gbar, k) (torus_subspace_coords), whose defining roots pair
-with coordinates through rows of the integer Cartan matrix.  Their
-consumers (projection, derived, moduli) read them as coordinates.
-
 quotient_diagram is the one cached quotient of the extended diagram by a
-subgroup, shared by every consumer.
+subgroup, and orbit_data the one cached orbit set, shared by every
+consumer.  The subspaces of the coordinate cross-checks (the fixed
+subspace of w_C and the tori t^{w_C}(gbar, k)) are in coroots.coords.
 """
 
 from __future__ import annotations
@@ -41,9 +36,11 @@ from .diagrams import (
     compose,
     connected_components,
     diagram_of,
+    orbit_kind,
+    orbits_of,
     quotient,
 )
-from .linalg import IVec, int_dot, kernel_basis, transpose
+from .linalg import IVec, transpose
 from .rootdata import SimpleType
 
 
@@ -260,53 +257,6 @@ def quotient_diagram(st: SimpleType, sub_: CenterSubgroup) -> AffineDiagram:
     return quotient(diagram_of(st), sub_.perms())
 
 
-@lru_cache(maxsize=None)
-def fixed_subspace_coords(st: SimpleType, sub_: CenterSubgroup) -> tuple[IVec, ...]:
-    """Simple-coroot coordinates of a basis of the subspace fixed by w_C.
-
-    The primitive integer kernel of the stacked M_e - I over the non-identity
-    elements e, computed once per (type, subgroup); the trivial subgroup
-    fixes everything and gets the unit vectors.
-    """
-    n = st.rank
-    rows = []
-    for e in sub_.elements:
-        if e.is_identity:
-            continue
-        m = perm_matrix_on_coroots_of(st, e.perm)
-        rows.extend(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))
-    if not rows:
-        return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-    return tuple(kernel_basis(rows))
-
-
-@lru_cache(maxsize=None)
-def torus_subspace_coords(st: SimpleType, sub_: CenterSubgroup, k: int) -> tuple[IVec, ...]:
-    """Simple-coroot coordinates of a basis of t^{w_C}(gbar, k).
-
-    That is the kernel, inside the fixed subspace, of the roots of the
-    orbits whose mark k does not divide (none in the degenerate case).  The
-    root of node o takes the value sum_i x_i n(i, o) on sum_i x_i a_i^vee,
-    so its row is column o of the catalog Cartan matrix.
-    """
-    orbits = orbit_data(st, sub_)
-    if orbits.degenerate:
-        return ()
-    fixed = fixed_subspace_coords(st, sub_)
-    cart = diagram_of(st).cartan
-    rows = []
-    for o in orbits.orbits:
-        if o.mark % k != 0:
-            col = tuple(cart[i][o.nodes[0]] for i in range(1, st.rank + 1))
-            rows.append(tuple(int_dot(b, col) for b in fixed))
-    if not rows:
-        return fixed
-    return tuple(
-        tuple(sum(c * b[i] for c, b in zip(ker, fixed)) for i in range(st.rank))
-        for ker in kernel_basis(rows)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Orbits of a center subgroup on the extended diagram
 
@@ -330,9 +280,10 @@ class OrbitSet(NamedTuple):
         return tuple(o.mark for o in self.orbits)
 
 
+@lru_cache(maxsize=None)
 def orbit_data(st: SimpleType, sub_: CenterSubgroup) -> OrbitSet:
-    from .diagrams import orbit_kind, orbits_of
-
+    """The orbits of a subgroup on the extended diagram, computed once per
+    (type, subgroup)."""
     dia = diagram_of(st)
     g = dia.marks
     orbs = orbits_of(sub_.perms(), dia.n_nodes)

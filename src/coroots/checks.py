@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from .center import all_subgroups
-from .derived import check_samediags, quotient_marked
+from .coords import DiagramReport, check_diagram1
+from .derived import check_samediags
 from .diagrams import diagram_of, label
 from .moduli import catalog_types, clock_report
-from .numerology import check_assumption, clocked, counts, marked
-from .projection import DiagramReport, check_diagram1
+from .numerology import check_assumption, clocked, counts, marked, quotient_marked
 from .rootdata import SimpleType
 
 

@@ -135,7 +135,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .projection import check_diagram1, project
+    from .coords import check_diagram1, project
 
     st = _parse_type(args.group)
     sub_ = _parse_center(st, args.center)
@@ -164,7 +164,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_derived(args) -> int:
-    from .derived import check_samediags, derived, quotient_marked
+    from .derived import check_samediags, derived
+    from .numerology import quotient_marked
 
     st = _parse_type(args.group)
     sub_ = _parse_center(st, args.center)

@@ -11,15 +11,16 @@ rebuilds the same diagram from exact coordinates and compares.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .center import (
-    CenterSubgroup,
-    _assert_a_type,
-    orbit_data,
-    quotient_diagram,
+from .center import CenterSubgroup, _assert_a_type, orbit_data
+from .coords import (
+    DiagramReport,
+    apply_projector,
+    form_products,
+    orbit_averages,
+    projector,
     torus_subspace_coords,
 )
 from .diagrams import (
@@ -31,14 +32,7 @@ from .diagrams import (
     make_diagram,
 )
 from .linalg import cartan_integers
-from .numerology import I_set, MarkedDiagram, marked
-from .projection import (
-    DiagramReport,
-    apply_projector,
-    form_products,
-    orbit_averages,
-    projector,
-)
+from .numerology import I_set, MarkedDiagram, quotient_marked
 from .rootdata import TRIVIAL, SimpleType
 
 TYPE_INF = "inf"
@@ -179,17 +173,11 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     return DerivedDiagram(m, k, survivors, types, ell, dia, res)
 
 
-@lru_cache(maxsize=None)
-def quotient_marked(st: SimpleType, sub_: CenterSubgroup) -> MarkedDiagram:
-    """The quotient diagram with the induced coroot integers as marking."""
-    return marked(quotient_diagram(st, sub_))
-
-
 def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramReport:
     """Derived diagram vs the coordinate diagram on t^{w_C}(gbar, k).
 
     The coordinate side projects the surviving orbit coroots orthogonally
-    onto t^{w_C}(gbar, k) (center.torus_subspace_coords) and takes exact
+    onto t^{w_C}(gbar, k) (coords.torus_subspace_coords) and takes exact
     Cartan integers, all in integer simple-coroot coordinates.
     """
     orbits = orbit_data(st, sub_)

@@ -15,11 +15,9 @@ from math import gcd
 from typing import NamedTuple
 
 from . import rootdata
-from .center import CenterSubgroup, all_subgroups, torus_subspace_coords
-from .derived import quotient_marked
+from .center import CenterSubgroup, all_subgroups
 from .diagrams import diagram_of
-from .numerology import ClockPartition, MarkedDiagram, clocked, marked
-from .projection import annihilator_factors
+from .numerology import ClockPartition, MarkedDiagram, clocked, marked, quotient_marked
 from .rootdata import TRIVIAL, SimpleType
 
 SHAPE_SBAR3 = "sbar3"  # (Sbar x Sbar x Sbar)/W
@@ -91,6 +89,9 @@ def _shape_cyclic(st: SimpleType, sub_: CenterSubgroup, m: MarkedDiagram, k: int
         return SHAPE_POINT
     if sub_.is_trivial:
         return SHAPE_SBAR3
+    from .coords import torus_subspace_coords
+    from .projection import annihilator_factors
+
     n0 = m.n0
     factors = annihilator_factors(st, torus_subspace_coords(st, sub_, k))
     non_a = [f for f in factors if f.family != "A"]

@@ -8,10 +8,13 @@ and the rotation-invariant partition of Z/2g by the J(x,r) windows.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
+from .center import CenterSubgroup, quotient_diagram
 from .diagrams import AffineDiagram
+from .rootdata import SimpleType
 
 
 def euler_phi(n: int) -> int:
@@ -59,6 +62,12 @@ def marked(diagram: AffineDiagram, n=None) -> MarkedDiagram:
         if tuple(x // g for x in n) != tuple(m // gm for m in diagram.marks):
             raise ValueError("node function is not a multiple of the marks")
     return MarkedDiagram(diagram, n)
+
+
+@lru_cache(maxsize=None)
+def quotient_marked(st: SimpleType, sub_: CenterSubgroup) -> MarkedDiagram:
+    """The quotient diagram with the induced coroot integers as marking."""
+    return marked(quotient_diagram(st, sub_))
 
 
 def I_set(m: MarkedDiagram, k: int) -> tuple[int, ...]:

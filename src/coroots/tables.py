@@ -17,11 +17,12 @@ from .center import (
     orbit_data,
     parse_center,
     quotient_diagram,
-    torus_subspace_coords,
 )
-from .derived import derived, quotient_marked
+from .coords import torus_subspace_coords
+from .derived import derived
 from .diagrams import classify, diagram_of, label, render_diagram
 from .moduli import catalog_types
+from .numerology import quotient_marked
 from .projection import annihilator_factors, nonmultipliable, projection_type, restricted_type
 from .rootdata import SimpleType
 

@@ -23,10 +23,11 @@ library's neighbour-driven search must agree with.
 from fractions import Fraction as Q
 from math import gcd, lcm
 
+from coroots.ambient import alcove, datum
 from coroots.diagrams import connected_components
 from coroots.linalg import add, is_zero, mat, scale, transpose
 from coroots.projection import _classify_components, _reflection_closure
-from coroots.rootdata import TRIVIAL, alcove, datum
+from coroots.rootdata import TRIVIAL
 
 # ---------------------------------------------------------------------------
 # Linear algebra on Fractions

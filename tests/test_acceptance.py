@@ -16,6 +16,7 @@ from coroots.center import (
     trivial_subgroup,
 )
 from coroots.cli import run_check_all
+from coroots.coords import check_diagram1, project
 from coroots.derived import check_samediags, derived, quotient_marked
 from coroots.diagrams import classify, diagram_of, quotient
 from coroots.moduli import (
@@ -27,13 +28,7 @@ from coroots.moduli import (
     units_mod,
 )
 from coroots.numerology import check_assumption, clocked, counts, euler_phi, marked
-from coroots.projection import (
-    check_diagram1,
-    nonmultipliable,
-    project,
-    projection_type,
-    restricted_type,
-)
+from coroots.projection import nonmultipliable, projection_type, restricted_type
 from coroots.rootdata import SimpleType, dual_coxeter, parse_type
 
 from test_center import oracle_winners

@@ -18,16 +18,15 @@ from coroots.center import (
     perm_matrix_on_coroots_of,
     trivial_subgroup,
 )
+from coroots.ambient import alcove, datum
 from coroots.linalg import add, sub as vsub, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
-    alcove,
     alcove_coroot_coords,
     center_element_inverse,
     center_element_sum,
     center_vertex_nodes,
-    datum,
     parse_type,
 )
 from oracles import (

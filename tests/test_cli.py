@@ -164,7 +164,7 @@ def test_check_all_past_the_catalog():
 
 def test_check_all_failure_lines_keep_their_reason(monkeypatch, capsys):
     import coroots.checks as checks
-    from coroots.projection import DiagramReport
+    from coroots.coords import DiagramReport
 
     monkeypatch.setattr(
         checks, "check_samediags", lambda st, sub_, k: DiagramReport(False, "forced mismatch")
@@ -275,6 +275,25 @@ def test_project_loads_no_moduli_layer():
     assert loaded.isdisjoint({"coroots.derived", "coroots.numerology", "coroots.moduli"})
 
 
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["components", "--group", "A13", "--center", "full"],
+         ("derived", "projection", "coords", "ambient")),
+        (["components", "--group", "C14", "--center", "full"], ("derived",)),
+        (["derived", "--group", "D13", "--center", "trivial", "--k", "2"], ("projection",)),
+    ],
+    ids=["components A13 full", "components C14 full", "derived D13 k=2"],
+)
+def test_rank_cliff_queries_load_only_the_layers_they_run(argv, unloaded):
+    """A13's full quotient is one node, so its components need no
+    coordinates; C14's need the torus and its annihilator but not the
+    derived diagrams; derived diagrams need coordinates but no root systems."""
+    rc, loaded = modules_loaded_by(argv)
+    assert rc == 0
+    assert loaded.isdisjoint({f"coroots.{m}" for m in unloaded}), loaded
+
+
 def test_check_all_reads_the_catalog_at_call_time():
     """A catalog_types patched after the CLI is imported, as the benchmark's
     catalog shuffle does, is the one check-all visits."""
@@ -311,20 +330,23 @@ def test_check_all_reads_the_catalog_at_call_time():
     ids=" ".join,
 )
 def test_cold_query_builds_no_datum(argv, tmp_path):
-    """Every query reads the bond table only: a cold run builds no ambient
-    root datum."""
+    """Every query reads the bond table only: a cold run neither imports
+    coroots.ambient nor builds an ambient root datum."""
     if argv[0] == "paper-tables":
         argv = argv + ["--out", str(tmp_path)]
     code = (
+        "import sys\n"
         "from coroots import rootdata\n"
         "from coroots.cli import main\n"
         f"assert main({argv!r}) == 0\n"
+        "print('ambient loaded', 'coroots.ambient' in sys.modules)\n"
         "print('datum misses', rootdata.datum.cache_info().misses)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2] == "ambient loaded False"
     assert proc.stdout.splitlines()[-1] == "datum misses 0"
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coroots.ambient import datum
 from coroots.center import all_subgroups, orbit_data, parse_center
 from coroots.diagrams import (
     AffineDiagram,
@@ -26,7 +27,7 @@ from coroots.projection import (
     projection_type,
     restricted_type,
 )
-from coroots.rootdata import SimpleType, datum, parse_type
+from coroots.rootdata import SimpleType, parse_type
 from oracles import close_under_reflections
 
 

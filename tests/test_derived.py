@@ -2,14 +2,15 @@ from fractions import Fraction as Q
 
 import pytest
 
+from coroots.ambient import datum
 from coroots.center import all_subgroups, orbit_data, parse_center, trivial_subgroup
 from coroots.derived import check_samediags, derived, node_type, quotient_marked
 from coroots.diagrams import diagram_of
 from coroots.linalg import add, dot, kernel_basis, mat, scale, vec, zero_vec
 from coroots.moduli import catalog_types
+from coroots.coords import DiagramReport
 from coroots.numerology import marked
-from coroots.projection import DiagramReport
-from coroots.rootdata import datum, parse_type
+from coroots.rootdata import parse_type
 from oracles import from_coroot_coords, perm_matrix_on_coroots, project_many
 
 

@@ -21,11 +21,12 @@ from coroots.diagrams import (
     orbits_of,
     quotient,
 )
+from coroots.ambient import datum
 from coroots.center import all_subgroups, center_group, quotient_diagram, subgroup_generated
 from coroots.derived import derived, quotient_marked
 from coroots.linalg import kernel_basis, to_int, transpose
 from coroots.moduli import catalog_types
-from coroots.rootdata import TRIVIAL, SimpleType, datum, extended_cartan, parse_type
+from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, parse_type
 from oracles import coroot_sq_lengths, scan_isomorphisms
 
 

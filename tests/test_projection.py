@@ -8,9 +8,9 @@ from coroots.center import (
     all_subgroups,
     orbit_data,
     parse_center,
-    torus_subspace_coords,
     trivial_subgroup,
 )
+from coroots.coords import check_diagram1, project, torus_subspace_coords
 from coroots.derived import quotient_marked
 from coroots.diagrams import diagram_of
 from coroots.linalg import (
@@ -31,16 +31,15 @@ from coroots.projection import (
     _simple_system,
     all_roots_of,
     annihilator_factors,
-    check_diagram1,
     classify_finite_cartan,
     fold,
     nonmultipliable,
-    project,
     projection_type,
     restricted_type,
     root_system,
 )
-from coroots.rootdata import SimpleType, datum, parse_type
+from coroots.ambient import datum
+from coroots.rootdata import SimpleType, parse_type
 from oracles import (
     cartan,
     classify_finite_roots,

@@ -10,11 +10,12 @@ import random
 
 import pytest
 
+from coroots.ambient import RootDatum, datum
 from coroots.center import parse_center
+from coroots.coords import DiagramReport, check_diagram1
 from coroots.diagrams import classify, diagram_of
 from coroots.moduli import ClockReport, catalog_types, clock_report
-from coroots.projection import DiagramReport, check_diagram1
-from coroots.rootdata import RootDatum, SimpleType, datum, parse_type
+from coroots.rootdata import SimpleType, parse_type
 
 
 def test_repr_format():

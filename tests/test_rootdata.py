@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from coroots.ambient import alcove, coroot_coord_matrix, datum
 from coroots.center import _check_homomorphism, center_group
 from coroots.diagrams import diagram_of
 from coroots.linalg import (
@@ -20,13 +21,10 @@ from coroots import rootdata
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
-    alcove,
     alcove_coroot_coords,
     center_element_inverse,
     center_element_sum,
     center_vertex_nodes,
-    coroot_coord_matrix,
-    datum,
     dual_coxeter,
     fundamental_group_order,
     parse_type,
