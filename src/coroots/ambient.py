@@ -38,6 +38,7 @@ from .linalg import (
 )
 from .rootdata import TRIVIAL, SimpleType, validate_type
 
+
 class RootDatum(NamedTuple):
     type: SimpleType
     ambient_dim: int
