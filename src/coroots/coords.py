@@ -3,14 +3,15 @@
 A vector sum_i x_i a_i^vee of the coroot span is its integer coordinate
 tuple x.  Every extended coroot is an integer vector there (e_i, or -g/g_0
 for node 0), and the form is one integer matrix B = s ((a_i^vee, a_j^vee))
-per type, read off the catalog diagram (coroot_form); root_form is the
-form on the simple roots up to a positive scale.  The orthogonal projector
-onto a span K is K (K^T B K)^{-1} K^T B, built once per span over one
-denominator from a single small inverse (projector), so projecting is int
-arithmetic.  Orbit averages are scaled to ints by one common L
-(orbit_averages); their pairwise B-values give the Cartan integers
-(linalg.cartan_integers) and the squared lengths as exact fractions over
-s L^2.
+per type, built in ints from the catalog diagram's Cartan integers and its
+integral squared lengths (coroot_form); root_form is the form on the simple
+roots up to a positive scale.  The orthogonal projector onto a span K is
+K (K^T B K)^{-1} K^T B, built once per span over one denominator from a
+single small inverse (projector), so projecting onto the tori of the
+derived-diagram cross-check is int arithmetic.  Orbit averages are scaled
+to ints by one common L (orbit_averages); their pairwise B-values give the
+Cartan integers (linalg.cartan_integers) and the squared lengths as exact
+fractions over s L^2.
 
 The subspaces the coordinate cross-checks work in are primitive integer
 bases cached per (type, subgroup): the fixed subspace of w_C
@@ -21,14 +22,17 @@ through rows of the integer Cartan matrix.
 project() computes the orbit-projected coroots pi(a^v) = (1/n) sum of the
 orbit, their exact Cartan integers and the classified type: the
 coordinate-level oracle that check_diagram1 compares node for node with
-the purely combinatorial quotient diagram.
+the purely combinatorial quotient diagram.  It checks each orbit average
+against the defining property of the orthogonal projection, with no
+inverse: every element of the subgroup fixes it, and the orbit's coroot
+minus it is B-orthogonal to the fixed subspace.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .center import (
@@ -50,29 +54,37 @@ from .linalg import (
 from .rootdata import TRIVIAL, SimpleType
 
 
-def _integer_form(st: SimpleType, entry) -> tuple[tuple[IVec, ...], int]:
-    """The matrix of entry(cartan, sq_lengths, i, j) over the finite nodes
-    of the catalog diagram, times the least positive integer s that makes
-    it integral; returns it and s."""
+def _integer_form(num, den: int) -> tuple[tuple[IVec, ...], int]:
+    """The matrix num / den times the least positive integer s that makes
+    it integral, and s: the numerators over their gcd with den."""
+    g = gcd(den, *(x for row in num for x in row))
+    return tuple(tuple(x // g for x in row) for row in num), den // g
+
+
+def _finite_part(st: SimpleType) -> tuple[list[IVec], list[int]]:
+    """The finite block of the catalog Cartan matrix and the squared
+    lengths of its nodes, which are integers (the shortest is 2)."""
     dia = diagram_of(st)
-    nodes = range(1, dia.n_nodes)
-    form = [[entry(dia.cartan, dia.sq_lengths, i, j) for j in nodes] for i in nodes]
-    s = lcm(*(x.denominator for row in form for x in row))
-    return tuple(tuple(int(x * s) for x in row) for row in form), s
+    if any(x.denominator != 1 for x in dia.sq_lengths):
+        raise AssertionError(f"non-integral squared length in the diagram of {st}")
+    return [row[1:] for row in dia.cartan[1:]], [x.numerator for x in dia.sq_lengths[1:]]
 
 
 @lru_cache(maxsize=None)
 def coroot_form(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
     """The form on the simple coroots as an integer matrix B, and its scale s:
     B = s ((a_i^vee, a_j^vee)), with (a_i^vee, a_j^vee) = n(i, j) |a_j^vee|^2 / 2."""
-    return _integer_form(st, lambda c, sq, i, j: c[i][j] * sq[j] / 2)
+    c, sq = _finite_part(st)
+    return _integer_form([[x * l for x, l in zip(row, sq)] for row in c], 2)
 
 
 @lru_cache(maxsize=None)
 def root_form(st: SimpleType) -> tuple[IVec, ...]:
     """The form on the simple roots as an integer matrix, a positive multiple
     of ((a_i, a_j)) = (2 n(i, j) / |a_i^vee|^2)."""
-    return _integer_form(st, lambda c, sq, i, j: 2 * c[i][j] / sq[i])[0]
+    c, sq = _finite_part(st)
+    den = lcm(*sq)
+    return _integer_form([[2 * (den // l) * x for x in row] for row, l in zip(c, sq)], den)[0]
 
 
 def products(form, vectors) -> list[list[int]]:
@@ -198,12 +210,19 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
         dia = AffineDiagram(((2,),), (sum(g),), (Q(2),))
         res = ClassifyResult(TRIVIAL, sum(g), (0,))
         return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
-    # dual route: the orbit averages must be the orthogonal projections
-    p, den = projector(st, span)
+    # dual route: each orbit average must be the orthogonal projection of
+    # the orbit's first coroot x, which it is exactly when it lies in the
+    # fixed subspace (every element fixes it) and x - avg is B-orthogonal to
+    # the span; in ints, the residual is x L - avg g_0
+    mats = [perm_matrix_on_coroots_of(st, e.perm) for e in sub_.elements if not e.is_identity]
+    form = coroot_form(st)[0]
+    walls = [tuple(int_dot(k, col) for col in form) for k in span]
     for o, avg in zip(orbits.orbits, avgs):
-        direct = apply_projector(p, _extended_coroot_coords(g, o.nodes[0]))
-        # avg / common == direct / (den g_0)
-        if any(a * den * g[0] != b * common for a, b in zip(avg, direct)):
+        x = _extended_coroot_coords(g, o.nodes[0])
+        residual = tuple(a * common - b * g[0] for a, b in zip(x, avg))
+        if any(tuple(int_dot(row, avg) for row in m) != avg for m in mats) or any(
+            int_dot(residual, w) for w in walls
+        ):
             raise AssertionError("orbit average differs from orthogonal projection")
     if not all(map(any, avgs)):
         raise AssertionError("nonzero projection expected off the degenerate case")

@@ -14,7 +14,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import rootdata
-from .linalg import kernel_basis, transpose
+from .linalg import IVec, int_dot, kernel_basis, transpose
 from .rootdata import FAMILIES, TRIVIAL, SimpleType
 
 
@@ -95,6 +95,8 @@ class DiagramError(ValueError):
 
 
 def _check_gcm(cartan) -> None:
+    """An indecomposable generalized Cartan matrix, or DiagramError naming
+    the first condition that fails."""
     n = len(cartan)
     if any(len(row) != n for row in cartan):
         raise DiagramError("cartan matrix is not square")
@@ -106,6 +108,8 @@ def _check_gcm(cartan) -> None:
                 raise DiagramError(f"positive off-diagonal entry at ({i},{j})")
             if i != j and (cartan[i][j] == 0) != (cartan[j][i] == 0):
                 raise DiagramError(f"asymmetric zero pattern at ({i},{j})")
+    if len(connected_components(range(n), lambda u, v: cartan[u][v])) != 1:
+        raise DiagramError("cartan matrix is decomposable")
 
 
 def connected_components(nodes, adjacent) -> list[list]:
@@ -134,10 +138,13 @@ def is_affine_type(cartan) -> tuple[int, ...] | None:
     indecomposable; violations are rejected with the failing condition.
     A single node is the degenerate rank-0 diagram with marks (1,).
     """
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    return _relation_vector(tuple(tuple(int(x) for x in row) for row in cartan))
+
+
+@lru_cache(maxsize=None)
+def _relation_vector(cartan: tuple[IVec, ...]) -> tuple[int, ...] | None:
+    """is_affine_type on a matrix of ints, once per matrix."""
     _check_gcm(cartan)
-    if len(connected_components(range(len(cartan)), lambda u, v: cartan[u][v])) != 1:
-        raise DiagramError("cartan matrix is decomposable")
     if len(cartan) == 1:
         return (1,)
     ker = kernel_basis(transpose(cartan))
@@ -149,20 +156,45 @@ def is_affine_type(cartan) -> tuple[int, ...] | None:
     return None
 
 
-def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
-    """Validated AffineDiagram; marks/lengths are derived when omitted."""
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
-    derived_marks = is_affine_type(cartan)
-    if derived_marks is None:
+@lru_cache(maxsize=None)
+def _check_affine_marks(cartan: tuple[IVec, ...], marks: IVec) -> None:
+    """Accept (cartan, marks) as an affine GCM with its relation vector
+    times a positive integer, or raise DiagramError.
+
+    Kac's criterion decides it in O(n^2) int operations: an indecomposable
+    GCM whose transpose kills a positive vector is of affine type, and that
+    vector spans the kernel (Kac, Infinite-dimensional Lie algebras, Thm 4.3
+    and Cor. 4.3).  The single node is the rank-0 diagram, any positive
+    mark.  Only a failure runs the elimination, which names it.
+    """
+    _check_gcm(cartan)
+    n = len(cartan)
+    if len(marks) == n and all(m > 0 for m in marks) and (
+        n == 1 or not any(int_dot(marks, col) for col in zip(*cartan))
+    ):
+        return
+    if _relation_vector(cartan) is None:
         raise DiagramError("cartan matrix is not of affine type")
+    if any(m <= 0 for m in marks):
+        raise DiagramError("marks must be positive")
+    raise DiagramError("marks are not the affine relation vector")
+
+
+def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
+    """Validated AffineDiagram; marks/lengths are derived when omitted.
+
+    Given marks are checked by Kac's criterion (_check_affine_marks), once
+    per (cartan, marks); omitted ones are the kernel of the transpose, and
+    omitted lengths follow from the Cartan integers, each once per matrix.
+    """
+    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
     if marks is None:
-        marks = derived_marks
+        marks = _relation_vector(cartan)
+        if marks is None:
+            raise DiagramError("cartan matrix is not of affine type")
     else:
         marks = tuple(int(m) for m in marks)
-        if len(cartan) > 1:
-            g = gcd(*marks)
-            if tuple(m // g for m in marks) != derived_marks:
-                raise DiagramError("marks are not the affine relation vector")
+        _check_affine_marks(cartan, marks)
     if sq_lengths is None:
         sq_lengths = _lengths_from_cartan(cartan)
     else:
@@ -171,8 +203,10 @@ def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
     return AffineDiagram(cartan, marks, sq_lengths)
 
 
-def _lengths_from_cartan(cartan) -> tuple[Q, ...]:
-    """Squared lengths consistent with the Cartan integers, min scaled to 2."""
+@lru_cache(maxsize=None)
+def _lengths_from_cartan(cartan: tuple[IVec, ...]) -> tuple[Q, ...]:
+    """Squared lengths consistent with the Cartan integers, min scaled to 2,
+    once per matrix."""
     n = len(cartan)
     lens: list[Q | None] = [None] * n
     lens[0] = Q(1)
@@ -193,9 +227,14 @@ def _lengths_from_cartan(cartan) -> tuple[Q, ...]:
 
 
 def _check_lengths(cartan, lens) -> None:
-    """n(u,v) l(v)^2 = n(v,u) l(u)^2 on every bonded pair (_check_gcm has
-    shown that both entries of an unbonded pair are zero)."""
+    """One positive squared length per node, with n(u,v) l(v)^2 =
+    n(v,u) l(u)^2 on every bonded pair (_check_gcm has shown that both
+    entries of an unbonded pair are zero)."""
     n = len(cartan)
+    if len(lens) != n:
+        raise DiagramError(f"{len(lens)} squared lengths for {n} nodes")
+    if any(x <= 0 for x in lens):
+        raise DiagramError("squared lengths must be positive")
     for u in range(n):
         for v in range(u + 1, n):
             if cartan[u][v] and cartan[u][v] * lens[v] != cartan[v][u] * lens[u]:
@@ -342,17 +381,23 @@ def classify(d: AffineDiagram) -> ClassifyResult | None:
     """Catalog type whose extended coroot diagram is isomorphic to d.
 
     Marks must match the catalog coroot integers up to one global integer
-    factor; lengths may be rescaled.  d's invariants are computed once, the
-    catalog's once per type, and _isomorphisms rejects a candidate whose
-    sorted invariants differ without a search.  Returns None only for
-    diagrams outside the catalog, which affine-type input never is.
+    factor; lengths may be rescaled, and are not read: the answer is
+    computed once per (cartan, marks).  d's invariants are computed once,
+    the catalog's once per type, and _isomorphisms rejects a candidate
+    whose sorted invariants differ without a search.  Returns None only
+    for diagrams outside the catalog, which affine-type input never is.
     """
-    if d.n_nodes == 1:
-        return ClassifyResult(TRIVIAL, d.marks[0], (0,))
-    scale = gcd(*d.marks)
-    probe = AffineDiagram(d.cartan, tuple(m // scale for m in d.marks), d.sq_lengths)
+    return _classify(tuple(map(tuple, d.cartan)), tuple(d.marks))
+
+
+@lru_cache(maxsize=None)
+def _classify(cartan: tuple[IVec, ...], marks: IVec) -> ClassifyResult | None:
+    if len(marks) == 1:
+        return ClassifyResult(TRIVIAL, marks[0], (0,))
+    scale = gcd(*marks)
+    probe = AffineDiagram(cartan, tuple(m // scale for m in marks), ())
     inv = _invariants(probe)
-    for st in _candidate_types(d.n_nodes - 1):
+    for st in _candidate_types(len(marks) - 1):
         iso = _isomorphisms(
             probe, inv, diagram_of(st), _catalog_invariants(st), first_only=True
         )

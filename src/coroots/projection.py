@@ -126,15 +126,21 @@ def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
 
 def annihilator_factors(st: SimpleType, coords) -> list[SimpleType]:
     """Simple factors of the root subsystem vanishing on a subspace, given
-    by the simple-coroot coordinates of a basis.
+    by the simple-coroot coordinates of a basis; a fresh list, computed once
+    per (type, basis).
 
     A root r takes the value sum_i x_i r(a_i^vee) on sum_i x_i a_i^vee.
     """
+    return list(_annihilator_factors(st, tuple(map(tuple, coords))))
+
+
+@lru_cache(maxsize=None)
+def _annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[SimpleType, ...]:
     roots, values = root_system(st)
-    return _classify_components(
+    return tuple(_classify_components(
         [r for r, v in zip(roots, values) if not any(int_dot(v, x) for x in coords)],
         root_form(st),
-    )
+    ))
 
 
 def _classify_components(roots: list[IVec], form) -> list[SimpleType]:

@@ -18,13 +18,21 @@ orders per family.  Two more routes follow it: the Weyl part w_c of each
 central element as a product of longest elements, which shares no code
 with coroots.center, and the full-scan isomorphism search that the
 library's neighbour-driven search must agree with.
+
+The last section keeps the inverse route to the projected coroots that
+coords.project once took: each orbit's first extended coroot times the
+projector (coords.projector), built from one small inverse.  project now
+checks the defining properties of the projection instead, so the two
+share no step.
 """
 
 from fractions import Fraction as Q
 from math import gcd, lcm
 
 from coroots.ambient import alcove, datum
-from coroots.diagrams import connected_components
+from coroots.center import orbit_data
+from coroots.coords import apply_projector, fixed_subspace_coords, projector
+from coroots.diagrams import connected_components, diagram_of
 from coroots.linalg import add, is_zero, mat, scale, transpose
 from coroots.projection import _classify_components, _reflection_closure
 from coroots.rootdata import TRIVIAL
@@ -404,3 +412,21 @@ def classify_finite_roots(roots, gram):
 def classify_root_components(roots, gram):
     """Types of the irreducible factors of a finite root system, sorted."""
     return _classify_components(*_scaled(roots, gram)[:2])
+
+
+# ---------------------------------------------------------------------------
+# Projected coroots by the projector's inverse
+
+
+def projected_coroots_by_inverse(st, sub_):
+    """P x for each orbit's first extended coroot x, in simple-coroot
+    coordinates over one common denominator: (the vectors times it, it).
+    P is coords.projector of the fixed subspace; x is the coroot times g_0."""
+    g = diagram_of(st).marks
+    p, den = projector(st, fixed_subspace_coords(st, sub_))
+    firsts = []
+    for o in orbit_data(st, sub_).orbits:
+        u = o.nodes[0]
+        firsts.append(tuple(-x for x in g[1:]) if u == 0 else
+                      tuple(g[0] * (i == u) for i in range(1, len(g))))
+    return [apply_projector(p, x) for x in firsts], den * g[0]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coroots.cli import main, run_check_all
+from coroots.cli import build_parser, main, run_check_all
 from coroots.diagrams import AffineDiagram
 from coroots.moduli import record_from_json
 from coroots.rootdata import SimpleType
@@ -418,3 +418,19 @@ def test_paper_tables_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("COROOTS_TABLE_DIR", str(tmp_path / "envdir"))
     assert main(["paper-tables", "--max-rank", "3"]) == 0
     assert (tmp_path / "envdir" / "coroot-diagrams.txt").exists()
+
+
+def test_format_json_is_accepted_by_the_commands_the_readme_lists():
+    """README names the subcommands with --format; the others exit 2 on it."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    with_format = {
+        name for name, sub in subparsers.items()
+        if any("--format" in a.option_strings for a in sub._actions)
+    }
+    assert with_format == {
+        "datum", "quotient", "project", "derived", "components", "clock", "rank-zero"
+    }
+    for name in set(subparsers) - with_format:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--format", "json"])
+        assert exc.value.code == 2

@@ -1,5 +1,10 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from coroots.diagrams import (
 )
 from coroots.ambient import datum
 from coroots.center import all_subgroups, center_group, quotient_diagram, subgroup_generated
+from coroots.coords import project
 from coroots.derived import derived, quotient_marked
 from coroots.linalg import kernel_basis, to_int, transpose
 from coroots.moduli import catalog_types
@@ -82,6 +88,8 @@ def test_classify_examples():
     assert bc1.type == SimpleType("BC", 1)
     single = classify(AffineDiagram(((2,),), (7,), (None,)))
     assert single.type == TRIVIAL and single.scale == 7
+    # a diagram built with lists classifies as the tuple one does
+    assert classify(AffineDiagram([[2, -4], [-1, 2]], [1, 2], None)) == bc1
 
 
 def test_classify_is_mark_sensitive():
@@ -267,6 +275,36 @@ def test_classify_is_invariant_under_relabeling(data):
     )
 
 
+def test_make_diagram_rejects_non_positive_marks():
+    """Marks are a positive multiple of the relation vector on every size,
+    the single node included."""
+    cycle = diagram_of(parse_type("A2")).cartan
+    for cartan, marks in [
+        ([[2]], [-3]), ([[2]], [0]), ([[2, -2], [-2, 2]], [0, 0]),
+        ([[2, -2], [-2, 2]], [-1, -1]), (cycle, (1, 0, 1)),
+    ]:
+        with pytest.raises(DiagramError, match="marks must be positive"):
+            make_diagram(cartan, marks)
+    with pytest.raises(DiagramError, match="marks are not the affine relation vector"):
+        make_diagram([[2]], [1, 1])
+    assert classify(make_diagram([[2]], [3])) == (TRIVIAL, 3, (0,))
+
+
+def test_make_diagram_rejects_bad_length_lists():
+    """One positive squared length per node, on every size."""
+    a2 = diagram_of(parse_type("A2"))
+    for lens in [(2, 2), (2, 2, 2, 2)]:
+        with pytest.raises(DiagramError, match=f"{len(lens)} squared lengths for 3 nodes"):
+            make_diagram(a2.cartan, a2.marks, lens)
+    for cartan, marks, lens in [
+        ([[2]], [1], [0]), ([[2]], [1], [-2]), (a2.cartan, a2.marks, (-2, -2, -2)),
+        (a2.cartan, a2.marks, (0, 0, 0)),
+    ]:
+        with pytest.raises(DiagramError, match="squared lengths must be positive"):
+            make_diagram(cartan, marks, lens)
+    assert make_diagram([[2]], [1], [4]).sq_lengths == (4,)
+
+
 def test_make_diagram_rejects_inconsistent_lengths():
     """n(u,v) l(v)^2 = n(v,u) l(u)^2 must hold on every bond."""
     c3 = diagram_of(parse_type("C3"))
@@ -320,3 +358,134 @@ def test_quotient_is_invariant_under_relabeling(data):
             assert q_new.cartan[tau[i]][tau[j]] == q.cartan[i][j]
     res, res_new = classify(q), classify(q_new)
     assert (res_new.type, res_new.scale) == (res.type, res.scale)
+
+
+# ---------------------------------------------------------------------------
+# Kac's criterion against the kernel of the transpose
+
+
+def _kernel_route(cartan, marks):
+    """make_diagram's check of given marks by elimination alone: the
+    relation vector of is_affine_type against the marks over their gcd."""
+    rel = is_affine_type(cartan)
+    if rel is None:
+        raise DiagramError("cartan matrix is not of affine type")
+    if len(cartan) > 1 and tuple(m // gcd(*marks) for m in marks) != rel:
+        raise DiagramError("marks are not the affine relation vector")
+
+
+def _outcome(fn, *args):
+    """None if fn(*args) returns, else the DiagramError's message."""
+    try:
+        fn(*args)
+    except DiagramError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_routes_agree(cartan, marks):
+    want = _outcome(_kernel_route, cartan, marks)
+    assert _outcome(make_diagram, cartan, marks) == want, (cartan, marks)
+    if want is None:
+        assert make_diagram(cartan, marks).marks == tuple(marks)
+
+
+@lru_cache(maxsize=None)
+def _check_all_diagrams(max_rank):
+    """The distinct (cartan, marks) of every diagram run_check_all builds:
+    catalog, quotient, projected and derived."""
+    out = set()
+    bc = [SimpleType("BC", n) for n in range(1, max_rank + 1)]
+    for st in catalog_types(max_rank) + bc:
+        dias = [diagram_of(st)]
+        for sub_ in all_subgroups(st) if st.family != "BC" else []:
+            mq = quotient_marked(st, sub_)
+            dias += [quotient_diagram(st, sub_), project(st, sub_).diagram]
+            dias += [derived(mq, k).diagram for k in mq.admissible_orders()]
+        out.update((d.cartan, d.marks) for d in dias)
+    return sorted(out)
+
+
+def test_kac_route_matches_the_kernel_on_check_all_diagrams():
+    """Every diagram of check-all --max-rank 12 is accepted with its marks
+    and their multiples; one mark raised by 1 is rejected by both routes
+    alike (a single node takes any positive mark)."""
+    for cartan, marks in _check_all_diagrams(12):
+        _assert_routes_agree(cartan, marks)
+        _assert_routes_agree(cartan, tuple(3 * m for m in marks))
+        for u in range(len(marks)):
+            _assert_routes_agree(cartan, marks[:u] + (marks[u] + 1,) + marks[u + 1 :])
+
+
+_BONDS = [(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-1, -4), (-4, -1),
+          (-2, -2), (0, -1), (1, -1)]
+
+
+@hst.composite
+def _gcms_with_positive_vectors(draw):
+    """A small square matrix, mostly a GCM, and a positive vector; when the
+    matrix is affine the vector is often a multiple of its relation vector."""
+    n = draw(hst.integers(1, 5))
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cartan[i][j], cartan[j][i] = draw(hst.sampled_from(_BONDS))
+    if draw(hst.integers(0, 9)) == 0:
+        i = draw(hst.integers(0, n - 1))
+        cartan[i][i] = draw(hst.sampled_from([0, 1, 3]))
+    cartan = tuple(map(tuple, cartan))
+    marks = tuple(draw(hst.lists(hst.integers(1, 6), min_size=n, max_size=n)))
+    if draw(hst.booleans()):
+        try:
+            rel = is_affine_type(cartan)
+        except DiagramError:
+            rel = None
+        if rel is not None:
+            marks = tuple(draw(hst.integers(1, 3)) * x for x in rel)
+    return cartan, marks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gcms_with_positive_vectors())
+def test_kac_route_matches_the_kernel_on_random_gcms(case):
+    _assert_routes_agree(*case)
+
+
+_CACHE_GUARD = """
+import json
+from coroots import diagrams
+
+seen = {}
+for name in ("_check_affine_marks", "_classify", "_relation_vector", "_lengths_from_cartan"):
+    cached, keys, calls = getattr(diagrams, name), set(), [0]
+
+    def spy(*key, cached=cached, keys=keys, calls=calls):
+        keys.add(key)
+        calls[0] += 1
+        return cached(*key)
+
+    setattr(diagrams, name, spy)
+    seen[name] = (cached, keys, calls)
+from coroots.checks import run_check_all
+
+assert run_check_all(6, lambda line: None)
+out = {}
+for name, (cached, keys, calls) in seen.items():
+    info = cached.cache_info()
+    out[name] = [calls[0], len(keys), info.hits, info.misses]
+print(json.dumps(out))
+"""
+
+
+def test_check_all_validates_and_classifies_each_diagram_once():
+    """A cold run_check_all(6) misses the validation and classification
+    caches once per distinct (cartan, marks), and those of the relation
+    vector and the lengths once per distinct matrix, and hits them on every
+    repeat."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CACHE_GUARD], capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parent.parent,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, (calls, distinct, hits, misses) in json.loads(proc.stdout).items():
+        assert misses == distinct and hits == calls - distinct > 0, (name, calls, distinct)

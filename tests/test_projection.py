@@ -1,6 +1,7 @@
 """The fixed-subspace systems: projections, restrictions, foldings."""
 
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -10,7 +11,14 @@ from coroots.center import (
     parse_center,
     trivial_subgroup,
 )
-from coroots.coords import check_diagram1, project, torus_subspace_coords
+from coroots import coords
+from coroots.coords import (
+    check_diagram1,
+    coroot_form,
+    project,
+    root_form,
+    torus_subspace_coords,
+)
 from coroots.derived import quotient_marked
 from coroots.diagrams import diagram_of
 from coroots.linalg import (
@@ -52,6 +60,7 @@ from oracles import (
     pairing,
     perm_matrix_on_coroots,
     project_many,
+    projected_coroots_by_inverse,
 )
 
 SWEEP = (
@@ -592,3 +601,72 @@ def test_subspace_for_matches_ambient_kernel_route(st):
         for k in quotient_marked(st, sub_).admissible_orders():
             space = [from_coroot_coords(d, c) for c in torus_subspace_coords(st, sub_, k)]
             assert _same_span(space, _ambient_subspace(d, sub_, k)), (st, sub_.nodes, k)
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(40) + [SimpleType("BC", n) for n in range(1, 41)], ids=lbl
+)
+def test_integer_forms_match_the_fraction_forms(st):
+    """coroot_form and root_form, built in ints, equal the Fraction matrices
+    of the catalog diagram's entries times the least integral scale."""
+    dia = diagram_of(st)
+    c, sq, nodes = dia.cartan, dia.sq_lengths, range(1, dia.n_nodes)
+
+    def fraction_form(entry):
+        form = [[entry(i, j) for j in nodes] for i in nodes]
+        s = lcm(*(x.denominator for row in form for x in row))
+        return tuple(tuple(int(x * s) for x in row) for row in form), s
+
+    assert coroot_form(st) == fraction_form(lambda i, j: c[i][j] * sq[j] / 2)
+    assert root_form(st) == fraction_form(lambda i, j: 2 * c[i][j] / sq[i])[0]
+
+
+@pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
+def test_project_agrees_with_the_inverse_route(st):
+    """The orbit averages that project() checks by the projection's
+    defining properties are the projector's images of the orbits' first
+    coroots."""
+    for sub_ in all_subgroups(st):
+        ps = project(st, sub_)
+        if ps.orbits.degenerate:
+            continue
+        direct, den = projected_coroots_by_inverse(st, sub_)
+        for avg, x in zip(ps.averages, direct, strict=True):
+            assert tuple(a * den for a in avg) == tuple(b * ps.scale for b in x), (st, sub_.nodes)
+
+
+@pytest.mark.parametrize("st", catalog_types(6), ids=lbl)
+def test_project_rejects_a_shifted_orbit_average(st, monkeypatch):
+    """One orbit average moved by one unit in one coordinate, or by a vector
+    B-orthogonal to the fixed subspace (which leaves the residual
+    orthogonal but the subspace), is no longer the orthogonal projection,
+    and project() says so."""
+    averages = coords.orbit_averages
+    g = diagram_of(st).marks
+    form = coroot_form(st)[0]
+    for sub_ in all_subgroups(st):
+        orbits = orbit_data(st, sub_)
+        if orbits.degenerate:
+            continue
+        avgs, common = averages(g, orbits.orbits)
+        walls = [[int_dot(k, col) for col in form] for k in coords.fixed_subspace_coords(st, sub_)]
+        steps = [tuple(int(i == j) for i in range(st.rank)) for j in range(st.rank)]
+        steps += kernel_basis(walls)[:1]
+        for i, avg in enumerate(avgs):
+            for step in steps:
+                shifted = avgs[:i] + [tuple(map(sum, zip(avg, step)))] + avgs[i + 1 :]
+                monkeypatch.setattr(coords, "orbit_averages", lambda *_: (shifted, common))
+                with pytest.raises(AssertionError, match="orbit average differs from orthogonal projection"):
+                    project(st, sub_)
+        monkeypatch.setattr(coords, "orbit_averages", averages)
+        project(st, sub_)
+
+
+def test_annihilator_factors_returns_a_fresh_list():
+    st = parse_type("C6")
+    span = torus_subspace_coords(st, parse_center(st, "full"), 2)
+    first = annihilator_factors(st, span)
+    assert first
+    first.append(SimpleType("A", 1))
+    assert annihilator_factors(st, span) == first[:-1]
+    assert annihilator_factors(st, [list(x) for x in span]) == first[:-1]
