@@ -19,11 +19,10 @@ central element as a product of longest elements, which shares no code
 with coroots.center, and the full-scan isomorphism search that the
 library's neighbour-driven search must agree with.
 
-The last section keeps the inverse route to the projected coroots that
-coords.project once took: each orbit's first extended coroot times the
-projector (coords.projector), built from one small inverse.  project now
-checks the defining properties of the projection instead, so the two
-share no step.
+The last section is the inverse route to the projected coroots: each
+orbit's first extended coroot times the projector (coords.projector),
+built from one small inverse.  coords.project checks the defining property
+of the projection instead, so the two share no step.
 """
 
 from fractions import Fraction as Q

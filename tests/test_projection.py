@@ -638,9 +638,9 @@ def test_project_agrees_with_the_inverse_route(st):
 @pytest.mark.parametrize("st", catalog_types(6), ids=lbl)
 def test_project_rejects_a_shifted_orbit_average(st, monkeypatch):
     """One orbit average moved by one unit in one coordinate, or by a vector
-    B-orthogonal to the fixed subspace (which leaves the residual
-    orthogonal but the subspace), is no longer the orthogonal projection,
-    and project() says so."""
+    B-orthogonal to the fixed subspace (which keeps the residual orthogonal
+    but leaves the subspace), is no longer the orthogonal projection, and
+    project() says so."""
     averages = coords.orbit_averages
     g = diagram_of(st).marks
     form = coroot_form(st)[0]
