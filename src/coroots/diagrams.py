@@ -14,7 +14,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import rootdata
-from .linalg import IVec, int_dot, kernel_basis, transpose
+from .linalg import IVec, kernel_basis, transpose
 from .rootdata import FAMILIES, TRIVIAL, SimpleType
 
 
@@ -156,45 +156,27 @@ def _relation_vector(cartan: tuple[IVec, ...]) -> tuple[int, ...] | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _check_affine_marks(cartan: tuple[IVec, ...], marks: IVec) -> None:
-    """Accept (cartan, marks) as an affine GCM with its relation vector
-    times a positive integer, or raise DiagramError.
-
-    Kac's criterion decides it in O(n^2) int operations: an indecomposable
-    GCM whose transpose kills a positive vector is of affine type, and that
-    vector spans the kernel (Kac, Infinite-dimensional Lie algebras, Thm 4.3
-    and Cor. 4.3).  The single node is the rank-0 diagram, any positive
-    mark.  Only a failure runs the elimination, which names it.
-    """
-    _check_gcm(cartan)
-    n = len(cartan)
-    if len(marks) == n and all(m > 0 for m in marks) and (
-        n == 1 or not any(int_dot(marks, col) for col in zip(*cartan))
-    ):
-        return
-    if _relation_vector(cartan) is None:
-        raise DiagramError("cartan matrix is not of affine type")
-    if any(m <= 0 for m in marks):
-        raise DiagramError("marks must be positive")
-    raise DiagramError("marks are not the affine relation vector")
-
-
 def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
     """Validated AffineDiagram; marks/lengths are derived when omitted.
 
-    Given marks are checked by Kac's criterion (_check_affine_marks), once
-    per (cartan, marks); omitted ones are the kernel of the transpose, and
-    omitted lengths follow from the Cartan integers, each once per matrix.
+    The relation vector and the lengths derived from the Cartan integers
+    are computed once per matrix; given marks must be positive and the
+    relation vector times their gcd.
     """
     cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    rel = _relation_vector(cartan)
+    if rel is None:
+        raise DiagramError("cartan matrix is not of affine type")
     if marks is None:
-        marks = _relation_vector(cartan)
-        if marks is None:
-            raise DiagramError("cartan matrix is not of affine type")
+        marks = rel
     else:
         marks = tuple(int(m) for m in marks)
-        _check_affine_marks(cartan, marks)
+        if any(m <= 0 for m in marks):
+            raise DiagramError("marks must be positive")
+        if len(marks) != len(rel) or (
+            len(rel) > 1 and tuple(m // gcd(*marks) for m in marks) != rel
+        ):
+            raise DiagramError("marks are not the affine relation vector")
     if sq_lengths is None:
         sq_lengths = _lengths_from_cartan(cartan)
     else:
@@ -254,16 +236,17 @@ def diagram_of(st: SimpleType) -> AffineDiagram:
 # isomorphism and automorphisms
 
 
-def _invariants(d: AffineDiagram) -> tuple[tuple, tuple, tuple]:
-    """Per-node isomorphism invariants (marks, Cartan integers), their sorted
-    list, and each node's neighbours in ascending order.
+def _invariants(c: tuple[IVec, ...], marks: IVec) -> tuple[tuple, tuple, tuple]:
+    """Per-node isomorphism invariants of a Cartan matrix with node marks
+    (the mark and the Cartan integers), their sorted list, and each node's
+    neighbours in ascending order.
 
-    Lengths are left out: a bijection that preserves the Cartan integers of
-    an indecomposable matrix preserves the ratios of its lengths too.
+    Lengths are not needed: a bijection that preserves the Cartan integers
+    of an indecomposable matrix preserves the ratios of its lengths too.
     """
-    c, nodes = d.cartan, range(d.n_nodes)
+    nodes = range(len(c))
     nbrs = tuple(tuple(v for v in nodes if v != u and (c[u][v] or c[v][u])) for u in nodes)
-    base = [(m, tuple(sorted(row)), tuple(sorted(col))) for m, row, col in zip(d.marks, c, zip(*c))]
+    base = [(m, tuple(sorted(row)), tuple(sorted(col))) for m, row, col in zip(marks, c, zip(*c))]
     # one round of neighbor refinement
     inv = tuple((base[u], tuple(sorted(base[v] for v in nbrs[u]))) for u in nodes)
     return inv, tuple(sorted(inv)), nbrs
@@ -271,25 +254,26 @@ def _invariants(d: AffineDiagram) -> tuple[tuple, tuple, tuple]:
 
 @lru_cache(maxsize=None)
 def _catalog_invariants(st: SimpleType) -> tuple[tuple, tuple, tuple]:
-    return _invariants(diagram_of(st))
+    d = diagram_of(st)
+    return _invariants(d.cartan, d.marks)
 
 
-def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: bool):
-    """Node bijections p with cartan2[p(u)][p(v)] == cartan1[u][v] and equal marks.
+def _isomorphisms(c1: tuple[IVec, ...], inv1, c2: tuple[IVec, ...], inv2, first_only: bool):
+    """Node bijections p with c2[p(u)][p(v)] == c1[u][v] and equal marks.
 
-    inv1, inv2 are _invariants(d1), _invariants(d2), which callers compute
-    once.  Nodes of d1 are placed in the order a graph search reaches them,
-    so each new node u but a component's first has a placed neighbour; u's
+    inv1, inv2 are the _invariants of (c1, marks1) and (c2, marks2), which
+    callers compute once; the marks enter only through them.  Nodes of c1
+    are placed in the order a graph search reaches them, so each new node
+    u but a component's first has a placed neighbour; u's
     image is drawn, in ascending order, from the neighbours of that
     neighbour's image, since any other target breaks the bond.  The bonds
     of u are checked against its placed neighbours only, and the image must
     have as many placed neighbours, so no other bond appears.
     """
-    if d1.n_nodes != d2.n_nodes or inv1[1] != inv2[1]:
+    if len(c1) != len(c2) or inv1[1] != inv2[1]:
         return []
-    n = d1.n_nodes
+    n = len(c1)
     (inv1, _, nbrs1), (inv2, _, nbrs2) = inv1, inv2
-    c1, c2 = d1.cartan, d2.cartan  # locals: field reads are slow in the search loop
     order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
     pos = {u: i for i, u in enumerate(order)}
     # per step: the node and its neighbours placed before it
@@ -329,8 +313,8 @@ def _isomorphisms(d1: AffineDiagram, inv1, d2: AffineDiagram, inv2, first_only: 
 
 def automorphism_group(d: AffineDiagram) -> list[tuple[int, ...]]:
     """All mark-preserving Cartan-matrix automorphisms, sorted."""
-    inv = _invariants(d)
-    return sorted(_isomorphisms(d, inv, d, inv, first_only=False))
+    inv = _invariants(d.cartan, d.marks)
+    return sorted(_isomorphisms(d.cartan, inv, d.cartan, inv, first_only=False))
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -395,11 +379,10 @@ def _classify(cartan: tuple[IVec, ...], marks: IVec) -> ClassifyResult | None:
     if len(marks) == 1:
         return ClassifyResult(TRIVIAL, marks[0], (0,))
     scale = gcd(*marks)
-    probe = AffineDiagram(cartan, tuple(m // scale for m in marks), ())
-    inv = _invariants(probe)
+    inv = _invariants(cartan, tuple(m // scale for m in marks))
     for st in _candidate_types(len(marks) - 1):
         iso = _isomorphisms(
-            probe, inv, diagram_of(st), _catalog_invariants(st), first_only=True
+            cartan, inv, diagram_of(st).cartan, _catalog_invariants(st), first_only=True
         )
         if iso:
             return ClassifyResult(st, scale, iso[0])

@@ -31,7 +31,6 @@ from .center import CenterSubgroup, orbit_data
 # check_diagram1 is imported for perfbench's worker, which reads it here
 from .coords import check_diagram1, products, project, root_form  # noqa: F401
 from .diagrams import (
-    AffineDiagram,
     _candidate_types,
     _invariants,
     _isomorphisms,
@@ -124,18 +123,14 @@ def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
     return tuple(sorted(ambient_roots(st, root_system(st)[0])))
 
 
-def annihilator_factors(st: SimpleType, coords) -> list[SimpleType]:
+@lru_cache(maxsize=None)
+def annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[SimpleType, ...]:
     """Simple factors of the root subsystem vanishing on a subspace, given
-    by the simple-coroot coordinates of a basis; a fresh list, computed once
-    per (type, basis).
+    by the simple-coroot coordinates of a basis (a tuple of int tuples, as
+    coords.torus_subspace_coords returns it), once per (type, basis).
 
     A root r takes the value sum_i x_i r(a_i^vee) on sum_i x_i a_i^vee.
     """
-    return list(_annihilator_factors(st, tuple(map(tuple, coords))))
-
-
-@lru_cache(maxsize=None)
-def _annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[SimpleType, ...]:
     roots, values = root_system(st)
     return tuple(_classify_components(
         [r for r, v in zip(roots, values) if not any(int_dot(v, x) for x in coords)],
@@ -228,24 +223,22 @@ def classify_finite_cartan(cartan) -> SimpleType:
     n = len(cartan)
     if n == 0:
         return TRIVIAL
-    probe = AffineDiagram(tuple(tuple(int(x) for x in row) for row in cartan), (1,) * n, ())
-    inv = _invariants(probe)
+    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    inv = _invariants(cartan, (1,) * n)
     for st in _candidate_types(n):
-        if _isomorphisms(probe, inv, *_catalog_finite(st), first_only=True):
+        if _isomorphisms(cartan, inv, *_catalog_finite(st), first_only=True):
             return st
     raise AssertionError("unrecognized finite Cartan matrix")
 
 
 @lru_cache(maxsize=None)
-def _catalog_finite(st: SimpleType) -> tuple[AffineDiagram, tuple]:
+def _catalog_finite(st: SimpleType) -> tuple[tuple[IVec, ...], tuple]:
     # the catalog stores the coroot-side matrix; the root-side one is its
     # transpose (n(a,b) = n(b^v, a^v))
     cat = diagram_of(st).cartan
     nodes = range(1, st.rank + 1)
-    fin = AffineDiagram(
-        tuple(tuple(cat[j][i] for j in nodes) for i in nodes), (1,) * st.rank, ()
-    )
-    return fin, _invariants(fin)
+    fin = tuple(tuple(cat[j][i] for j in nodes) for i in nodes)
+    return fin, _invariants(fin, (1,) * st.rank)
 
 
 # ---------------------------------------------------------------------------

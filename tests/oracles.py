@@ -333,18 +333,18 @@ def w_c_perms(st):
 # Diagram isomorphisms by a full scan
 
 
-def scan_isomorphisms(d1, inv1, d2, inv2, first_only):
-    """Node bijections p with cartan2[p(u)][p(v)] == cartan1[u][v] and equal
-    marks, in the order coroots.diagrams._isomorphisms finds them.
+def scan_isomorphisms(c1, inv1, c2, inv2, first_only):
+    """Node bijections p with c2[p(u)][p(v)] == c1[u][v] and equal marks, in
+    the order coroots.diagrams._isomorphisms finds them.
 
-    inv1, inv2 are diagrams._invariants of d1, d2.  Nodes of d1 are placed
-    in the same graph-search order, but each tries every unused target with
-    equal invariants against every node placed so far."""
-    if d1.n_nodes != d2.n_nodes or inv1[1] != inv2[1]:
+    inv1, inv2 are diagrams._invariants of the two Cartan matrices with
+    their marks.  Nodes of c1 are placed in the same graph-search order, but
+    each tries every unused target with equal invariants against every node
+    placed so far."""
+    if len(c1) != len(c2) or inv1[1] != inv2[1]:
         return []
-    n = d1.n_nodes
+    n = len(c1)
     inv1, inv2 = inv1[0], inv2[0]
-    c1, c2 = d1.cartan, d2.cartan
     order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
     found = []
     perm = [-1] * n
@@ -372,6 +372,30 @@ def scan_isomorphisms(d1, inv1, d2, inv2, first_only):
 
     extend(0)
     return found
+
+
+def kac_accepts(cartan, marks):
+    """Kac's criterion for a Cartan matrix with given marks: an
+    indecomposable generalized Cartan matrix whose transpose kills a
+    positive vector is of affine type, and that vector spans the kernel
+    (Kac, Infinite-dimensional Lie algebras, Thm 4.3 and Cor. 4.3).  No
+    elimination: true when the matrix is an indecomposable GCM and the marks
+    are positive, one per node, with A^T marks = 0.  A single node is the
+    rank-0 diagram and takes any positive mark."""
+    n = len(cartan)
+    if any(len(row) != n for row in cartan) or len(marks) != n:
+        return False
+    if any(cartan[i][i] != 2 for i in range(n)):
+        return False
+    for i in range(n):
+        for j in range(n):
+            if i != j and (cartan[i][j] > 0 or (cartan[i][j] == 0) != (cartan[j][i] == 0)):
+                return False
+    if len(connected_components(range(n), lambda u, v: cartan[u][v])) != 1:
+        return False
+    if any(m <= 0 for m in marks):
+        return False
+    return n == 1 or all(sum(m * a for m, a in zip(marks, col)) == 0 for col in zip(*cartan))
 
 
 # ---------------------------------------------------------------------------

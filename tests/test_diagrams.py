@@ -33,7 +33,7 @@ from coroots.derived import derived, quotient_marked
 from coroots.linalg import kernel_basis, to_int, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, parse_type
-from oracles import coroot_sq_lengths, scan_isomorphisms
+from oracles import coroot_sq_lengths, kac_accepts, scan_isomorphisms
 
 
 def test_is_affine_type_examples():
@@ -107,8 +107,9 @@ def test_classify_is_mark_sensitive():
 )
 def test_automorphism_group_matches_the_full_scan(st):
     d = diagram_of(st)
-    inv = _invariants(d)
-    assert automorphism_group(d) == sorted(scan_isomorphisms(d, inv, d, inv, first_only=False))
+    inv = _invariants(d.cartan, d.marks)
+    c = d.cartan
+    assert automorphism_group(d) == sorted(scan_isomorphisms(c, inv, c, inv, first_only=False))
 
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=str)
@@ -119,9 +120,9 @@ def test_classify_node_map_is_the_full_scans_first(st):
         if q.n_nodes == 1:
             continue
         res = classify(q)
-        probe = AffineDiagram(q.cartan, tuple(m // res.scale for m in q.marks), q.sq_lengths)
+        inv = _invariants(q.cartan, tuple(m // res.scale for m in q.marks))
         cat = diagram_of(res.type)
-        first = scan_isomorphisms(probe, _invariants(probe), cat, _invariants(cat), True)
+        first = scan_isomorphisms(q.cartan, inv, cat.cartan, _invariants(cat.cartan, cat.marks), True)
         assert res.node_map == first[0]
 
 
@@ -361,12 +362,13 @@ def test_quotient_is_invariant_under_relabeling(data):
 
 
 # ---------------------------------------------------------------------------
-# Kac's criterion against the kernel of the transpose
+# Given marks: the kernel of the transpose against Kac's criterion
 
 
 def _kernel_route(cartan, marks):
-    """make_diagram's check of given marks by elimination alone: the
-    relation vector of is_affine_type against the marks over their gcd."""
+    """The check of given positive marks by elimination alone, with the
+    messages make_diagram has always given: the relation vector of
+    is_affine_type against the marks over their gcd."""
     rel = is_affine_type(cartan)
     if rel is None:
         raise DiagramError("cartan matrix is not of affine type")
@@ -384,9 +386,13 @@ def _outcome(fn, *args):
 
 
 def _assert_routes_agree(cartan, marks):
-    want = _outcome(_kernel_route, cartan, marks)
-    assert _outcome(make_diagram, cartan, marks) == want, (cartan, marks)
-    if want is None:
+    """make_diagram accepts positive marks exactly when Kac's criterion
+    (oracles.kac_accepts, no elimination) does, keeps them, and otherwise
+    names the failure as the elimination alone does."""
+    got = _outcome(make_diagram, cartan, marks)
+    assert (got is None) == kac_accepts(cartan, marks), (cartan, marks, got)
+    assert got == _outcome(_kernel_route, cartan, marks), (cartan, marks)
+    if got is None:
         assert make_diagram(cartan, marks).marks == tuple(marks)
 
 
@@ -456,7 +462,7 @@ import json
 from coroots import diagrams
 
 seen = {}
-for name in ("_check_affine_marks", "_classify", "_relation_vector", "_lengths_from_cartan"):
+for name in ("_classify", "_relation_vector", "_lengths_from_cartan"):
     cached, keys, calls = getattr(diagrams, name), set(), [0]
 
     def spy(*key, cached=cached, keys=keys, calls=calls):
@@ -478,10 +484,10 @@ print(json.dumps(out))
 
 
 def test_check_all_validates_and_classifies_each_diagram_once():
-    """A cold run_check_all(6) misses the validation and classification
-    caches once per distinct (cartan, marks), and those of the relation
-    vector and the lengths once per distinct matrix, and hits them on every
-    repeat."""
+    """A cold run_check_all(6) misses the classification cache once per
+    distinct (cartan, marks), and those of the relation vector (which
+    validates every diagram) and the lengths once per distinct matrix, and
+    hits them on every repeat."""
     proc = subprocess.run(
         [sys.executable, "-c", _CACHE_GUARD], capture_output=True, text=True,
         cwd=Path(__file__).resolve().parent.parent,
