@@ -37,12 +37,14 @@ RUNS = 7
 
 QUERIES = {
     "check-all --max-rank 24": ["check-all", "--max-rank", "24"],
+    "check-all --max-rank 32": ["check-all", "--max-rank", "32"],
     "components --group A40 --center full": ["components", "--group", "A40", "--center", "full"],
     "components --group A80 --center full": ["components", "--group", "A80", "--center", "full"],
     "derived --group D30 --center trivial --k 2": [
         "derived", "--group", "D30", "--center", "trivial", "--k", "2",
     ],
     "components --group C30 --center full": ["components", "--group", "C30", "--center", "full"],
+    "components --group C60 --center full": ["components", "--group", "C60", "--center", "full"],
     "datum --group A40": ["datum", "--group", "A40"],
     "datum --group A1": ["datum", "--group", "A1"],
 }

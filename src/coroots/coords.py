@@ -5,27 +5,25 @@ tuple x.  Every extended coroot is an integer vector there (e_i, or -g/g_0
 for node 0), and the form is one integer matrix B = s ((a_i^vee, a_j^vee))
 per type, built in ints from the catalog diagram's Cartan integers and its
 integral squared lengths (coroot_form); root_form is the form on the simple
-roots up to a positive scale.  The orthogonal projector onto a span K is
-K (K^T B K)^{-1} K^T B, built once per span over one denominator from a
-single small inverse (projector), so projecting onto the tori of the
-derived-diagram cross-check is int arithmetic.  Orbit averages are scaled
-to ints by one common L (orbit_averages); their pairwise B-values give the
-Cartan integers (linalg.cartan_integers) and the squared lengths as exact
+roots up to a positive scale.  Orbit averages are scaled to ints by one
+common L (orbit_averages); their pairwise B-values give the Cartan
+integers (linalg.cartan_integers) and the squared lengths as exact
 fractions over s L^2.
 
 The subspaces the coordinate cross-checks work in are primitive integer
-bases cached per (type, subgroup): the fixed subspace of w_C
-(fixed_subspace_coords) and, inside it, the torus t^{w_C}(gbar, k)
-(torus_subspace_coords), whose defining roots pair with coordinates
-through rows of the integer Cartan matrix.
+bases cached per (type, subgroup): the fixed subspace of w_C, the kernel
+of M_g - I over the subgroup's generators g (fixed_subspace_coords) and,
+inside it, the torus t^{w_C}(gbar, k) (torus_subspace_coords), whose
+defining roots pair with coordinates through rows of the integer Cartan
+matrix.
 
 project() computes the orbit-projected coroots pi(a^v) = (1/n) sum of the
 orbit, their exact Cartan integers and the classified type: the
 coordinate-level oracle that check_diagram1 compares node for node with
 the purely combinatorial quotient diagram.  It checks each orbit average
 against the defining property of the orthogonal projection, with no
-inverse: every element of the subgroup fixes it, and the orbit's coroot
-minus it is B-orthogonal to the fixed subspace.
+inverse: the generators, applied as permutations, fix it, and the orbit's
+coroot minus it is B-orthogonal to the fixed subspace.
 """
 
 from __future__ import annotations
@@ -38,19 +36,20 @@ from typing import NamedTuple
 from .center import (
     CenterSubgroup,
     OrbitSet,
+    _permute,
     orbit_data,
     perm_matrix_on_coroots_of,
     quotient_diagram,
 )
-from .diagrams import AffineDiagram, ClassifyResult, classify, diagram_of, make_diagram
-from .linalg import (
-    IVec,
-    cartan_integers,
-    int_dot,
-    kernel_basis,
-    rank as mat_rank,
-    scaled_inverse,
+from .diagrams import (
+    AffineDiagram,
+    ClassifyResult,
+    DiagramError,
+    classify,
+    diagram_of,
+    make_diagram,
 )
+from .linalg import IVec, cartan_integers, int_dot, kernel_basis
 from .rootdata import TRIVIAL, SimpleType
 
 
@@ -93,31 +92,6 @@ def products(form, vectors) -> list[list[int]]:
     return [[int_dot(a, v) for v in vectors] for a in images]
 
 
-def form_products(st: SimpleType, vectors) -> list[list[int]]:
-    """Pairwise values of B on integer coroot coordinate vectors."""
-    return products(coroot_form(st)[0], vectors)
-
-
-@lru_cache(maxsize=None)
-def projector(st: SimpleType, span: tuple[IVec, ...]) -> tuple[tuple[IVec, ...], int]:
-    """Orthogonal projector onto an independent span, in coroot coordinates.
-
-    With K the matrix whose columns span, P = K (K^T B K)^{-1} K^T B.  One
-    small inverse gives it over a single denominator: returns (D P, D) as
-    an integer matrix and D.
-    """
-    form = coroot_form(st)[0]
-    kb = [tuple(int_dot(k, col) for col in form) for k in span]
-    inv, den = scaled_inverse([[int_dot(a, k) for k in span] for a in kb])
-    cols = list(zip(*kb))
-    w = [tuple(int_dot(row, col) for col in cols) for row in inv]
-    return tuple(tuple(int_dot(ka, wc) for wc in zip(*w)) for ka in zip(*span)), den
-
-
-def apply_projector(p: tuple[IVec, ...], x: IVec) -> IVec:
-    return tuple(int_dot(row, x) for row in p)
-
-
 def _extended_coroot_coords(g: tuple[int, ...], u: int) -> IVec:
     """g_0 times the coordinates of the extended coroot of node u: g_0 e_u,
     or -(g_1, ..., g_n) for node 0 (sum_i g_i a_i^vee = 0)."""
@@ -137,20 +111,25 @@ def orbit_averages(g: tuple[int, ...], orbits) -> tuple[list[IVec], int]:
     return [tuple(m // o.size * x for x in s) for o, s in zip(orbits, sums)], m * g[0]
 
 
+def _generator_perms(sub_: CenterSubgroup) -> list[tuple[int, ...]]:
+    """Permutations of the non-identity generators: one for a cyclic
+    subgroup, every element of Z/2 x Z/2.  What they fix, the subgroup fixes."""
+    gens = (sub_.generator(),) if sub_.is_cyclic else sub_.elements
+    return [e.perm for e in gens if not e.is_identity]
+
+
 @lru_cache(maxsize=None)
 def fixed_subspace_coords(st: SimpleType, sub_: CenterSubgroup) -> tuple[IVec, ...]:
     """Simple-coroot coordinates of a basis of the subspace fixed by w_C.
 
-    The primitive integer kernel of the stacked M_e - I over the non-identity
-    elements e, computed once per (type, subgroup); the trivial subgroup
-    fixes everything and gets the unit vectors.
+    The primitive integer kernel of the stacked M_e - I over the generators
+    e, computed once per (type, subgroup); the trivial subgroup fixes
+    everything and gets the unit vectors.
     """
     n = st.rank
     rows = []
-    for e in sub_.elements:
-        if e.is_identity:
-            continue
-        m = perm_matrix_on_coroots_of(st, e.perm)
+    for perm in _generator_perms(sub_):
+        m = perm_matrix_on_coroots_of(st, perm)
         rows.extend(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))
     if not rows:
         return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
@@ -212,30 +191,33 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
         return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
     # dual route: each orbit average must be the orthogonal projection of
     # the orbit's first coroot x, which it is exactly when it lies in the
-    # fixed subspace (every element fixes it) and x - avg is B-orthogonal to
+    # fixed subspace (the generators fix it) and x - avg is B-orthogonal to
     # the span; in ints, the residual is x L - avg g_0
-    mats = [perm_matrix_on_coroots_of(st, e.perm) for e in sub_.elements if not e.is_identity]
+    gens = _generator_perms(sub_)
     form = coroot_form(st)[0]
     walls = [tuple(int_dot(k, col) for col in form) for k in span]
     for o, avg in zip(orbits.orbits, avgs):
         x = _extended_coroot_coords(g, o.nodes[0])
         residual = tuple(a * common - b * g[0] for a, b in zip(x, avg))
-        if any(tuple(int_dot(row, avg) for row in m) != avg for m in mats) or any(
+        if any(_permute(p, g, avg) != avg for p in gens) or any(
             int_dot(residual, w) for w in walls
         ):
             raise AssertionError("orbit average differs from orthogonal projection")
     if not all(map(any, avgs)):
         raise AssertionError("nonzero projection expected off the degenerate case")
-    if mat_rank(avgs) != len(span):
-        raise AssertionError("projected coroots do not span the fixed subspace")
     if len(orbits.orbits) != len(span) + 1:
         raise AssertionError("orbit count is not the fixed dimension plus one")
     if any(int_dot(orbits.marks, xs) for xs in zip(*avgs)):
         raise AssertionError("projected coroot relation fails")
-    prods = form_products(st, avgs)
+    prods = products(form, avgs)
     s = coroot_form(st)[1]
     lens = tuple(Q(row[i], s * common * common) for i, row in enumerate(prods))
-    dia = make_diagram(cartan_integers(prods), orbits.marks, lens)
+    # an affine matrix has corank 1, and it is the Gram matrix of the
+    # averages times a positive diagonal, so they span the fixed subspace
+    try:
+        dia = make_diagram(cartan_integers(prods), orbits.marks, lens)
+    except DiagramError as exc:
+        raise AssertionError(f"projected coroots do not span the fixed subspace: {exc}") from None
     res = classify(dia)
     if res is None:
         raise AssertionError("projected diagram failed to classify")

@@ -17,10 +17,9 @@ from typing import NamedTuple
 from .center import CenterSubgroup, _assert_a_type, orbit_data
 from .coords import (
     DiagramReport,
-    apply_projector,
-    form_products,
+    coroot_form,
     orbit_averages,
-    projector,
+    products,
     torus_subspace_coords,
 )
 from .diagrams import (
@@ -31,7 +30,7 @@ from .diagrams import (
     diagram_of,
     make_diagram,
 )
-from .linalg import cartan_integers
+from .linalg import cartan_integers, int_dot, scaled_inverse
 from .numerology import I_set, MarkedDiagram, quotient_marked
 from .rootdata import TRIVIAL, SimpleType
 
@@ -178,7 +177,9 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
 
     The coordinate side projects the surviving orbit coroots orthogonally
     onto t^{w_C}(gbar, k) (coords.torus_subspace_coords) and takes exact
-    Cartan integers, all in integer simple-coroot coordinates.
+    Cartan integers in integer simple-coroot coordinates.  For a basis K and
+    G = K^T B K, the projections of v and w have B-product
+    (K^T B v)^T G^-1 (K^T B w).
     """
     orbits = orbit_data(st, sub_)
     mq = quotient_marked(st, sub_)
@@ -189,12 +190,14 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
     surviving = [o for o, mark in zip(orbits.orbits, mq.n) if mark % k == 0]
     if len(surviving) != dd.diagram.n_nodes:
         return DiagramReport(False, "survivor counts differ")
+    form = coroot_form(st)[0]
     if len(surviving) == 1:
-        ok = not span or not any(row[i] for i, row in enumerate(form_products(st, span)))
+        ok = not span or not any(row[i] for i, row in enumerate(products(form, span)))
         return DiagramReport(bool(ok and dd.diagram.n_nodes == 1), "rank-0 case")
     avgs, _ = orbit_averages(diagram_of(st).marks, surviving)
-    p, _ = projector(st, span)
-    prods = form_products(st, [apply_projector(p, v) for v in avgs])
+    kb = [tuple(int_dot(k, col) for col in form) for k in span]
+    inv, _ = scaled_inverse(products(form, span))
+    prods = products(inv, [tuple(int_dot(b, v) for b in kb) for v in avgs])
     for i, row in enumerate(cartan_integers(prods)):
         for j, c in enumerate(row):
             if c != dd.diagram.cartan[i][j]:

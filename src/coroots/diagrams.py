@@ -50,8 +50,8 @@ class AffineDiagram(NamedTuple):
     @staticmethod
     def from_json(obj: dict) -> "AffineDiagram":
         return AffineDiagram(
-            tuple(tuple(int(x) for x in row) for row in obj["cartan"]),
-            tuple(int(m) for m in obj["marks"]),
+            tuple(_ints(row, "cartan entry") for row in obj["cartan"]),
+            _ints(obj["marks"], "mark"),
             tuple(Q(s) for s in obj["sq_lengths"]),
         )
 
@@ -92,6 +92,14 @@ def render_diagram(d: AffineDiagram) -> str:
 
 class DiagramError(ValueError):
     pass
+
+
+def _ints(xs, what: str) -> IVec:
+    """The entries as ints; DiagramError unless each one is an integer."""
+    for x in xs:
+        if not isinstance(x, (int, float, Q)) or x % 1:
+            raise DiagramError(f"{what} {x!r} is not an integer")
+    return tuple(map(int, xs))
 
 
 def _check_gcm(cartan) -> None:
@@ -138,7 +146,7 @@ def is_affine_type(cartan) -> tuple[int, ...] | None:
     indecomposable; violations are rejected with the failing condition.
     A single node is the degenerate rank-0 diagram with marks (1,).
     """
-    return _relation_vector(tuple(tuple(int(x) for x in row) for row in cartan))
+    return _relation_vector(tuple(_ints(row, "cartan entry") for row in cartan))
 
 
 @lru_cache(maxsize=None)
@@ -159,18 +167,19 @@ def _relation_vector(cartan: tuple[IVec, ...]) -> tuple[int, ...] | None:
 def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
     """Validated AffineDiagram; marks/lengths are derived when omitted.
 
-    The relation vector and the lengths derived from the Cartan integers
-    are computed once per matrix; given marks must be positive and the
-    relation vector times their gcd.
+    Entries and marks must be integers (2.0 is, 2.5 is not).  The relation
+    vector and the lengths derived from the Cartan integers are computed
+    once per matrix; given marks must be positive and the relation vector
+    times their gcd.
     """
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    cartan = tuple(_ints(row, "cartan entry") for row in cartan)
     rel = _relation_vector(cartan)
     if rel is None:
         raise DiagramError("cartan matrix is not of affine type")
     if marks is None:
         marks = rel
     else:
-        marks = tuple(int(m) for m in marks)
+        marks = _ints(marks, "mark")
         if any(m <= 0 for m in marks):
             raise DiagramError("marks must be positive")
         if len(marks) != len(rel) or (

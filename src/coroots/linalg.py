@@ -2,9 +2,9 @@
 
 Everything in this package is exact: vectors are tuples of
 `fractions.Fraction` or of ints, matrices are tuples of row tuples, and
-there is no floating point anywhere.  Matrices are small and dense: the
-catalog stops at rank 12, but the CLI accepts any rank and queries such as
-A40 reach ambient dimension 41.  One fraction-free Gauss-Jordan
+there is no floating point anywhere.  Matrices are dense, of about the
+rank of the type: the CLI accepts any rank, and A160 queries run.  One
+fraction-free Gauss-Jordan
 elimination (_int_echelon) serves inverse, scaled_inverse, kernel_basis
 and rank: rows are scaled to ints, eliminated with integer row operations
 and reduced by their gcds, and the callers read the integer rows directly.

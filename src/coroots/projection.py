@@ -8,12 +8,12 @@ coords.project() builds.  Everything is read off the catalog diagram and
 computed in integer coordinates, with no ambient realization.
 
 Roots live in simple-root coordinates, with products through the integer
-root form ((a_i, a_j)) up to a positive scale (coords.root_form).
-root_system generates every root from the Cartan matrix by the
-root-string rule, with its values on the simple coroots; the annihilator
-of a subspace keeps the roots whose values vanish on the subspace's
-simple-coroot coordinates.  Restrictions are orbit averages of the
-extended roots (e_i, or -h for node 0) times the LCM of the orbit sizes.
+root form ((a_i, a_j)) up to a positive scale (coords.root_form).  No
+query enumerates the roots of a type: the annihilator of a subspace is a
+parabolic subsystem, found by a walk into the dominant chamber, and
+all_roots_of (for the tests) closes the simple roots under reflections.
+Restrictions are orbit averages of the extended roots (e_i, or -h for
+node 0) times the LCM of the orbit sizes.
 Scaling all vectors by one positive integer, or the form by a positive
 scalar, changes neither "is (u, v) zero?" nor 2(u, v)/(v, v), the only
 questions asked of a root set.  A root set's factors are read off the
@@ -46,81 +46,20 @@ from .rootdata import TRIVIAL, SimpleType
 # ---------------------------------------------------------------------------
 # Finite root-set machinery (restriction side)
 
-# number of roots of each family, the check on the generated root set
-_ROOT_COUNT = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
-    "BC": lambda n: 2 * n * (n + 1),
-}
-
-
-@lru_cache(maxsize=None)
-def root_system(st: SimpleType) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-    """Every root of a catalog type in simple-root coordinates, and the
-    values r(a_i^vee) of each on the simple coroots.
-
-    The positive roots are generated height by height from the simple ones
-    (Humphreys, Introduction to Lie Algebras, 9.4 and 10.1).  The a_j-string
-    through a positive root r is r - p a_j, ..., r + q a_j with
-    p - q = r(a_j^vee), and p is known once the lower heights are, so r + a_j
-    is a root exactly when r(a_j^vee) < p.  Since a_j(a_i^vee) = n(i, j), the
-    values of r + a_j are those of r plus column j of the table.  BC_n adds
-    the doubles of its short roots.  The count is checked per family.
-    """
-    cart, n = rootdata.extended_cartan(st), st.rank
-    cols = [tuple(cart[i][j] for i in range(1, n + 1)) for j in range(1, n + 1)]
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    values = dict(zip(units, cols))
-    layer = units
-    while layer:
-        nxt = []
-        for r in layer:
-            vr = values[r]
-            for j in range(n):
-                if vr[j] >= 0:  # a root needs p > 0, so r - a_j >= 0
-                    if not r[j]:
-                        continue
-                    p, down = 0, list(r)
-                    down[j] -= 1
-                    while tuple(down) in values:
-                        p += 1
-                        down[j] -= 1
-                    if vr[j] >= p:
-                        continue
-                up = r[:j] + (r[j] + 1,) + r[j + 1 :]
-                if up not in values:
-                    values[up] = tuple(x + y for x, y in zip(vr, cols[j]))
-                    nxt.append(up)
-        layer = nxt
-    roots = list(values.items())
-    roots += [(tuple(-x for x in r), tuple(-x for x in v)) for r, v in roots]
-    if st.family == "BC":
-        # (r, r) = sum_i r_i (r, a_i) = sum_i r_i r(a_i^vee) (a_i, a_i) / 2
-        diag = [row[i] for i, row in enumerate(root_form(st))]
-        sq = [sum(x * y * z for x, y, z in zip(r, v, diag)) for r, v in roots]
-        short = min(sq)
-        roots += [
-            (tuple(2 * x for x in r), tuple(2 * x for x in v))
-            for (r, v), x in zip(roots, sq)
-            if x == short
-        ]
-    if len(roots) != _ROOT_COUNT[st.family](n):
-        raise AssertionError(f"generated {len(roots)} roots for {st}")
-    return tuple(r for r, _ in roots), tuple(v for _, v in roots)
-
-
 @lru_cache(maxsize=None)
 def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
     """Every root of a catalog type as an exact vector of its datum, in
-    sorted order.  Only the tests and the stage benchmark read it."""
+    sorted order: the reflection closure of the simple roots, plus the
+    doubles of the short roots for BC.  Only the tests and the stage
+    benchmark read it."""
     from .ambient import ambient_roots
 
-    return tuple(sorted(ambient_roots(st, root_system(st)[0])))
+    form, n = root_form(st), st.rank
+    roots = _reflection_closure([tuple(int(i == j) for i in range(n)) for j in range(n)], form)
+    if st.family == "BC":
+        short = min(row[i] for i, row in enumerate(form))
+        roots |= {tuple(2 * x for x in r) for r in roots if products(form, [r]) == [[short]]}
+    return tuple(sorted(ambient_roots(st, roots)))
 
 
 @lru_cache(maxsize=None)
@@ -129,13 +68,42 @@ def annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[Simpl
     by the simple-coroot coordinates of a basis (a tuple of int tuples, as
     coords.torus_subspace_coords returns it), once per (type, basis).
 
-    A root r takes the value sum_i x_i r(a_i^vee) on sum_i x_i a_i^vee.
+    Each basis vector x in turn is walked into the dominant chamber of the
+    simple roots J that vanish on the vectors before it, by reflections s_k
+    (k in J) with a_k(x) < 0, which fix those vectors; later vectors move
+    with x.  The roots vanishing on a dominant point are those on the
+    simple roots vanishing there (Humphreys, Introduction to Lie Algebras,
+    10.3 Lemma B), so J shrinks to those.  The factors are the components
+    of the diagram on the final J; a BC factor holds a doubling short root.
+    x is held as its values a_j(x), which s_k changes by a_k(x) times row k
+    of the table, since a_j(a_k^vee) = n(k, j).
     """
-    roots, values = root_system(st)
-    return tuple(_classify_components(
-        [r for r, v in zip(roots, values) if not any(int_dot(v, x) for x in coords)],
-        root_form(st),
-    ))
+    cart, n = rootdata.extended_cartan(st), st.rank
+    fin = [row[1:] for row in cart[1:]]
+    values = [[int_dot(x, col) for col in zip(*fin)] for x in coords]
+    bonds = [[(j, a) for j, a in enumerate(row) if a] for row in fin]
+    live = set(range(n))
+    for t, vals in enumerate(values):
+        stack = [k for k in live if vals[k] < 0]
+        while stack:
+            k = stack.pop()
+            if vals[k] >= 0:
+                continue
+            for later in values[t:]:
+                c = later[k]
+                if c:
+                    for j, a in bonds[k]:
+                        later[j] -= c * a
+            stack += [j for j, _ in bonds[k] if j in live and vals[j] < 0]
+        live = {k for k in live if not vals[k]}
+    diag = [row[i] for i, row in enumerate(root_form(st))]
+    doubled = {i for i, x in enumerate(diag) if st.family == "BC" and x == min(diag)}
+    types = []
+    for block in connected_components(sorted(live), lambda i, j: fin[i][j]):
+        # the table is coroot-side; the root-side matrix is its transpose
+        ft = classify_finite_cartan([[fin[j][i] for j in block] for i in block])
+        types.append(SimpleType("BC", ft.rank) if doubled & set(block) else ft)
+    return tuple(sorted(types))
 
 
 def _classify_components(roots: list[IVec], form) -> list[SimpleType]:
@@ -235,9 +203,7 @@ def classify_finite_cartan(cartan) -> SimpleType:
 def _catalog_finite(st: SimpleType) -> tuple[tuple[IVec, ...], tuple]:
     # the catalog stores the coroot-side matrix; the root-side one is its
     # transpose (n(a,b) = n(b^v, a^v))
-    cat = diagram_of(st).cartan
-    nodes = range(1, st.rank + 1)
-    fin = tuple(tuple(cat[j][i] for j in nodes) for i in nodes)
+    fin = tuple(zip(*(row[1:] for row in rootdata.extended_cartan(st)[1:])))
     return fin, _invariants(fin, (1,) * st.rank)
 
 

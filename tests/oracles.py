@@ -7,7 +7,7 @@ form.  They share no code with the library's integer elimination, kernels
 and scaling to ints, so a test that compares a library result with one of
 them compares two different routes.
 
-The three adapters at the end are not oracles: they give the integer
+The three adapters near the end are not oracles: they give the integer
 root-set routes of coroots.projection the Fraction-vector signature they
 once had, so tests can feed them Fraction roots.  Ambient vectors under a
 scalar form go in with the identity as the integer form.
@@ -19,22 +19,28 @@ central element as a product of longest elements, which shares no code
 with coroots.center, and the full-scan isomorphism search that the
 library's neighbour-driven search must agree with.
 
-The last section is the inverse route to the projected coroots: each
-orbit's first extended coroot times the projector (coords.projector),
-built from one small inverse.  coords.project checks the defining property
-of the projection instead, so the two share no step.
+After the adapters comes the inverse route to the projected coroots: each
+orbit's first extended coroot times the orthogonal projector onto the
+fixed subspace, solved here on Fractions.  coords.project checks the
+defining property of the projection instead, so the two share no step.
+
+The last section is the root-filter route to the annihilator factors that
+coroots.projection reads off a Weyl-chamber walk: every root generated by
+the root-string rule, filtered by its values on a basis, split into
+orthogonal classes and named by counting roots.
 """
 
 from fractions import Fraction as Q
 from math import gcd, lcm
+from operator import mul
 
 from coroots.ambient import alcove, datum
 from coroots.center import orbit_data
-from coroots.coords import apply_projector, fixed_subspace_coords, projector
+from coroots.coords import coroot_form, fixed_subspace_coords, root_form
 from coroots.diagrams import connected_components, diagram_of
 from coroots.linalg import add, is_zero, mat, scale, transpose
 from coroots.projection import _classify_components, _reflection_closure
-from coroots.rootdata import TRIVIAL
+from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan
 
 # ---------------------------------------------------------------------------
 # Linear algebra on Fractions
@@ -71,7 +77,7 @@ def row_echelon(m):
         for i in range(n_rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         if len(pivots) == n_rows:
             break
@@ -269,17 +275,22 @@ def perm_matrix_on_coroots(d, perm):
     return transpose(tuple(apply_perm_coords(perm, d.g, e) for e in units))
 
 
-def fixed_subspace_basis(d, sub_):
-    """Ambient basis of the subspace of the coroot span fixed by w_C: the
-    kernel of the stacked M_e - I, or every simple coroot."""
+def fixed_subspace_kernel(d, sub_):
+    """Simple-coroot coordinates of a basis of the subspace fixed by w_C:
+    the kernel of M_e - I stacked over every non-identity element e, or the
+    unit vectors."""
     n = d.rank
     rows = []
     for e in sub_.elements:
         if not e.is_identity:
             m = perm_matrix_on_coroots(d, e.perm)
-            rows += [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    coords = kernel(rows) if rows else [[int(j == i) for j in range(n)] for i in range(n)]
-    return [from_coroot_coords(d, c) for c in coords]
+            rows += [[x - 1 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    return kernel(rows) if rows else [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+
+def fixed_subspace_basis(d, sub_):
+    """Ambient basis of the subspace of the coroot span fixed by w_C."""
+    return [from_coroot_coords(d, c) for c in fixed_subspace_kernel(d, sub_)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +455,151 @@ def classify_root_components(roots, gram):
 def projected_coroots_by_inverse(st, sub_):
     """P x for each orbit's first extended coroot x, in simple-coroot
     coordinates over one common denominator: (the vectors times it, it).
-    P is coords.projector of the fixed subspace; x is the coroot times g_0."""
+    P is the B-orthogonal projector onto the fixed subspace with basis K:
+    P x = K c with (K^T B K) c = K^T B x, solved on Fractions."""
     g = diagram_of(st).marks
-    p, den = projector(st, fixed_subspace_coords(st, sub_))
-    firsts = []
+    form = coroot_form(st)[0]
+    span = fixed_subspace_coords(st, sub_)
+    kb = [mat_vec(form, k) for k in span]
+    gram = [[dot(a, k) for k in span] for a in kb]
+    out = []
     for o in orbit_data(st, sub_).orbits:
         u = o.nodes[0]
-        firsts.append(tuple(-x for x in g[1:]) if u == 0 else
-                      tuple(g[0] * (i == u) for i in range(1, len(g))))
-    return [apply_projector(p, x) for x in firsts], den * g[0]
+        if u == 0:
+            x = tuple(-Q(y, g[0]) for y in g[1:])
+        else:
+            x = tuple(Q(int(i == u)) for i in range(1, len(g)))
+        c = solve(gram, tuple(dot(a, x) for a in kb))
+        out.append(tuple(sum(ci * k[i] for ci, k in zip(c, span)) for i in range(st.rank)))
+    den = lcm(*(x.denominator for v in out for x in v))
+    return [tuple(int(x * den) for x in v) for v in out], den
+
+
+# ---------------------------------------------------------------------------
+# Annihilator factors by filtering every root
+
+# number of roots of each family, the check on the generated root set
+_ROOT_COUNT = {
+    "A": lambda n: n * (n + 1),
+    "B": lambda n: 2 * n * n,
+    "C": lambda n: 2 * n * n,
+    "D": lambda n: 2 * n * (n - 1),
+    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
+    "F": lambda n: 48,
+    "G": lambda n: 12,
+    "BC": lambda n: 2 * n * (n + 1),
+}
+
+
+def root_system(st):
+    """Every root of a catalog type in simple-root coordinates, and the
+    values r(a_i^vee) of each on the simple coroots.
+
+    The positive roots are generated height by height from the simple ones
+    (Humphreys, Introduction to Lie Algebras, 9.4 and 10.1).  The a_j-string
+    through a positive root r is r - p a_j, ..., r + q a_j with
+    p - q = r(a_j^vee), and p is known once the lower heights are, so r + a_j
+    is a root exactly when r(a_j^vee) < p.  Since a_j(a_i^vee) = n(i, j), the
+    values of r + a_j are those of r plus column j of the table.  BC_n adds
+    the doubles of its short roots.  The count is checked per family.
+    """
+    cart, n = extended_cartan(st), st.rank
+    cols = [tuple(cart[i][j] for i in range(1, n + 1)) for j in range(1, n + 1)]
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    values = dict(zip(units, cols))
+    layer = units
+    while layer:
+        nxt = []
+        for r in layer:
+            vr = values[r]
+            for j in range(n):
+                if vr[j] >= 0:  # a root needs p > 0, so r - a_j >= 0
+                    if not r[j]:
+                        continue
+                    p, down = 0, list(r)
+                    down[j] -= 1
+                    while tuple(down) in values:
+                        p += 1
+                        down[j] -= 1
+                    if vr[j] >= p:
+                        continue
+                up = r[:j] + (r[j] + 1,) + r[j + 1 :]
+                if up not in values:
+                    values[up] = tuple(x + y for x, y in zip(vr, cols[j]))
+                    nxt.append(up)
+        layer = nxt
+    roots = list(values.items())
+    roots += [(tuple(-x for x in r), tuple(-x for x in v)) for r, v in roots]
+    if st.family == "BC":
+        # (r, r) = sum_i r_i (r, a_i) = sum_i r_i r(a_i^vee) (a_i, a_i) / 2
+        diag = [row[i] for i, row in enumerate(root_form(st))]
+        sq = [sum(x * y * z for x, y, z in zip(r, v, diag)) for r, v in roots]
+        short = min(sq)
+        roots += [
+            (tuple(2 * x for x in r), tuple(2 * x for x in v))
+            for (r, v), x in zip(roots, sq)
+            if x == short
+        ]
+    if len(roots) != _ROOT_COUNT[st.family](n):
+        raise AssertionError(f"generated {len(roots)} roots for {st}")
+    return [r for r, _ in roots], [v for _, v in roots]
+
+
+def annihilator_by_roots(st, coords):
+    """Sorted types of the irreducible factors of the roots that vanish on
+    every vector of a basis given in simple-coroot coordinates.
+
+    A root r takes the value sum_i x_i r(a_i^vee) on sum_i x_i a_i^vee.  The
+    kept roots are split into classes joined by non-orthogonality; each
+    class is named by its rank, its number of indivisible roots and how
+    many of those are shortest (_name_by_counts)."""
+    roots, values = root_system(st)
+    form = root_form(st)
+    kept = [r for r, v in zip(roots, values) if not any(sum(map(mul, v, x)) for x in coords)]
+    # the form's image of a root, as its nonzero (index, entry) pairs
+    images = {
+        r: [(i, c) for i, row in enumerate(form) if (c := sum(map(mul, row, r)))] for r in kept
+    }
+    todo, classes = kept, []
+    while todo:
+        cls, todo = [todo[0]], todo[1:]
+        for u in cls:
+            rest = []
+            for w in todo:
+                (cls if sum(c * w[i] for i, c in images[u]) else rest).append(w)
+            todo = rest
+        classes.append(cls)
+    return sorted(_name_by_counts(cls, images) for cls in classes)
+
+
+def _name_by_counts(roots, images):
+    """The type of an irreducible root system, from its rank, its number N
+    of indivisible roots and the number S of those that are shortest: BC_n
+    when some root doubles; with one root length A_n (N = n(n+1)), D_n
+    (N = 2n(n-1)) or E_n; with two, G_2, F_4, C_2, B_n (S = 2n) or C_n
+    (S = 2n(n-1))."""
+    rset = set(roots)
+    indiv = [r for r in roots if any(x % 2 for x in r) or tuple(x // 2 for x in r) not in rset]
+    n = len(row_echelon(indiv)[1])
+    if len(indiv) != len(roots):
+        return SimpleType("BC", n)
+    sq = [sum(c * r[i] for i, c in images[r]) for r in roots]
+    count, short = len(roots), sq.count(min(sq))
+    if short == count:
+        if count == n * (n + 1):
+            family = "A"
+        elif count == 2 * n * (n - 1):
+            family = "D"
+        elif (n, count) in ((6, 72), (7, 126), (8, 240)):
+            family = "E"
+        else:
+            raise AssertionError(f"no simply laced type of rank {n} with {count} roots")
+    elif (n, count) in ((2, 8), (2, 12), (4, 48)):
+        family = {8: "C", 12: "G", 48: "F"}[count]
+    elif short == 2 * n:
+        family = "B"
+    elif short == 2 * n * (n - 1):
+        family = "C"
+    else:
+        raise AssertionError(f"no type of rank {n} with {count} roots, {short} short")
+    return SimpleType(family, n)

@@ -276,6 +276,47 @@ def test_classify_is_invariant_under_relabeling(data):
     )
 
 
+def _non_integers():
+    """Finite numbers that are not integers: floats and Fractions."""
+    floats = hst.floats(-8, 8, allow_nan=False).filter(lambda x: x != int(x))
+    fractions = hst.fractions(-8, 8).filter(lambda x: x.denominator != 1)
+    return floats | fractions
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_non_integral_entries_and_marks_are_rejected(data):
+    """A Cartan entry or a mark that is not an integer raises DiagramError
+    from make_diagram, AffineDiagram.from_json and (for an entry)
+    is_affine_type, instead of being truncated to an affine diagram, as
+    make_diagram([[2, -2.5], [-2.5, 2]]) once was; the same diagram with
+    integer-valued floats is accepted."""
+    types = [parse_type(s) for s in ("A1", "A3", "C2", "G2", "BC2")]
+    d = diagram_of(data.draw(hst.sampled_from(types)))
+    cartan = [list(row) for row in d.cartan]
+    marks = list(d.marks)
+    payload = d.to_json()
+    bad = data.draw(_non_integers())
+    if data.draw(hst.booleans()):
+        i = data.draw(hst.integers(0, d.n_nodes - 1))
+        j = data.draw(hst.integers(0, d.n_nodes - 1))
+        cartan[i][j] = payload["cartan"][i][j] = bad
+        match = "cartan entry"
+    else:
+        marks[data.draw(hst.integers(0, d.n_nodes - 1))] = bad
+        payload["marks"] = marks
+        match = "mark"
+    with pytest.raises(DiagramError, match=f"{match} .* is not an integer"):
+        make_diagram(cartan, marks)
+    with pytest.raises(DiagramError, match=f"{match} .* is not an integer"):
+        AffineDiagram.from_json(payload)
+    if match == "cartan entry":
+        with pytest.raises(DiagramError, match="cartan entry .* is not an integer"):
+            is_affine_type(cartan)
+    as_floats = [[float(x) for x in row] for row in d.cartan]
+    assert make_diagram(as_floats, [float(m) for m in d.marks]) == make_diagram(d.cartan, d.marks)
+
+
 def test_make_diagram_rejects_non_positive_marks():
     """Marks are a positive multiple of the relation vector on every size,
     the single node included."""

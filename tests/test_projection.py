@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from coroots.center import (
     all_subgroups,
@@ -44,16 +46,17 @@ from coroots.projection import (
     nonmultipliable,
     projection_type,
     restricted_type,
-    root_system,
 )
 from coroots.ambient import datum
 from coroots.rootdata import SimpleType, parse_type
 from oracles import (
+    annihilator_by_roots,
     cartan,
     classify_finite_roots,
     classify_root_components,
     close_under_reflections,
     fixed_subspace_basis,
+    fixed_subspace_kernel,
     from_coroot_coords,
     in_span,
     mat_vec,
@@ -61,6 +64,7 @@ from oracles import (
     perm_matrix_on_coroots,
     project_many,
     projected_coroots_by_inverse,
+    root_system,
 )
 
 SWEEP = (
@@ -268,10 +272,11 @@ def test_all_roots_counts():
     "st", catalog_types(12) + [SimpleType("BC", n) for n in range(1, 13)], ids=str
 )
 def test_integer_roots_are_the_scaled_roots(st):
-    """The roots generated in integer simple-root coordinates, mapped
-    through the datum's simple roots, are the Fraction reflection closure
-    of those simple roots (with the doubled short roots for BC), and each
-    generated value vector is the Fraction pairing with the simple coroots."""
+    """all_roots_of is the Fraction reflection closure of the datum's simple
+    roots (with the doubled short roots for BC).  So are the roots that the
+    root-string rule generates in integer simple-root coordinates, mapped
+    through the simple roots, and each value vector it generates is the
+    Fraction pairing with the simple coroots."""
     d = datum(st)
     simples, coroots = d.extended_roots[1:], d.extended_coroots[1:]
     want = close_under_reflections(simples, d.gram)
@@ -449,17 +454,50 @@ def test_non_crystallographic_seeds_are_rejected():
         close_under_reflections([vec([1, 0]), vec([1, 2])], None)
 
 
-@pytest.mark.parametrize("st", CATALOG_8, ids=lbl)
+def _walked_subspaces(st):
+    """(subgroup, k, basis) of every fixed subspace (k None) and every
+    t^{w_C}(gbar, k) of the type's center subgroups."""
+    for sub_ in all_subgroups(st):
+        yield sub_, None, coords.fixed_subspace_coords(st, sub_)
+        for k in quotient_marked(st, sub_).admissible_orders():
+            yield sub_, k, torus_subspace_coords(st, sub_, k)
+
+
+@pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
 def test_annihilator_factors_match_fraction_route(st):
     d = datum(st)
     roots = all_roots_of(st)
-    for sub_ in all_subgroups(st):
-        for k in quotient_marked(st, sub_).admissible_orders():
-            coords = torus_subspace_coords(st, sub_, k)
-            space = [from_coroot_coords(d, c) for c in coords]
-            kept = [r for r in roots if all(pairing(d, r, b) == 0 for b in space)]
-            want = _fraction_components(kept, d.gram)
-            assert list(annihilator_factors(st, coords)) == want, (st, sub_.nodes, k)
+    for sub_, k, basis in _walked_subspaces(st):
+        space = [from_coroot_coords(d, c) for c in basis]
+        kept = [r for r in roots if all(pairing(d, r, b) == 0 for b in space)]
+        want = _fraction_components(kept, d.gram)
+        assert list(annihilator_factors(st, basis)) == want, (st, sub_.nodes, k)
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(8) + [SimpleType(f, 40) for f in "ACD"], ids=lbl
+)
+def test_annihilator_factors_match_the_root_filter(st):
+    """The chamber walk against every root generated by the root-string
+    rule, filtered by its values and named by counting
+    (oracles.annihilator_by_roots), past the catalog too."""
+    for sub_, k, basis in _walked_subspaces(st):
+        assert list(annihilator_factors(st, basis)) == annihilator_by_roots(st, basis), (
+            st, sub_.nodes, k,
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_annihilator_factors_of_any_basis(data):
+    """Any integer vectors, dependent or zero ones included, on the BC types
+    (where a factor doubles) and the catalog to rank 8."""
+    st = data.draw(hst.sampled_from(
+        catalog_types(8) + [SimpleType("BC", n) for n in range(1, 9)]
+    ))
+    vector = hst.tuples(*[hst.integers(-2, 2)] * st.rank)
+    basis = tuple(data.draw(hst.lists(vector, max_size=st.rank)))
+    assert list(annihilator_factors(st, basis)) == annihilator_by_roots(st, basis), basis
 
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
@@ -660,3 +698,33 @@ def test_project_rejects_a_shifted_orbit_average(st, monkeypatch):
                     project(st, sub_)
         monkeypatch.setattr(coords, "orbit_averages", averages)
         project(st, sub_)
+
+
+@pytest.mark.parametrize("spec,center", [("A5", "node:2"), ("D6", "full"), ("E6", "full")])
+def test_project_reports_a_non_affine_projected_matrix(spec, center, monkeypatch):
+    """A projected Cartan matrix that make_diagram rejects (here the finite
+    A_m matrix, of corank 0 instead of 1) surfaces as AssertionError, as the
+    rank check it replaces did."""
+    st = parse_type(spec)
+    sub_ = parse_center(st, center)
+    m = len(orbit_data(st, sub_).orbits)
+    finite = tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(m)) for i in range(m)
+    )
+    monkeypatch.setattr(coords, "cartan_integers", lambda prods: finite)
+    with pytest.raises(AssertionError, match="projected coroots do not span the fixed subspace"):
+        project(st, sub_)
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(24) + [SimpleType("A", 40), SimpleType("A", 80)], ids=lbl
+)
+def test_fixed_subspace_from_generators_is_the_full_stack(st):
+    """The kernel over the generators alone is the kernel of M_e - I stacked
+    over every non-identity element (oracles.fixed_subspace_kernel), basis
+    vector for basis vector."""
+    d = datum(st)
+    for sub_ in all_subgroups(st):
+        assert list(coords.fixed_subspace_coords(st, sub_)) == fixed_subspace_kernel(d, sub_), (
+            st, sub_.nodes,
+        )
