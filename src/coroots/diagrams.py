@@ -96,7 +96,7 @@ class DiagramError(ValueError):
 
 def _ints(xs, what: str) -> IVec:
     """The entries as ints; DiagramError unless each one is an integer."""
-    for x in xs:
+    for x in (xs := tuple(xs)):
         if not isinstance(x, (int, float, Q)) or x % 1:
             raise DiagramError(f"{what} {x!r} is not an integer")
     return tuple(map(int, xs))

@@ -290,7 +290,7 @@ def test_non_integral_entries_and_marks_are_rejected(data):
     from make_diagram, AffineDiagram.from_json and (for an entry)
     is_affine_type, instead of being truncated to an affine diagram, as
     make_diagram([[2, -2.5], [-2.5, 2]]) once was; the same diagram with
-    integer-valued floats is accepted."""
+    integer-valued floats, the marks given as a generator, is accepted."""
     types = [parse_type(s) for s in ("A1", "A3", "C2", "G2", "BC2")]
     d = diagram_of(data.draw(hst.sampled_from(types)))
     cartan = [list(row) for row in d.cartan]
@@ -314,7 +314,7 @@ def test_non_integral_entries_and_marks_are_rejected(data):
         with pytest.raises(DiagramError, match="cartan entry .* is not an integer"):
             is_affine_type(cartan)
     as_floats = [[float(x) for x in row] for row in d.cartan]
-    assert make_diagram(as_floats, [float(m) for m in d.marks]) == make_diagram(d.cartan, d.marks)
+    assert make_diagram(as_floats, (float(m) for m in d.marks)) == make_diagram(d.cartan, d.marks)
 
 
 def test_make_diagram_rejects_non_positive_marks():
