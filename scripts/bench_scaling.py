@@ -40,6 +40,7 @@ QUERIES = {
     "check-all --max-rank 32": ["check-all", "--max-rank", "32"],
     "components --group A40 --center full": ["components", "--group", "A40", "--center", "full"],
     "components --group A80 --center full": ["components", "--group", "A80", "--center", "full"],
+    "components --group A160 --center full": ["components", "--group", "A160", "--center", "full"],
     "derived --group D30 --center trivial --k 2": [
         "derived", "--group", "D30", "--center", "trivial", "--k", "2",
     ],

@@ -12,31 +12,93 @@ vectors.
 
 No query builds any of this: every query computes from the bond table.
 The tests and the stage benchmark read it as a second route to the table.
+
+The rational vector layer they compute in is here too: vectors are tuples
+of Fractions (Vec), matrices tuples of rows (Mat), and to_int scales
+vectors by the LCM of their denominators to the int tuples that
+coroots.linalg works on.  Every catalog form is a scalar times the
+identity, and dot and to_int admit no other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import NamedTuple
+from math import lcm
+from typing import Iterable, NamedTuple
 
 from . import rootdata
-from .linalg import (
-    Mat,
-    Vec,
-    add,
-    cartan_integers,
-    dot,
-    int_dot,
-    inverse,
-    mat,
-    scale,
-    sub,
-    to_int,
-    vec,
-    zero_vec,
-)
+from .linalg import IVec, cartan_integers, int_dot, scaled_inverse
 from .rootdata import TRIVIAL, SimpleType, validate_type
+
+Vec = tuple[Q, ...]
+Mat = tuple[Vec, ...]
+
+
+def vec(entries: Iterable) -> Vec:
+    return tuple(Q(x) for x in entries)
+
+
+def mat(rows: Iterable[Iterable]) -> Mat:
+    m = tuple(vec(r) for r in rows)
+    if m and any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    return m
+
+
+def zero_vec(n: int) -> Vec:
+    return (Q(0),) * n
+
+
+def add(u: Vec, v: Vec) -> Vec:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def sub(u: Vec, v: Vec) -> Vec:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def scale(c, v: Vec) -> Vec:
+    c = Q(c)
+    return tuple(c * a for a in v)
+
+
+def dot(u: Vec, v: Vec, gram: Mat | None = None) -> Q:
+    """Inner product, Euclidean or under a scalar Gram matrix c I (read off
+    its first entry)."""
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    total = sum((a * b for a, b in zip(u, v)), Q(0))
+    return total if gram is None else gram[0][0] * total
+
+
+def is_zero(v: Vec) -> bool:
+    return all(a == 0 for a in v)
+
+
+def to_int(vectors, gram: Mat | None = None) -> tuple[list[IVec], int]:
+    """The nonzero vectors, times the LCM of their denominators, as int tuples.
+
+    Returns the int tuples and that common scale.  Zero tests and Cartan
+    integers are the same for the scaled vectors under the plain dot
+    product as for the originals under the form, provided the form is a
+    scalar times the identity; any other form raises ValueError.
+    """
+    if gram is not None:
+        c, n = gram[0][0], len(gram)
+        if c <= 0 or any(
+            gram[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)
+        ):
+            raise ValueError("the root-set machinery needs a scalar Gram matrix")
+    vectors = [v for v in vectors if not is_zero(v)]
+    s = lcm(*(x.denominator for v in vectors for x in v))
+    return [tuple(x.numerator * (s // x.denominator) for x in v) for v in vectors], s
+
+
+def inverse(m: Mat) -> Mat:
+    """Inverse of a square matrix; raises ValueError if it is singular."""
+    rows, den = scaled_inverse(m)
+    return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
 
 class RootDatum(NamedTuple):

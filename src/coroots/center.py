@@ -329,13 +329,13 @@ def _l_c_from_coefficients(st: SimpleType, sub_: CenterSubgroup) -> list[int]:
     the union over the subgroup spans a subdiagram whose components are all
     of A type, one SU(m+1) per component of size m.
     """
-    verts = rootdata.alcove_coroot_coords(st)
+    verts, s = rootdata.alcove_int_coords(st)
     marked: set[int] = set()
     for e in sub_.elements:
         if e.is_identity:
             continue
         for i, x in enumerate(verts[e.node]):
-            if x.denominator != 1:
+            if x % s:
                 marked.add(i + 1)
     if not marked:
         return []

@@ -11,10 +11,11 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 from typing import NamedTuple
 
 from . import rootdata
-from .linalg import IVec, kernel_basis, transpose
+from .linalg import IVec, positive_kernel, transpose
 from .rootdata import FAMILIES, TRIVIAL, SimpleType
 
 
@@ -95,9 +96,10 @@ class DiagramError(ValueError):
 
 
 def _ints(xs, what: str) -> IVec:
-    """The entries as ints; DiagramError unless each one is an integer."""
+    """The entries as ints; DiagramError unless each one is an integral
+    rational number (an int, Fraction or sympy Integer, say) or float."""
     for x in (xs := tuple(xs)):
-        if not isinstance(x, (int, float, Q)) or x % 1:
+        if not isinstance(x, (Rational, float)) or x % 1:
             raise DiagramError(f"{what} {x!r} is not an integer")
     return tuple(map(int, xs))
 
@@ -155,13 +157,7 @@ def _relation_vector(cartan: tuple[IVec, ...]) -> tuple[int, ...] | None:
     _check_gcm(cartan)
     if len(cartan) == 1:
         return (1,)
-    ker = kernel_basis(transpose(cartan))
-    if len(ker) != 1:
-        return None
-    rel = ker[0]
-    if all(x > 0 for x in rel) or all(x < 0 for x in rel):
-        return tuple(abs(x) for x in rel)
-    return None
+    return positive_kernel(transpose(cartan))
 
 
 def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
@@ -446,25 +442,31 @@ def orbit_kind(d: AffineDiagram, orbit: tuple[int, ...]) -> int:
 
 
 def _validate_subgroup(d: AffineDiagram, group) -> list[tuple[int, ...]]:
+    """The sorted group of diagram automorphisms listed (the identity may
+    be left out), or DiagramError.  Each element must be a permutation that
+    keeps the marks.  The Cartan integers are checked on generators only,
+    the elements not yet generated in list order, and the list is closed
+    exactly when it is the group they generate."""
     n, cartan, marks = d.n_nodes, d.cartan, d.marks
     perms = [tuple(p) for p in group]
     ident = tuple(range(n))
     if ident not in perms:
         perms.append(ident)
+    gens: list[tuple[int, ...]] = []
+    generated = {ident}
     for p in perms:
         if sorted(p) != list(range(n)):
             raise DiagramError(f"{p} is not a permutation of the nodes")
-        for u in range(n):
-            for v in range(n):
-                if cartan[p[u]][p[v]] != cartan[u][v]:
-                    raise DiagramError(f"{p} is not a diagram automorphism")
-        if marks[p[0]] != marks[0] or any(marks[p[u]] != marks[u] for u in range(n)):
+        if p not in generated:
+            if any(cartan[p[u]][p[v]] != cartan[u][v] for u in range(n) for v in range(n)):
+                raise DiagramError(f"{p} is not a diagram automorphism")
+            gens.append(p)
+            generated = set(generated_group(gens, n))
+        if any(marks[p[u]] != marks[u] for u in range(n)):
             raise DiagramError(f"{p} does not preserve the marks")
-    for p in perms:
-        for q in perms:
-            if compose(p, q) not in perms:
-                raise DiagramError("automorphism list is not closed under composition")
-    return sorted(set(perms))
+    if generated != set(perms):
+        raise DiagramError("automorphism list is not closed under composition")
+    return sorted(generated)
 
 
 def quotient(d: AffineDiagram, group) -> AffineDiagram:

@@ -1,68 +1,27 @@
-"""Exact rational vectors and small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
-Everything in this package is exact: vectors are tuples of
-`fractions.Fraction` or of ints, matrices are tuples of row tuples, and
-there is no floating point anywhere.  Matrices are dense, of about the
-rank of the type: the CLI accepts any rank, and A160 queries run.  One
-fraction-free Gauss-Jordan
-elimination (_int_echelon) serves inverse, scaled_inverse, kernel_basis
-and rank: rows are scaled to ints, eliminated with integer row operations
-and reduced by their gcds, and the callers read the integer rows directly.
+Vectors are tuples of ints (IVec) and matrices are tuples of row tuples;
+there is no floating point anywhere, and nothing here builds a Fraction.
+Matrices are dense, of about the rank of the type: the CLI accepts any
+rank, and A160 queries run.  One fraction-free Gauss-Jordan elimination
+(_int_echelon) serves scaled_inverse, kernel_basis, positive_kernel and
+rank: rows are eliminated with integer row operations and reduced by their
+gcds, and the callers read the integer rows directly.  Bareiss elimination
+gives integer determinants (det_int).
 
-The hot loops run on ints instead.  `to_int` is the one way in: it scales
-rational vectors by the LCM of their denominators, after which zero tests
-and Cartan integers under a scalar form are plain `int_dot` arithmetic.
-Every catalog form is a scalar times the identity, and `dot` admits no
-other.
+The eliminations also take rational rows (the ambient realization and the
+tests pass Fractions): each row is read through .numerator and
+.denominator and scaled once to ints, so every result is integral.  The
+rational vector layer itself is in coroots.ambient, its one user.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-Vec = tuple[Q, ...]
-Mat = tuple[Vec, ...]
 IVec = tuple[int, ...]
-
-
-def vec(entries: Iterable) -> Vec:
-    return tuple(Q(x) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
-def zero_vec(n: int) -> Vec:
-    return (Q(0),) * n
-
-
-def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def scale(c, v: Vec) -> Vec:
-    c = Q(c)
-    return tuple(c * a for a in v)
-
-
-def dot(u: Vec, v: Vec, gram: Mat | None = None) -> Q:
-    """Inner product, Euclidean or under a scalar Gram matrix c I (read off
-    its first entry)."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    total = sum((a * b for a, b in zip(u, v)), Q(0))
-    return total if gram is None else gram[0][0] * total
 
 
 def int_dot(u: IVec, v: IVec) -> int:
@@ -84,33 +43,10 @@ def cartan_integers(prods) -> tuple[IVec, ...]:
     return tuple(out)
 
 
-def to_int(vectors, gram: Mat | None = None) -> tuple[list[IVec], int]:
-    """The nonzero vectors, times the LCM of their denominators, as int tuples.
-
-    Returns the int tuples and that common scale.  Zero tests and Cartan
-    integers are the same for the scaled vectors under the plain dot
-    product as for the originals under the form, provided the form is a
-    scalar times the identity; any other form raises ValueError.
-    """
-    if gram is not None:
-        c, n = gram[0][0], len(gram)
-        if c <= 0 or any(
-            gram[i][j] != (c if i == j else 0) for i in range(n) for j in range(n)
-        ):
-            raise ValueError("the root-set machinery needs a scalar Gram matrix")
-    vectors = [v for v in vectors if not is_zero(v)]
-    s = lcm(*(x.denominator for v in vectors for x in v))
-    return [tuple(x.numerator * (s // x.denominator) for x in v) for v in vectors], s
-
-
-def transpose(m: Mat) -> Mat:
+def transpose(m):
     if not m:
         return ()
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
-
-
-def is_zero(v: Vec) -> bool:
-    return all(a == 0 for a in v)
 
 
 def primitive(v) -> IVec:
@@ -185,13 +121,7 @@ def scaled_inverse(m) -> tuple[list[IVec], int]:
     return [tuple(x * (den // row[i]) for x in row[n:]) for i, row in enumerate(rows)], den
 
 
-def inverse(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises ValueError if it is singular."""
-    rows, den = scaled_inverse(m)
-    return tuple(tuple(Q(x, den) for x in row) for row in rows)
-
-
-def rank(m: Mat) -> int:
+def rank(m) -> int:
     return len(_int_echelon(m)[1])
 
 
@@ -218,6 +148,15 @@ def kernel_basis(m) -> list[IVec]:
             v[c] = -row[f] * (den // row[c])
         basis.append(primitive(v))
     return basis
+
+
+def positive_kernel(m) -> IVec | None:
+    """The positive primitive vector spanning the right kernel of m, or
+    None unless the kernel is one line through such a vector."""
+    ker = kernel_basis(m)
+    if len(ker) == 1 and min(ker[0]) > 0:
+        return ker[0]
+    return None
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:

@@ -32,6 +32,7 @@ from .center import CenterSubgroup, orbit_data
 from .coords import check_diagram1, products, project, root_form  # noqa: F401
 from .diagrams import (
     _candidate_types,
+    _ints,
     _invariants,
     _isomorphisms,
     connected_components,
@@ -39,7 +40,7 @@ from .diagrams import (
     generated_group,
     orbits_of,
 )
-from .linalg import IVec, Vec, cartan_integers, int_dot, rank as mat_rank
+from .linalg import IVec, cartan_integers, int_dot, rank as mat_rank
 from .rootdata import TRIVIAL, SimpleType
 
 
@@ -47,7 +48,7 @@ from .rootdata import TRIVIAL, SimpleType
 # Finite root-set machinery (restriction side)
 
 @lru_cache(maxsize=None)
-def all_roots_of(st: SimpleType) -> tuple[Vec, ...]:
+def all_roots_of(st: SimpleType) -> tuple[tuple, ...]:
     """Every root of a catalog type as an exact vector of its datum, in
     sorted order: the reflection closure of the simple roots, plus the
     doubles of the short roots for BC.  Only the tests and the stage
@@ -186,12 +187,13 @@ def classify_finite_cartan(cartan) -> SimpleType:
 
     Both sides are diagrams with unit marks, matched by the one isomorphism
     search; a decomposable matrix matches no catalog one.  B_n and C_n come
-    before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).
+    before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).  A
+    non-integral entry raises DiagramError.
     """
     n = len(cartan)
     if n == 0:
         return TRIVIAL
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    cartan = tuple(_ints(row, "cartan entry") for row in cartan)
     inv = _invariants(cartan, (1,) * n)
     for st in _candidate_types(n):
         if _isomorphisms(cartan, inv, *_catalog_finite(st), first_only=True):

@@ -17,20 +17,11 @@ e_0-e_1, e_1-e_2, ...).
 from __future__ import annotations
 
 import re
-from fractions import Fraction as Q
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .linalg import (
-    IVec,
-    Vec,
-    det_int,
-    kernel_basis,
-    scaled_inverse,
-    to_int,
-    transpose,
-    zero_vec,
-)
+from .linalg import IVec, det_int, positive_kernel, scaled_inverse, transpose
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -150,10 +141,10 @@ def extended_cartan(st: SimpleType) -> tuple[tuple[int, ...], ...]:
 def _positive_relation(m, st: SimpleType) -> tuple[int, ...]:
     if st == TRIVIAL:
         raise ValueError("the trivial type A0 has no root datum")
-    ker = kernel_basis(m)
-    if len(ker) != 1 or min(ker[0]) <= 0:
+    rel = positive_kernel(m)
+    if rel is None:
         raise AssertionError(f"the bond table of {st} has no unique positive relation")
-    return ker[0]
+    return rel
 
 
 @lru_cache(maxsize=None)
@@ -190,27 +181,22 @@ def center_vertex_nodes(st: SimpleType) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def alcove_coroot_coords(st: SimpleType) -> tuple[Vec, ...]:
-    """Simple-coroot coordinates of the alcove vertices, node by node.
+def alcove_int_coords(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
+    """The alcove vertices' simple-coroot coordinates times L, as int
+    tuples, and L, the LCM of their denominators; vertex 0 is the origin.
 
     Vertex i is the i-th fundamental coweight w_i divided by h_i.  With
     P[k][j] = a_k(a_j^vee) = n(j, k), w_i = sum_j (P^-1)[j][i] a_j^vee is
-    dual to the simple roots, so its coordinates are column i of P^-1.
+    dual to the simple roots, so its coordinates are column i of P^-1, that
+    is column i of the scaled inverse D P^-1 over D h_i.  In lowest terms
+    that column has denominator D h_i / gcd(D h_i, column).
     """
     cart, n = extended_cartan(st), st.rank
     inv, den = scaled_inverse([[cart[j][k] for j in range(1, n + 1)] for k in range(1, n + 1)])
     h = root_integers(st)
-    return (zero_vec(n),) + tuple(
-        tuple(Q(x, den * h[i]) for x in col) for i, col in enumerate(zip(*inv), start=1)
-    )
-
-
-@lru_cache(maxsize=None)
-def alcove_int_coords(st: SimpleType) -> tuple[tuple[IVec, ...], int]:
-    """The alcove vertices' simple-coroot coordinates times L, as int
-    tuples, and L, the LCM of their denominators."""
-    ints, s = to_int(alcove_coroot_coords(st)[1:])
-    return ((0,) * st.rank,) + tuple(ints), s
+    cols = [(den * h[i], col) for i, col in enumerate(zip(*inv), start=1)]
+    s = lcm(*(d // gcd(d, *col) for d, col in cols))
+    return ((0,) * n,) + tuple(tuple(x * s // d for x in col) for d, col in cols), s
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,10 @@ coroot lengths of a datum, the alcove barycenter and the known center
 orders per family.  Two more routes follow it: the Weyl part w_c of each
 central element as a product of longest elements, which shares no code
 with coroots.center, and the full-scan isomorphism search that the
-library's neighbour-driven search must agree with.
+library's neighbour-driven search must agree with.  Beside it is the
+all-pairs rule for a list of automorphisms, which checks every element
+against the Cartan matrix and closure on every product, where the library
+checks generators and compares with the group they generate.
 
 After the adapters comes the inverse route to the projected coroots: each
 orbit's first extended coroot times the orthogonal projector onto the
@@ -34,11 +37,11 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
 
-from coroots.ambient import alcove, datum
+from coroots.ambient import add, alcove, datum, is_zero, mat, scale
 from coroots.center import orbit_data
 from coroots.coords import coroot_form, fixed_subspace_coords, root_form
-from coroots.diagrams import connected_components, diagram_of
-from coroots.linalg import add, is_zero, mat, scale, transpose
+from coroots.diagrams import DiagramError, connected_components, diagram_of
+from coroots.linalg import transpose
 from coroots.projection import _classify_components, _reflection_closure
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan
 
@@ -270,9 +273,16 @@ def apply_perm_coords(perm, g, x):
 
 
 def perm_matrix_on_coroots(d, perm):
-    """Matrix in the simple-coroot basis of a_i^vee -> a_{perm[i]}^vee."""
-    units = [tuple(Q(int(k == i)) for k in range(d.rank)) for i in range(d.rank)]
-    return transpose(tuple(apply_perm_coords(perm, d.g, e) for e in units))
+    """Matrix in the simple-coroot basis of a_i^vee -> a_{perm[i]}^vee, as
+    int rows: entry (k, i) is 1 where perm sends node i to node k, and -g_k
+    where it sends node i to node 0, as a_0^vee = -sum_k g_k a_k^vee when
+    g_0 = 1 (every type with a nontrivial center)."""
+    assert perm[0] == 0 or d.g[0] == 1
+    nodes = range(1, d.rank + 1)
+    return tuple(
+        tuple(int(perm[i] == k) - (d.g[k] if perm[i] == 0 else 0) for i in nodes)
+        for k in nodes
+    )
 
 
 def fixed_subspace_kernel(d, sub_):
@@ -383,6 +393,31 @@ def scan_isomorphisms(c1, inv1, c2, inv2, first_only):
 
     extend(0)
     return found
+
+
+def validate_subgroup_all_pairs(d, group):
+    """The sorted list of group's automorphisms with the identity, checked
+    element by element (a permutation, the Cartan integers on every pair
+    of nodes, the marks) and then for closure on all |G|^2 products; raises
+    DiagramError with the library's messages."""
+    n, cartan, marks = d.n_nodes, d.cartan, d.marks
+    perms = [tuple(p) for p in group]
+    if tuple(range(n)) not in perms:
+        perms.append(tuple(range(n)))
+    for p in perms:
+        if sorted(p) != list(range(n)):
+            raise DiagramError(f"{p} is not a permutation of the nodes")
+        for u in range(n):
+            for v in range(n):
+                if cartan[p[u]][p[v]] != cartan[u][v]:
+                    raise DiagramError(f"{p} is not a diagram automorphism")
+        if any(marks[p[u]] != marks[u] for u in range(n)):
+            raise DiagramError(f"{p} does not preserve the marks")
+    for p in perms:
+        for q in perms:
+            if tuple(p[q[v]] for v in range(n)) not in perms:
+                raise DiagramError("automorphism list is not closed under composition")
+    return sorted(set(perms))
 
 
 def kac_accepts(cartan, marks):

@@ -18,12 +18,12 @@ from coroots.center import (
     perm_matrix_on_coroots_of,
     trivial_subgroup,
 )
-from coroots.ambient import alcove, datum
-from coroots.linalg import add, sub as vsub, transpose
+from coroots.ambient import add, alcove, datum, sub as vsub
+from coroots.linalg import transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
-    alcove_coroot_coords,
+    alcove_int_coords,
     center_element_inverse,
     center_element_sum,
     center_vertex_nodes,
@@ -223,7 +223,8 @@ class FractionCenter:
     def __init__(self, st):
         self.st = st
         self.g = datum(st).g
-        self.verts = alcove_coroot_coords(st)
+        ints, s = alcove_int_coords(st)
+        self.verts = [tuple(Q(x, s) for x in v) for v in ints]
         self.central = center_vertex_nodes(st)
         self.table = {_residue(self.verts[c]): c for c in self.central}
         assert len(self.table) == len(self.central)

@@ -235,6 +235,21 @@ def test_cold_queries_skip_dataclasses_and_tables():
     assert "extended coroot diagram of A1" in proc.stdout
 
 
+def test_integer_layer_imports_no_rationals():
+    """linalg and rootdata compute in ints: importing them loads neither
+    fractions nor decimal."""
+    code = (
+        "import sys\n"
+        "import coroots.linalg, coroots.rootdata\n"
+        "loaded = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def modules_loaded_by(argv):
     """Exit code of main(argv) in a fresh interpreter, and the coroots
     modules and json it left in sys.modules."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coroots.ambient import datum
+from coroots.ambient import add, datum, dot, mat, scale, zero_vec
 from coroots.center import all_subgroups, orbit_data, parse_center
 from coroots.diagrams import (
     AffineDiagram,
@@ -18,7 +18,7 @@ from coroots.diagrams import (
     is_affine_type,
     quotient,
 )
-from coroots.linalg import add, dot, kernel_basis, mat, primitive, scale, transpose, zero_vec
+from coroots.linalg import kernel_basis, primitive, transpose
 from coroots.numerology import residue_cover
 from coroots.moduli import catalog_types
 from coroots.projection import (

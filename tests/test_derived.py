@@ -2,11 +2,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from coroots.ambient import datum
+from coroots.ambient import add, datum, dot, mat, scale, vec, zero_vec
 from coroots.center import all_subgroups, orbit_data, parse_center, trivial_subgroup
 from coroots.derived import check_samediags, derived, node_type, quotient_marked
 from coroots.diagrams import diagram_of
-from coroots.linalg import add, dot, kernel_basis, mat, scale, vec, zero_vec
+from coroots.linalg import kernel_basis
 from coroots.moduli import catalog_types
 from coroots.coords import DiagramReport
 from coroots.numerology import marked

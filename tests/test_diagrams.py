@@ -14,6 +14,7 @@ from coroots.diagrams import (
     AffineDiagram,
     DiagramError,
     _invariants,
+    _validate_subgroup,
     automorphism_group,
     classify,
     compose,
@@ -26,14 +27,14 @@ from coroots.diagrams import (
     orbits_of,
     quotient,
 )
-from coroots.ambient import datum
+from coroots.ambient import datum, to_int
 from coroots.center import all_subgroups, center_group, quotient_diagram, subgroup_generated
 from coroots.coords import project
 from coroots.derived import derived, quotient_marked
-from coroots.linalg import kernel_basis, to_int, transpose
+from coroots.linalg import kernel_basis, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, parse_type
-from oracles import coroot_sq_lengths, kac_accepts, scan_isomorphisms
+from oracles import coroot_sq_lengths, kac_accepts, scan_isomorphisms, validate_subgroup_all_pairs
 
 
 def test_is_affine_type_examples():
@@ -177,6 +178,48 @@ def test_quotient_rejects_unclosed_list():
     gen = center_group(st).elements[1].perm
     with pytest.raises(DiagramError, match="closed under composition"):
         quotient(diagram_of(st), [tuple(range(5)), gen])
+
+
+_SMALL_DIAGRAMS = [
+    diagram_of(parse_type(s)) for s in ("A1", "A2", "A3", "A5", "C3", "D4", "D5", "D6", "E6")
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_validate_subgroup_matches_the_all_pairs_rule(data):
+    """Checking the Cartan integers on generators and closure against the
+    group they generate accepts, rejects and names the failure exactly as
+    the all-pairs rule does.  The lists are a subgroup of the automorphism
+    group with at most one element dropped and up to two added: further
+    automorphisms, arbitrary permutations or non-permutations."""
+    d = data.draw(hst.sampled_from(_SMALL_DIAGRAMS))
+    n = d.n_nodes
+    auts = automorphism_group(d)
+    base = generated_group(data.draw(hst.lists(hst.sampled_from(auts), max_size=3)), n)
+    drop = data.draw(hst.sampled_from([None] + base))
+    extra = data.draw(hst.lists(
+        hst.sampled_from(auts)
+        | hst.permutations(range(n)).map(tuple)
+        | hst.lists(hst.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+        max_size=2,
+    ))
+    group = data.draw(hst.permutations([p for p in base if p != drop] + extra))
+    want = _outcome(validate_subgroup_all_pairs, d, group)
+    assert _outcome(_validate_subgroup, d, group) == want, (d.cartan, group)
+    if want is None:
+        assert _validate_subgroup(d, group) == validate_subgroup_all_pairs(d, group)
+
+
+def test_validate_subgroup_on_every_center_subgroup():
+    """Every center subgroup to rank 16 and of A40, listed in reverse,
+    comes back sorted and as the all-pairs rule returns it."""
+    for st in catalog_types(16) + [SimpleType("A", 40)]:
+        d = diagram_of(st)
+        for sub_ in all_subgroups(st):
+            perms = sub_.perms()[::-1]
+            assert _validate_subgroup(d, perms) == validate_subgroup_all_pairs(d, perms)
+            assert _validate_subgroup(d, perms) == sorted(perms)
 
 
 def test_orbit_kind():

@@ -8,22 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coroots.ambient import add, dot, inverse, is_zero, mat, scale, sub, vec
 from coroots.linalg import (
     _int_echelon,
     cartan_integers,
     det_int,
-    scaled_inverse,
-    add,
-    dot,
-    inverse,
-    is_zero,
     kernel_basis,
-    mat,
+    positive_kernel,
     primitive,
     rank,
-    scale,
-    sub,
-    vec,
+    scaled_inverse,
 )
 from oracles import (
     gram_of,
@@ -60,6 +54,15 @@ def test_kernel_basis_zero_matrix_full():
 def test_kernel_basis_affine_a1():
     basis = kernel_basis(mat([[2, -2], [-2, 2]]))
     assert basis == [vec([1, 1])]
+
+
+def test_positive_kernel_needs_one_positive_line():
+    assert positive_kernel([[2, -2], [-2, 2]]) == (1, 1)
+    assert positive_kernel([[Q(1, 2), Q(-1, 3)]]) == (2, 3)
+    assert positive_kernel([[1, 1]]) is None  # spanned by (1, -1)
+    assert positive_kernel([[1, 0, 0], [0, 1, 0]]) is None  # spanned by (0, 0, 1)
+    assert positive_kernel([[1, 0], [0, 1]]) is None  # zero kernel
+    assert positive_kernel([[1, -1, 0]]) is None  # two-dimensional
 
 
 @given(matrices(3, 4))

@@ -22,20 +22,8 @@ from coroots.coords import (
     torus_subspace_coords,
 )
 from coroots.derived import quotient_marked
-from coroots.diagrams import diagram_of
-from coroots.linalg import (
-    add,
-    dot,
-    int_dot,
-    is_zero,
-    kernel_basis,
-    mat,
-    rank,
-    scale,
-    sub,
-    vec,
-    zero_vec,
-)
+from coroots.diagrams import DiagramError, diagram_of
+from coroots.linalg import int_dot, kernel_basis, rank
 from coroots.moduli import catalog_types
 from coroots.projection import (
     _simple_system,
@@ -47,7 +35,7 @@ from coroots.projection import (
     projection_type,
     restricted_type,
 )
-from coroots.ambient import datum
+from coroots.ambient import add, datum, dot, is_zero, mat, scale, sub, vec, zero_vec
 from coroots.rootdata import SimpleType, parse_type
 from oracles import (
     annihilator_by_roots,
@@ -243,8 +231,6 @@ def test_resdualproj_for_simply_laced():
         d = datum(st)
         od = orbit_data(st, sub)
         ps = project(st, sub)
-        from coroots.linalg import add, dot, scale, zero_vec
-
         n = len(od.orbits)
         restr_coroots = []
         for o in od.orbits:
@@ -557,6 +543,17 @@ def test_root_counts_and_cartan_match_sympy(st):
     ours = tuple(tuple(int(cartan(d, a, b)) for b in simples) for a in simples)
     assert classify_finite_cartan(ours) == st
     assert len(all_roots_of(st)) == len(RootSystem(name).all_roots())
+
+
+@pytest.mark.parametrize(
+    "cartan", [[[2, -1.5], [-1, 2]], [[2.9, -1], [-1, 2]], [[2, Q(-3, 2)], [-1, 2]]]
+)
+def test_classify_finite_cartan_rejects_non_integral_entries(cartan):
+    """A non-integral entry is rejected, not truncated to a catalog matrix;
+    integral floats and Fractions still classify."""
+    with pytest.raises(DiagramError, match="is not an integer"):
+        classify_finite_cartan(cartan)
+    assert classify_finite_cartan([[2.0, Q(-1)], [-1, 2]]) == SimpleType("A", 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,29 @@
 """Catalog regression: the extended coroot diagrams node-for-node."""
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from coroots.ambient import alcove, coroot_coord_matrix, datum
-from coroots.center import _check_homomorphism, center_group
-from coroots.diagrams import diagram_of
-from coroots.linalg import (
+from coroots.ambient import (
     add,
-    det_int,
+    alcove,
+    coroot_coord_matrix,
+    datum,
     is_zero,
     mat,
     scale,
     sub,
     zero_vec,
 )
+from coroots.center import _check_homomorphism, center_group
+from coroots.diagrams import diagram_of
+from coroots.linalg import det_int
 from coroots import rootdata
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
     SimpleType,
-    alcove_coroot_coords,
+    alcove_int_coords,
     center_element_inverse,
     center_element_sum,
     center_vertex_nodes,
@@ -132,6 +134,9 @@ def test_figures_node_for_node(spec):
     expect_bonds, expect_marks = expected_figure(spec)
     assert d.marks == expect_marks
     assert bonds(d.cartan) == expect_bonds
+    # the bond table's positive relation and the diagram's marks are one
+    # kernel of the transposed table
+    assert rootdata.coroot_integers(st) == d.marks
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -313,13 +318,16 @@ def test_group_law_above_the_catalog():
         _check_homomorphism(st, grp)
 
 
-@pytest.mark.parametrize("st", catalog_types(8), ids=str)
+@pytest.mark.parametrize("st", catalog_types(12), ids=str)
 def test_alcove_coords_match_coroot_coord_matrix(st):
-    """Coordinates read off the coweight inverse equal the dense left
-    inverse of the coroot basis applied to the ambient vertices."""
+    """Coordinates read off the scaled Cartan inverse, over L, equal the
+    dense left inverse of the coroot basis applied to the ambient
+    vertices, and L is their least common denominator."""
     m = coroot_coord_matrix(st)
     want = tuple(mat_vec(m, v) for v in alcove(st).vertices)
-    assert alcove_coroot_coords(st) == want
+    ints, s = alcove_int_coords(st)
+    assert tuple(tuple(Q(x, s) for x in v) for v in ints) == want
+    assert s == lcm(*(x.denominator for v in want for x in v))
 
 
 @pytest.mark.parametrize(
