@@ -16,7 +16,9 @@ what a cold query compiles when no bytecode is cached.  `datum --group A1` is
 the cold-start floor: interpreter start and package import with next to no
 computation.  "bytecode_cached" is false when the children may not write
 bytecode (PYTHONDONTWRITEBYTECODE or -B, which they inherit), so each one
-compiles the package afresh; runs with and without it do not compare.  A query that exits
+compiles the package afresh; runs with and without it do not compare.
+`paper-tables` writes its tables into a fresh temporary directory per run
+(the "{out}" argument), outside the timed span.  A query that exits
 nonzero aborts the run with exit code 1.
 
     python3 scripts/bench_scaling.py PARENT_ROOT
@@ -30,6 +32,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -38,6 +41,7 @@ RUNS = 7
 QUERIES = {
     "check-all --max-rank 24": ["check-all", "--max-rank", "24"],
     "check-all --max-rank 32": ["check-all", "--max-rank", "32"],
+    "paper-tables --max-rank 24": ["paper-tables", "--max-rank", "24", "--out", "{out}"],
     "components --group A40 --center full": ["components", "--group", "A40", "--center", "full"],
     "components --group A80 --center full": ["components", "--group", "A80", "--center", "full"],
     "components --group A160 --center full": ["components", "--group", "A160", "--center", "full"],
@@ -53,12 +57,14 @@ QUERIES = {
 
 def cold_wall(root: str, argv: list[str]) -> float:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "coroots.cli", *argv],
-        cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-    )
-    elapsed = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as out:
+        argv = [a.replace("{out}", out) for a in argv]
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "coroots.cli", *argv],
+            cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
         sys.exit(f"{root}: {' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
     return elapsed
@@ -79,10 +85,11 @@ LINES_PROBE = (
 
 def src_lines_loaded(root: str, argv: list[str]) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", LINES_PROBE, *argv],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", LINES_PROBE, *(a.replace("{out}", out) for a in argv)],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
     out = proc.stdout.split()
     if proc.returncode != 0 or out[:1] != ["0"]:
         sys.exit(f"{root}: {' '.join(argv)} failed the line probe: {proc.stderr.strip()}")

@@ -50,11 +50,8 @@ class AffineDiagram(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "AffineDiagram":
-        return AffineDiagram(
-            tuple(_ints(row, "cartan entry") for row in obj["cartan"]),
-            _ints(obj["marks"], "mark"),
-            tuple(Q(s) for s in obj["sq_lengths"]),
-        )
+        """The diagram of a to_json payload, validated by make_diagram."""
+        return make_diagram(obj["cartan"], obj["marks"], obj["sq_lengths"])
 
 
 def label(st: SimpleType) -> str:

@@ -4,8 +4,8 @@ Vectors are tuples of ints (IVec) and matrices are tuples of row tuples;
 there is no floating point anywhere, and nothing here builds a Fraction.
 Matrices are dense, of about the rank of the type: the CLI accepts any
 rank, and A160 queries run.  One fraction-free Gauss-Jordan elimination
-(_int_echelon) serves scaled_inverse, kernel_basis, positive_kernel and
-rank: rows are eliminated with integer row operations and reduced by their
+(_int_echelon) serves scaled_inverse, kernel_basis and positive_kernel:
+rows are eliminated with integer row operations and reduced by their
 gcds, and the callers read the integer rows directly.  Bareiss elimination
 gives integer determinants (det_int).
 
@@ -119,10 +119,6 @@ def scaled_inverse(m) -> tuple[list[IVec], int]:
         raise ValueError("singular matrix")
     den = lcm(*(row[i] for i, row in enumerate(rows)))
     return [tuple(x * (den // row[i]) for x in row[n:]) for i, row in enumerate(rows)], den
-
-
-def rank(m) -> int:
-    return len(_int_echelon(m)[1])
 
 
 def kernel_basis(m) -> list[IVec]:

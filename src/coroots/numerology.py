@@ -8,6 +8,7 @@ and the rotation-invariant partition of Z/2g by the J(x,r) windows.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -89,37 +90,30 @@ def _punctured(k: int, d: int) -> list[int]:
 
 def residue_cover(residues, k: int) -> tuple[int, ...] | None:
     """Cover a multiset of nonzero residues mod k by punctured cyclic
-    subgroups of Z/k; returns the lexicographically smallest multiset of
-    subgroup orders, or None when no cover exists.
+    subgroups of Z/k; returns the sorted multiset of subgroup orders, or
+    None when no cover exists.
 
-    Exposed separately so inputs outside the catalog can be explored.
+    The cover is unique, so it is counted, not searched: the punctured
+    subgroup of order d holds each residue of exact order e | d once, so
+    the phi(e) residues of exact order e occur equally often, N_e times,
+    and N_e is the number of chosen orders that e divides.  Taking the
+    divisors of k largest first, order d is chosen n_d = N_d - sum of the
+    n_e over its multiples e times; there is no cover when the counts
+    differ or some n_d is negative.  Exposed separately so inputs outside
+    the catalog can be explored.
     """
-    residues = sorted(r % k for r in residues)
-    if any(r == 0 for r in residues):
+    counts = Counter(r % k for r in residues)
+    if counts[0]:
         raise ValueError("residues must be nonzero mod k")
-    divisors = sorted((d for d in range(2, k + 1) if k % d == 0), reverse=True)
-
-    def cover(rem: list[int], chosen: list[int]) -> tuple[int, ...] | None:
-        if not rem:
-            return tuple(sorted(chosen))
-        found = None
-        for d in divisors:
-            pool = list(rem)
-            ok = True
-            for r in _punctured(k, d):
-                if r in pool:
-                    pool.remove(r)
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            res = cover(pool, chosen + [d])
-            if res is not None and (found is None or res < found):
-                found = res
-        return found
-
-    return cover(residues, [])
+    chosen: dict[int, int] = {}
+    for d in (d for d in range(k, 1, -1) if k % d == 0):
+        step = k // d
+        ns = {counts[step * j] for j in range(1, d) if gcd(j, d) == 1}
+        n = ns.pop() - sum(c for e, c in chosen.items() if e % d == 0)
+        if ns or n < 0:
+            return None
+        chosen[d] = n
+    return tuple(sorted(d for d, n in chosen.items() for _ in range(n)))
 
 
 def check_assumption(m: MarkedDiagram, k: int) -> Decomposition | None:

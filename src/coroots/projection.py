@@ -1,51 +1,54 @@
-"""Root systems on the fixed subspace: annihilators and restrictions.
+"""Root systems on a subspace: restrictions and annihilators.
 
-fold() and restricted_type() classify the restricted root system (nonzero
-restrictions of roots) by reflection closure of the orbit restrictions;
+fold() and restricted_type() classify the restricted root system (the
+nonzero restrictions of the roots) on the subspace fixed by a diagram
+automorphism or by a center subgroup's Weyl part w_C, and
 annihilator_factors() gives the simple factors of the roots vanishing on a
-subspace; projection_type() labels the projected-coroot system that
-coords.project() builds.  Everything is read off the catalog diagram and
-computed in integer coordinates, with no ambient realization.
-
-Roots live in simple-root coordinates, with products through the integer
-root form ((a_i, a_j)) up to a positive scale (coords.root_form).  No
-query enumerates the roots of a type: the annihilator of a subspace is a
-parabolic subsystem, found by a walk into the dominant chamber, and
+subspace.  No query enumerates roots: both walk a basis of the subspace
+into the dominant chamber (_chamber_walk), after which the roots vanishing
+on it are the parabolic subsystem on the simple roots J vanishing there,
+and the restricted simple roots are the distinct restrictions of the
+other simple roots.  projection_type() labels the projected-coroot system
+that coords.project() builds.  Everything is read off the catalog diagram
+and computed in integer coordinates, with no ambient realization;
 all_roots_of (for the tests) closes the simple roots under reflections.
-Restrictions are orbit averages of the extended roots (e_i, or -h for
-node 0) times the LCM of the orbit sizes.
-Scaling all vectors by one positive integer, or the form by a positive
-scalar, changes neither "is (u, v) zero?" nor 2(u, v)/(v, v), the only
-questions asked of a root set.  A root set's factors are read off the
-Cartan matrix of one simple system of its indivisible roots
-(_classify_components).
+
+A subspace is given by the simple-coroot coordinates of a basis, and a
+root by its values on that basis.  Roots live in simple-root coordinates
+only in all_roots_of, with products through the integer root form
+((a_i, a_j)) up to a positive scale (coords.root_form).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
 from . import rootdata
 from .center import CenterSubgroup, orbit_data
 # check_diagram1 is imported for perfbench's worker, which reads it here
-from .coords import check_diagram1, products, project, root_form  # noqa: F401
+from .coords import (  # noqa: F401
+    check_diagram1,
+    coroot_form,
+    fixed_subspace_coords,
+    products,
+    project,
+    root_form,
+)
 from .diagrams import (
     _candidate_types,
     _ints,
     _invariants,
     _isomorphisms,
     connected_components,
-    diagram_of,
     generated_group,
     orbits_of,
 )
-from .linalg import IVec, cartan_integers, int_dot, rank as mat_rank
+from .linalg import IVec, cartan_integers, int_dot, scaled_inverse
 from .rootdata import TRIVIAL, SimpleType
 
 
 # ---------------------------------------------------------------------------
-# Finite root-set machinery (restriction side)
+# Every root of a type, for the tests
 
 @lru_cache(maxsize=None)
 def all_roots_of(st: SimpleType) -> tuple[tuple, ...]:
@@ -61,73 +64,6 @@ def all_roots_of(st: SimpleType) -> tuple[tuple, ...]:
         short = min(row[i] for i, row in enumerate(form))
         roots |= {tuple(2 * x for x in r) for r in roots if products(form, [r]) == [[short]]}
     return tuple(sorted(ambient_roots(st, roots)))
-
-
-@lru_cache(maxsize=None)
-def annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[SimpleType, ...]:
-    """Simple factors of the root subsystem vanishing on a subspace, given
-    by the simple-coroot coordinates of a basis (a tuple of int tuples, as
-    coords.torus_subspace_coords returns it), once per (type, basis).
-
-    Each basis vector x in turn is walked into the dominant chamber of the
-    simple roots J that vanish on the vectors before it, by reflections s_k
-    (k in J) with a_k(x) < 0, which fix those vectors; later vectors move
-    with x.  The roots vanishing on a dominant point are those on the
-    simple roots vanishing there (Humphreys, Introduction to Lie Algebras,
-    10.3 Lemma B), so J shrinks to those.  The factors are the components
-    of the diagram on the final J; a BC factor holds a doubling short root.
-    x is held as its values a_j(x), which s_k changes by a_k(x) times row k
-    of the table, since a_j(a_k^vee) = n(k, j).
-    """
-    cart, n = rootdata.extended_cartan(st), st.rank
-    fin = [row[1:] for row in cart[1:]]
-    values = [[int_dot(x, col) for col in zip(*fin)] for x in coords]
-    bonds = [[(j, a) for j, a in enumerate(row) if a] for row in fin]
-    live = set(range(n))
-    for t, vals in enumerate(values):
-        stack = [k for k in live if vals[k] < 0]
-        while stack:
-            k = stack.pop()
-            if vals[k] >= 0:
-                continue
-            for later in values[t:]:
-                c = later[k]
-                if c:
-                    for j, a in bonds[k]:
-                        later[j] -= c * a
-            stack += [j for j, _ in bonds[k] if j in live and vals[j] < 0]
-        live = {k for k in live if not vals[k]}
-    diag = [row[i] for i, row in enumerate(root_form(st))]
-    doubled = {i for i, x in enumerate(diag) if st.family == "BC" and x == min(diag)}
-    types = []
-    for block in connected_components(sorted(live), lambda i, j: fin[i][j]):
-        # the table is coroot-side; the root-side matrix is its transpose
-        ft = classify_finite_cartan([[fin[j][i] for j in block] for i in block])
-        types.append(SimpleType("BC", ft.rank) if doubled & set(block) else ft)
-    return tuple(sorted(types))
-
-
-def _classify_components(roots: list[IVec], form) -> list[SimpleType]:
-    """Types of the irreducible factors of a finite (possibly non-reduced)
-    root system, sorted: the components of the Cartan matrix, under the
-    integer form, of a simple system of the indivisible roots.  The roots v
-    with 2v a root form a Weyl group orbit, which meets the simple roots: a
-    factor is BC when twice one of its simple roots is a root."""
-    if not roots:
-        return []
-    rset = set(roots)
-    # v / 2 can only be a root when it is an int tuple at the same scale
-    simples = _simple_system([
-        v for v in roots if any(x % 2 for x in v) or tuple(x // 2 for x in v) not in rset
-    ])
-    cartan = cartan_integers(products(form, simples))
-    types = []
-    for block in connected_components(range(len(simples)), lambda i, j: cartan[i][j]):
-        st = classify_finite_cartan([[cartan[i][j] for j in block] for i in block])
-        if any(tuple(2 * x for x in simples[i]) in rset for i in block):
-            st = SimpleType("BC", st.rank)
-        types.append(st)
-    return sorted(types)
 
 
 def _reflection_closure(seeds: list[IVec], form) -> set[IVec]:
@@ -159,27 +95,63 @@ def _reflection_closure(seeds: list[IVec], form) -> set[IVec]:
     return roots
 
 
-def _simple_system(roots: list[IVec]) -> list[IVec]:
-    """Simple roots of a reduced root system for a generic functional, sorted.
+# ---------------------------------------------------------------------------
+# The chamber walk, annihilators and the finite classifier
 
-    The positive roots are scanned by increasing value: one that is not
-    simple is a simple root found before it plus a positive root (Humphreys,
-    Introduction to Lie Algebras, 10.2 Lemma A)."""
-    dim = len(roots[0])
-    t = 1
-    while True:
-        weights = tuple(t**i for i in range(dim))
-        vals = {int_dot(v, weights) for v in roots}
-        if 0 not in vals and len(vals) == len(roots):
-            break
-        t += 1
-    pos = sorted((h, v) for v in roots if (h := int_dot(v, weights)) > 0)
-    pset = {v for _, v in pos}
-    simples: list[IVec] = []
-    for _, a in pos:
-        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in simples):
-            simples.append(a)
-    return sorted(simples)
+
+def _chamber_walk(cart, coords) -> tuple[list[list[int]], set[int]]:
+    """Walk a basis of a subspace X, given by the simple-coroot coordinates
+    of its vectors, into a dominant position u X by one Weyl group element
+    u; returns the values a_j(u x) of each basis vector x and the set J of
+    simple roots vanishing on u X.  cart is the finite Cartan matrix,
+    cart[i][j] = a_i(a_j^vee).
+
+    Each basis vector x in turn is walked into the dominant chamber of the
+    simple roots J that vanish on the vectors before it, by reflections s_k
+    (k in J) with a_k(x) < 0, which fix those vectors; later vectors move
+    with x.  The roots vanishing on a dominant point are those on the
+    simple roots vanishing there (Humphreys, Introduction to Lie Algebras,
+    10.3 Lemma B), so J shrinks to those.  x is held as its values a_j(x),
+    which s_k changes by a_k(x) times column k of cart.
+    """
+    values = [[int_dot(row, x) for row in cart] for x in coords]
+    bonds = [[(j, a) for j, a in enumerate(col) if a] for col in zip(*cart)]
+    live = set(range(len(cart)))
+    for t, vals in enumerate(values):
+        stack = [k for k in live if vals[k] < 0]
+        while stack:
+            k = stack.pop()
+            if vals[k] >= 0:
+                continue
+            for later in values[t:]:
+                c = later[k]
+                if c:
+                    for j, a in bonds[k]:
+                        later[j] -= c * a
+            stack += [j for j, _ in bonds[k] if j in live and vals[j] < 0]
+        live = {k for k in live if not vals[k]}
+    return values, live
+
+
+@lru_cache(maxsize=None)
+def annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[SimpleType, ...]:
+    """Simple factors of the root subsystem vanishing on a subspace, given
+    by the simple-coroot coordinates of a basis (a tuple of int tuples, as
+    coords.torus_subspace_coords returns it), once per (type, basis).
+
+    They are the components of the diagram on the simple roots J that
+    vanish on the walked subspace (_chamber_walk); a BC factor holds a
+    doubling short root.
+    """
+    cart = _catalog_finite(st)[0]
+    live = _chamber_walk(cart, coords)[1]
+    diag = [row[i] for i, row in enumerate(root_form(st))]
+    doubled = {i for i, x in enumerate(diag) if st.family == "BC" and x == min(diag)}
+    types = []
+    for block in connected_components(sorted(live), lambda i, j: cart[i][j]):
+        ft = classify_finite_cartan([[cart[i][j] for j in block] for i in block])
+        types.append(SimpleType("BC", ft.rank) if doubled & set(block) else ft)
+    return tuple(sorted(types))
 
 
 def classify_finite_cartan(cartan) -> SimpleType:
@@ -190,14 +162,21 @@ def classify_finite_cartan(cartan) -> SimpleType:
     before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).  A
     non-integral entry raises DiagramError.
     """
+    return _classify_finite(cartan)[0]
+
+
+def _classify_finite(cartan) -> tuple[SimpleType, tuple[int, ...]]:
+    """classify_finite_cartan and a node map: input node i is the catalog
+    type's finite node map[i] + 1."""
     n = len(cartan)
     if n == 0:
-        return TRIVIAL
+        return TRIVIAL, ()
     cartan = tuple(_ints(row, "cartan entry") for row in cartan)
     inv = _invariants(cartan, (1,) * n)
     for st in _candidate_types(n):
-        if _isomorphisms(cartan, inv, *_catalog_finite(st), first_only=True):
-            return st
+        iso = _isomorphisms(cartan, inv, *_catalog_finite(st), first_only=True)
+        if iso:
+            return st, iso[0]
     raise AssertionError("unrecognized finite Cartan matrix")
 
 
@@ -218,7 +197,8 @@ def fold(st: SimpleType, tau: tuple[int, ...]) -> SimpleType:
 
     tau is a permutation of nodes 0..n fixing 0 (the extended node) or of
     1..n given on the finite nodes; it must preserve the finite Cartan
-    matrix.
+    matrix.  The fixed subspace is spanned by the tau-orbit sums of the
+    simple coroots.
     """
     n = st.rank
     if len(tau) == n:
@@ -234,46 +214,61 @@ def fold(st: SimpleType, tau: tuple[int, ...]) -> SimpleType:
         return st
     # node 0 is fixed; its orbit is the first one
     orbits = orbits_of(generated_group([tau], n + 1), n + 1)[1:]
-    return _restricted_from_orbits(st, orbits)
+    return _restricted(st, tuple(tuple(int(i in o) for i in range(1, n + 1)) for o in orbits))
 
 
 def restricted_type(st: SimpleType, sub_: CenterSubgroup) -> SimpleType:
-    """Type of the restricted root system of a center subgroup's Weyl part."""
-    orbits = orbit_data(st, sub_)
-    if orbits.degenerate:
-        return TRIVIAL
-    return _restricted_from_orbits(st, [o.nodes for o in orbits.orbits])
+    """Type of the restricted root system of a center subgroup's Weyl part,
+    on its fixed subspace (coords.fixed_subspace_coords); the trivial
+    subgroup fixes everything."""
+    if sub_.is_trivial:
+        return st
+    return _restricted(st, fixed_subspace_coords(st, sub_))
 
 
-def _restricted_from_orbits(st: SimpleType, orbits) -> SimpleType:
-    """Classify restrictions of the (extended) roots to the fixed subspace.
+def _restricted(st: SimpleType, coords: tuple[IVec, ...]) -> SimpleType:
+    """Type of the restricted root system on a subspace X of a reduced
+    type, given by the simple-coroot coordinates of a basis.
 
-    The restriction of an orbit is the orbit average of its roots, taken
-    here in simple-root coordinates (e_i for node i, -h for node 0, as
-    sum_i h_i a_i = 0) times the LCM of the orbit sizes.  The orbit
-    restrictions generate the restricted system under reflections once the
-    doubled restrictions of exceptional orbits (bonded A_2 pairs) are
-    thrown in.
+    After the walk (_chamber_walk) every positive root is lexicographically
+    nonnegative on the walked basis, and zero exactly on the roots of J, so
+    the restrictions of the other simple roots span the positive
+    restrictions.  Grouped by their values, they are the restricted simple
+    roots when there are dim X groups.  For the fixed subspace of an
+    element of W, a flat (Steinberg's fixer theorem), each group is one
+    simple root; for a diagram automorphism it is an orbit.
+
+    A restriction with values v on the basis is B-dual to the vector with
+    coordinates G^-1 v in it, G the B-Gram matrix of the basis, which the
+    walk keeps (B is W-invariant); so two restrictions pair as v^T G^-1 w.
+    The roots
+    restricting to multiples of a group S's restriction are those of the
+    subdiagram on J and S, and a root of a component C of it restricts to
+    its coefficients summed over S times that: at most the sum for the
+    highest root of C.  The system is BC when that sum is 2 for some C.
     """
-    h, n = rootdata.root_integers(st), st.rank
-    roots = [tuple(-x for x in h[1:])]
-    roots += [tuple(int(k == i) for k in range(1, n + 1)) for i in range(1, n + 1)]
-    m = lcm(*(len(o) for o in orbits))
-    avgs = [tuple(m // len(o) * sum(xs) for xs in zip(*(roots[u] for u in o))) for o in orbits]
-    fixed_dim = mat_rank(avgs)
-    cart = diagram_of(st).cartan
-    seeds = []
-    for o, avg in zip(orbits, avgs):
-        if not any(avg):
-            continue
-        seeds.append(avg)
-        if any(cart[u][v] for i, u in enumerate(o) for v in o[i + 1 :]):
-            seeds.append(tuple(2 * x for x in avg))
-    form = root_form(st)
-    factors = _classify_components(list(_reflection_closure(seeds, form)), form)
-    if len(factors) != 1 or factors[0].rank != fixed_dim:
-        raise AssertionError(f"restricted factors {factors}, want one of rank {fixed_dim}")
-    return factors[0]
+    cart = _catalog_finite(st)[0]
+    values, live = _chamber_walk(cart, coords)
+    groups: dict[IVec, list[int]] = {}
+    for j in range(st.rank):
+        if j not in live:
+            groups.setdefault(tuple(v[j] for v in values), []).append(j)
+    if len(groups) != len(coords):
+        raise AssertionError(f"{len(groups)} restricted simple roots in dimension {len(coords)}")
+    inv, _ = scaled_inverse(products(coroot_form(st)[0], coords))
+    res = classify_finite_cartan(cartan_integers(products(inv, list(groups))))
+    doubles = False
+    for group in groups.values():
+        for block in connected_components(sorted(live.union(group)), lambda i, j: cart[i][j]):
+            if live.issuperset(block):
+                continue
+            ft, node_map = _classify_finite([[cart[i][j] for j in block] for i in block])
+            h = rootdata.root_integers(ft)
+            c = sum(h[node_map[p] + 1] for p, i in enumerate(block) if i in group)
+            if c > 2:
+                raise AssertionError(f"a root restricts to {c} times a restricted simple root")
+            doubles = doubles or c == 2
+    return SimpleType("BC", res.rank) if doubles else res
 
 
 def nonmultipliable(st: SimpleType) -> SimpleType:

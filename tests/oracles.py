@@ -8,7 +8,8 @@ and scaling to ints, so a test that compares a library result with one of
 them compares two different routes.
 
 The three adapters near the end are not oracles: they give the integer
-root-set routes of coroots.projection the Fraction-vector signature they
+root-set routes (coroots.projection's reflection closure and the
+classifier at the end of this file) the Fraction-vector signature they
 once had, so tests can feed them Fraction roots.  Ambient vectors under a
 scalar form go in with the identity as the integer form.
 
@@ -27,10 +28,14 @@ orbit's first extended coroot times the orthogonal projector onto the
 fixed subspace, solved here on Fractions.  coords.project checks the
 defining property of the projection instead, so the two share no step.
 
-The last section is the root-filter route to the annihilator factors that
+Then comes the root-filter route to the annihilator factors that
 coroots.projection reads off a Weyl-chamber walk: every root generated by
 the root-string rule, filtered by its values on a basis, split into
-orthogonal classes and named by counting roots.
+orthogonal classes and named by counting roots.  The last section is the
+root-enumeration route to the restricted root systems that the same walk
+gives: the reflection closure of the orbit restrictions, a simple system
+of its indivisible roots for a generic functional, and the Cartan matrix
+of that system, classified component by component.
 """
 
 from fractions import Fraction as Q
@@ -41,9 +46,10 @@ from coroots.ambient import add, alcove, datum, is_zero, mat, scale
 from coroots.center import orbit_data
 from coroots.coords import coroot_form, fixed_subspace_coords, root_form
 from coroots.diagrams import DiagramError, connected_components, diagram_of
-from coroots.linalg import transpose
-from coroots.projection import _classify_components, _reflection_closure
-from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan
+from coroots.coords import products
+from coroots.linalg import cartan_integers, int_dot, transpose
+from coroots.projection import _reflection_closure, classify_finite_cartan
+from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, root_integers
 
 # ---------------------------------------------------------------------------
 # Linear algebra on Fractions
@@ -65,8 +71,10 @@ def mat_vec(m, v):
 
 
 def row_echelon(m):
-    """Gauss-Jordan elimination on Fractions: (reduced rows, pivot columns)."""
-    rows = [[Q(x) for x in r] for r in m]
+    """Gauss-Jordan elimination on Fractions: (reduced rows, pivot columns).
+    Integer entries stay ints until a pivot other than 1 or -1 divides
+    them."""
+    rows = [list(r) for r in m]
     n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
     pivots = []
     for c in range(n_cols):
@@ -76,7 +84,10 @@ def row_echelon(m):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if pv in (1, -1):
+            rows[r] = [x * pv for x in rows[r]]
+        else:
+            rows[r] = [x / Q(pv) for x in rows[r]]
         for i in range(n_rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -85,6 +96,10 @@ def row_echelon(m):
         if len(pivots) == n_rows:
             break
     return [tuple(row) for row in rows], pivots
+
+
+def rank(m):
+    return len(row_echelon(m)[1])
 
 
 def solve(m, b):
@@ -638,3 +653,84 @@ def _name_by_counts(roots, images):
     else:
         raise AssertionError(f"no type of rank {n} with {count} roots, {short} short")
     return SimpleType(family, n)
+
+
+# ---------------------------------------------------------------------------
+# Restricted root systems by reflection closure
+
+
+def restricted_by_roots(st, orbits):
+    """Classify restrictions of the (extended) roots to the fixed subspace.
+
+    The restriction of an orbit is the orbit average of its roots, taken
+    here in simple-root coordinates (e_i for node i, -h for node 0, as
+    sum_i h_i a_i = 0) times the LCM of the orbit sizes.  The orbit
+    restrictions generate the restricted system under reflections once the
+    doubled restrictions of exceptional orbits (bonded A_2 pairs) are
+    thrown in.
+    """
+    h, n = root_integers(st), st.rank
+    roots = [tuple(-x for x in h[1:])]
+    roots += [tuple(int(k == i) for k in range(1, n + 1)) for i in range(1, n + 1)]
+    m = lcm(*(len(o) for o in orbits))
+    avgs = [tuple(m // len(o) * sum(xs) for xs in zip(*(roots[u] for u in o))) for o in orbits]
+    fixed_dim = rank(avgs)
+    cart = extended_cartan(st)
+    seeds = []
+    for o, avg in zip(orbits, avgs):
+        if not any(avg):
+            continue
+        seeds.append(avg)
+        if any(cart[u][v] for i, u in enumerate(o) for v in o[i + 1 :]):
+            seeds.append(tuple(2 * x for x in avg))
+    form = root_form(st)
+    factors = _classify_components(list(_reflection_closure(seeds, form)), form)
+    if len(factors) != 1 or factors[0].rank != fixed_dim:
+        raise AssertionError(f"restricted factors {factors}, want one of rank {fixed_dim}")
+    return factors[0]
+
+
+def _classify_components(roots, form):
+    """Types of the irreducible factors of a finite (possibly non-reduced)
+    root system, sorted: the components of the Cartan matrix, under the
+    integer form, of a simple system of the indivisible roots.  The roots v
+    with 2v a root form a Weyl group orbit, which meets the simple roots: a
+    factor is BC when twice one of its simple roots is a root."""
+    if not roots:
+        return []
+    rset = set(roots)
+    # v / 2 can only be a root when it is an int tuple at the same scale
+    simples = _simple_system([
+        v for v in roots if any(x % 2 for x in v) or tuple(x // 2 for x in v) not in rset
+    ])
+    cartan = cartan_integers(products(form, simples))
+    types = []
+    for block in connected_components(range(len(simples)), lambda i, j: cartan[i][j]):
+        st = classify_finite_cartan([[cartan[i][j] for j in block] for i in block])
+        if any(tuple(2 * x for x in simples[i]) in rset for i in block):
+            st = SimpleType("BC", st.rank)
+        types.append(st)
+    return sorted(types)
+
+
+def _simple_system(roots):
+    """Simple roots of a reduced root system for a generic functional, sorted.
+
+    The positive roots are scanned by increasing value: one that is not
+    simple is a simple root found before it plus a positive root (Humphreys,
+    Introduction to Lie Algebras, 10.2 Lemma A)."""
+    dim = len(roots[0])
+    t = 1
+    while True:
+        weights = tuple(t**i for i in range(dim))
+        vals = {int_dot(v, weights) for v in roots}
+        if 0 not in vals and len(vals) == len(roots):
+            break
+        t += 1
+    pos = sorted((h, v) for v in roots if (h := int_dot(v, weights)) > 0)
+    pset = {v for _, v in pos}
+    simples = []
+    for _, a in pos:
+        if not any(tuple(x - y for x, y in zip(a, b)) in pset for b in simples):
+            simples.append(a)
+    return sorted(simples)

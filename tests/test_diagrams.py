@@ -282,6 +282,24 @@ def test_json_round_trip():
         assert AffineDiagram.from_json(d.to_json()) == d
 
 
+@pytest.mark.parametrize(
+    "payload,match",
+    [
+        ({"cartan": [[2, 0], [0, 2]], "marks": [1, 1], "sq_lengths": ["2", "2"]}, "decomposable"),
+        (
+            {"cartan": [[2, -1], [-1, 2]], "marks": [5, 1], "sq_lengths": ["2", "-2"]},
+            "not of affine type",
+        ),
+    ],
+)
+def test_from_json_validates_the_diagram(payload, match):
+    """A payload that is not an affine diagram raises DiagramError, as in
+    make_diagram: a decomposable matrix, and marks with a negative length
+    on the finite A2 matrix."""
+    with pytest.raises(DiagramError, match=match):
+        AffineDiagram.from_json(payload)
+
+
 @lru_cache(maxsize=None)
 def _relabel_pool():
     """Catalog, quotient and derived diagrams of every type of rank <= 8."""

@@ -16,7 +16,6 @@ from coroots.linalg import (
     kernel_basis,
     positive_kernel,
     primitive,
-    rank,
     scaled_inverse,
 )
 from oracles import (
@@ -25,6 +24,7 @@ from oracles import (
     lattice_index,
     mat_vec,
     orthogonal_project,
+    rank,
     row_echelon,
     solve,
 )

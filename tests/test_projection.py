@@ -22,11 +22,17 @@ from coroots.coords import (
     torus_subspace_coords,
 )
 from coroots.derived import quotient_marked
-from coroots.diagrams import DiagramError, diagram_of
-from coroots.linalg import int_dot, kernel_basis, rank
+from coroots.diagrams import (
+    DiagramError,
+    automorphism_group,
+    diagram_of,
+    generated_group,
+    orbits_of,
+)
+from coroots.linalg import int_dot, kernel_basis
 from coroots.moduli import catalog_types
 from coroots.projection import (
-    _simple_system,
+    _restricted,
     all_roots_of,
     annihilator_factors,
     classify_finite_cartan,
@@ -36,8 +42,9 @@ from coroots.projection import (
     restricted_type,
 )
 from coroots.ambient import add, datum, dot, is_zero, mat, scale, sub, vec, zero_vec
-from coroots.rootdata import SimpleType, parse_type
+from coroots.rootdata import TRIVIAL, SimpleType, parse_type
 from oracles import (
+    _simple_system,
     annihilator_by_roots,
     cartan,
     classify_finite_roots,
@@ -52,6 +59,8 @@ from oracles import (
     perm_matrix_on_coroots,
     project_many,
     projected_coroots_by_inverse,
+    rank,
+    restricted_by_roots,
     root_system,
 )
 
@@ -178,6 +187,37 @@ def test_fold_rejects_non_automorphism():
         fold(parse_type("A3"), (2, 1, 3))
     with pytest.raises(ValueError, match="permutation"):
         fold(parse_type("A3"), (1, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(12) + [SimpleType(f, 40) for f in "ACD"] + [SimpleType("B", 30)], ids=lbl
+)
+def test_restricted_type_matches_the_root_closure(st):
+    """The chamber walk against the reflection closure of the orbit
+    restrictions (oracles.restricted_by_roots), on every subgroup."""
+    for sub_ in all_subgroups(st):
+        orbits = orbit_data(st, sub_)
+        want = TRIVIAL
+        if not orbits.degenerate:
+            want = restricted_by_roots(st, [o.nodes for o in orbits.orbits])
+        assert restricted_type(st, sub_) == want, (st, sub_.nodes)
+
+
+@pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
+def test_fold_matches_the_root_closure(st):
+    """Every automorphism of the finite diagram (those of the extended one
+    that fix node 0), folded by the walk and by the root closure."""
+    for tau in automorphism_group(diagram_of(st)):
+        if tau[0] == 0:
+            orbits = orbits_of(generated_group([tau], len(tau)), len(tau))[1:]
+            assert fold(st, tau) == restricted_by_roots(st, orbits), (st, tau)
+
+
+def test_restricted_rejects_a_subspace_that_is_not_a_flat():
+    """On the line through a regular point of A2 the two simple roots
+    restrict differently: two restricted simple roots in dimension 1."""
+    with pytest.raises(AssertionError, match="2 restricted simple roots in dimension 1"):
+        _restricted(SimpleType("A", 2), ((1, 3),))
 
 
 # the nine rows of the fixed-subspace reference table, instantiated over
