@@ -44,9 +44,8 @@ from operator import mul
 
 from coroots.ambient import add, alcove, datum, is_zero, mat, scale
 from coroots.center import orbit_data
-from coroots.coords import coroot_form, fixed_subspace_coords, root_form
+from coroots.coords import coroot_form, fixed_subspace_coords, products, root_form
 from coroots.diagrams import DiagramError, connected_components, diagram_of
-from coroots.coords import products
 from coroots.linalg import cartan_integers, int_dot, transpose
 from coroots.projection import _reflection_closure, classify_finite_cartan
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, root_integers
