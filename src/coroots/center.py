@@ -33,6 +33,7 @@ from . import rootdata
 from .diagrams import (
     AffineDiagram,
     automorphism_group,
+    closure,
     compose,
     connected_components,
     diagram_of,
@@ -178,12 +179,7 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
 
 
 def _node_order(st: SimpleType, node: int) -> int:
-    order = 1
-    acc = node
-    while acc != 0:
-        acc = rootdata.center_element_sum(st, acc, node)
-        order += 1
-    return order
+    return len(closure([0], lambda m: (rootdata.center_element_sum(st, m, node),)))
 
 
 @lru_cache(maxsize=None)
@@ -214,21 +210,12 @@ def trivial_subgroup(st: SimpleType) -> CenterSubgroup:
 
 
 def subgroup_generated(st: SimpleType, nodes) -> CenterSubgroup:
-    full = center_group(st)
-    by_node = {e.node: e for e in full.elements}
-    got = {0}
-    frontier = list(nodes)
-    while frontier:
-        n = frontier.pop()
+    by_node = {e.node: e for e in center_group(st).elements}
+    nodes = list(nodes)
+    for n in nodes:
         if n not in by_node:
             raise ValueError(f"node {n} is not a center node of {st}")
-        if n in got:
-            continue
-        got.add(n)
-        for m in list(got):
-            s = rootdata.center_element_sum(st, n, m)
-            if s not in got:
-                frontier.append(s)
+    got = closure([0], lambda m: (rootdata.center_element_sum(st, m, n) for n in nodes))
     elements = tuple(sorted((by_node[n] for n in got), key=lambda e: e.node))
     return CenterSubgroup(st, elements)
 

@@ -141,13 +141,12 @@ def torus_subspace_coords(st: SimpleType, sub_: CenterSubgroup, k: int) -> tuple
     """Simple-coroot coordinates of a basis of t^{w_C}(gbar, k).
 
     That is the kernel, inside the fixed subspace, of the roots of the
-    orbits whose mark k does not divide (none in the degenerate case).  The
-    root of node o takes the value sum_i x_i n(i, o) on sum_i x_i a_i^vee,
-    so its row is column o of the catalog Cartan matrix.
+    orbits whose mark k does not divide (0 in the degenerate case, where
+    the fixed subspace is 0).  The root of node o takes the value
+    sum_i x_i n(i, o) on sum_i x_i a_i^vee, so its row is column o of the
+    catalog Cartan matrix.
     """
     orbits = orbit_data(st, sub_)
-    if orbits.degenerate:
-        return ()
     fixed = fixed_subspace_coords(st, sub_)
     cart = diagram_of(st).cartan
     rows = []

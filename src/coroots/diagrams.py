@@ -329,18 +329,21 @@ def composition_table(group: list[tuple[int, ...]]) -> list[list[int]]:
     return [[index[compose(p, q)] for q in group] for p in group]
 
 
+def closure(seeds, step) -> set:
+    """The smallest set that holds the seeds and every element that
+    step(x) yields for each x in it."""
+    out = set(seeds)
+    todo = list(out)
+    while todo:
+        for y in step(todo.pop()):
+            if y not in out:
+                out.add(y)
+                todo.append(y)
+    return out
+
+
 def generated_group(gens, n: int) -> list[tuple[int, ...]]:
-    ident = tuple(range(n))
-    out = {ident}
-    frontier = [ident]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = compose(g, p)
-            if q not in out:
-                out.add(q)
-                frontier.append(q)
-    return sorted(out)
+    return sorted(closure([tuple(range(n))], lambda p: (compose(g, p) for g in gens)))
 
 
 class ClassifyResult(NamedTuple):
@@ -397,24 +400,13 @@ def _classify(cartan: tuple[IVec, ...], marks: IVec) -> ClassifyResult | None:
 
 def orbits_of(group, n_nodes: int) -> list[tuple[int, ...]]:
     """Orbits of a permutation list, each sorted, ordered by least element."""
-    seen = [False] * n_nodes
+    placed: set[int] = set()
     orbits = []
     for v in range(n_nodes):
-        if seen[v]:
-            continue
-        orbit = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in orbit:
-                continue
-            orbit.add(u)
-            for p in group:
-                if p[u] not in orbit:
-                    stack.append(p[u])
-        for u in orbit:
-            seen[u] = True
-        orbits.append(tuple(sorted(orbit)))
+        if v not in placed:
+            orbit = closure([v], lambda u: (p[u] for p in group))
+            placed |= orbit
+            orbits.append(tuple(sorted(orbit)))
     return orbits
 
 

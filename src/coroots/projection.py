@@ -39,6 +39,7 @@ from .diagrams import (
     _ints,
     _invariants,
     _isomorphisms,
+    closure,
     connected_components,
     generated_group,
     orbits_of,
@@ -79,20 +80,16 @@ def _reflection_closure(seeds: list[IVec], form) -> set[IVec]:
     for u in dict.fromkeys(seeds):
         bu = tuple(int_dot(u, col) for col in form)
         walls.append((u, bu, int_dot(u, bu)))
-    roots = set(seeds)
-    frontier = list(roots)
-    while frontier:
-        v = frontier.pop()
+
+    def reflections(v: IVec):
         for u, bu, uu in walls:
             c, r = divmod(2 * int_dot(v, bu), uu)
             if r:
                 raise AssertionError("non-integral reflection coefficient")
             if c:
-                w = tuple(x - c * y for x, y in zip(v, u))
-                if w not in roots:
-                    roots.add(w)
-                    frontier.append(w)
-    return roots
+                yield tuple(x - c * y for x, y in zip(v, u))
+
+    return closure(seeds, reflections)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from coroots.center import (
     orbit_data,
     parse_center,
     perm_matrix_on_coroots_of,
+    subgroup_generated,
     trivial_subgroup,
 )
 from coroots.ambient import add, alcove, datum, sub as vsub
@@ -55,22 +56,21 @@ def oracle_winners(st, target_node):
     d = datum(st)
     alc = alcove(st)
     central = center_vertex_nodes(st)
-    inv_node = center_element_inverse(st, target_node)
-    zeta = alc.vertices[inv_node]
-    vset = set(alc.vertices)
+    # the vertices in simple-coroot coordinates, solved once: the affine
+    # map t -> M (t - zeta) is then a matrix product in those coordinates
+    xs = [coroot_coords(d, v) for v in alc.vertices]
+    zeta = xs[center_element_inverse(st, target_node)]
+    xset = set(xs)
     winners = []
     for perm in _aut_group(st):
         pm = perm_matrix_on_coroots(d, perm)
 
-        def phi(t):
-            return from_coroot_coords(d, mat_vec(pm, coroot_coords(d, vsub(t, zeta))))
+        def phi(x):
+            return mat_vec(pm, vsub(x, zeta))
 
-        if any(phi(v) not in vset for v in alc.vertices):
+        if any(phi(x) not in xset for x in xs):
             continue
-        if all(
-            phi(alc.vertices[c]) == alc.vertices[center_element_sum(st, target_node, c)]
-            for c in central
-        ):
+        if all(phi(xs[c]) == xs[center_element_sum(st, target_node, c)] for c in central):
             winners.append(perm)
     return winners
 
@@ -190,6 +190,29 @@ def test_subgroup_enumeration():
     subs = all_subgroups(parse_type("D6"))
     assert sorted(s.order for s in subs) == [1, 2, 2, 2, 4]
     assert [s.order for s in cyclic_subgroups(parse_type("D6"))] == [1, 2, 2, 2]
+
+
+def _generated_by_pairs(st, nodes):
+    """The center nodes that the nodes generate: add the sum of every pair
+    of nodes found so far until nothing new appears."""
+    got = {0, *nodes}
+    while new := {center_element_sum(st, a, b) for a in got for b in got} - got:
+        got |= new
+    return tuple(sorted(got))
+
+
+def test_subgroup_generated_by_two_nodes():
+    pairs = 0
+    for st in catalog_types(16):
+        nodes = [n for n in center_vertex_nodes(st) if n]
+        for a, b in product(nodes, repeat=2):
+            assert subgroup_generated(st, [a, b]).nodes == _generated_by_pairs(st, [a, b])
+            pairs += 1
+        if st.family == "D" and st.rank % 2 == 0:
+            assert subgroup_generated(st, [1, st.rank - 1]) == center_group(st)
+    assert pairs == 1647
+    with pytest.raises(ValueError, match="not a center node"):
+        subgroup_generated(SimpleType("B", 5), [1, 2])
 
 
 def test_parse_center():

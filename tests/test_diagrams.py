@@ -17,6 +17,7 @@ from coroots.diagrams import (
     _validate_subgroup,
     automorphism_group,
     classify,
+    closure,
     compose,
     composition_table,
     diagram_of,
@@ -222,6 +223,15 @@ def test_validate_subgroup_on_every_center_subgroup():
             perms = sub_.perms()[::-1]
             assert _validate_subgroup(d, perms) == validate_subgroup_all_pairs(d, perms)
             assert _validate_subgroup(d, perms) == sorted(perms)
+
+
+def test_closure_is_the_least_closed_set():
+    assert closure([0], lambda x: [(x + 4) % 10]) == {0, 2, 4, 6, 8}
+    assert closure([1, 1], lambda x: []) == {1}
+    assert closure([], lambda x: [x + 1]) == set()
+    # two steps from each element: the subgroup of Z/12 that 8 and 9 generate
+    assert closure([0], lambda x: [(x + 8) % 12, (x + 9) % 12]) == set(range(12))
+    assert closure([0], lambda x: [(x + 8) % 12, (x + 6) % 12]) == {0, 2, 4, 6, 8, 10}
 
 
 def test_orbit_kind():
