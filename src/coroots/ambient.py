@@ -3,7 +3,7 @@
 datum() realizes a simple type in standard coordinates: rational vectors
 for the extended roots and coroots and a Gram matrix, a scalar times the
 identity, with short coroots of squared length 2.  It takes h and g from
-the bond table (rootdata.root_integers, rootdata.coroot_integers) and
+the bond table (rootdata.root_integers, diagrams.diagram_of's marks) and
 checks its vectors against the table, both relations, the normalization
 and coweight duality (_check_datum).  alcove() and coroot_coord_matrix()
 are the alcove vertices and the coordinate map in the same coordinates,
@@ -28,6 +28,7 @@ from math import lcm
 from typing import Iterable, NamedTuple
 
 from . import rootdata
+from .diagrams import diagram_of
 from .linalg import IVec, cartan_integers, int_dot, scaled_inverse
 from .rootdata import TRIVIAL, SimpleType, validate_type
 
@@ -243,7 +244,7 @@ def datum(st: SimpleType) -> RootDatum:
         roots,
         coroots,
         rootdata.root_integers(st),
-        rootdata.coroot_integers(st),
+        diagram_of(st).marks,
         q_basis,
         p_basis,
         p_coords,

@@ -5,7 +5,11 @@ A central element c corresponds to the alcove vertex exponentiating to it
 is computed, never transcribed: among all diagram automorphisms of the
 extended coroot diagram, exactly one induces an affine map
 t -> w(t - zeta_{c^-1}) that permutes the alcove vertices and translates
-the central vertices by c.  That automorphism is nu(c).
+the central vertices by c.  That automorphism is nu(c).  A map sending the
+alcove onto itself sends the vertex off wall i to the vertex off wall
+perm[i], so the oracle maps each vertex once, against that one image, and
+the translation is the identity perm[d] = c + d on the central nodes.
+center_group checks the group law on generators times elements.
 
 The oracle runs on int tuples: the alcove vertices' simple-coroot
 coordinates times L, the LCM of their denominators
@@ -85,6 +89,12 @@ class CenterSubgroup(NamedTuple):
             raise ValueError("subgroup is not cyclic")
         return best
 
+    def generators(self) -> tuple[CenterElement, ...]:
+        """The non-identity generators: one for a cyclic subgroup, every
+        element of Z/2 x Z/2.  What they fix, the subgroup fixes."""
+        gens = (self.generator(),) if self.is_cyclic else self.elements
+        return tuple(e for e in gens if not e.is_identity)
+
     def describe(self) -> str:
         if self.is_trivial:
             return "trivial"
@@ -139,6 +149,8 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
     t -> w(t - zeta) with zeta the vertex of the inverse element must
     permute the alcove vertices and act on the central vertices as
     translation by the element.  Exactly one diagram automorphism passes.
+    In one pass: v_i must map to v_{perm[i]}, and perm[d] must be c + d on
+    the central nodes d (see the module docstring).
     """
     if rootdata.root_integers(st)[target_node] != 1:
         raise ValueError(f"node {target_node} does not carry a central element")
@@ -146,36 +158,23 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
     verts = rootdata.alcove_int_coords(st)[0]
     central = rootdata.center_vertex_nodes(st)
     zeta = verts[rootdata.center_element_inverse(st, target_node)]
-    vertex_set = set(verts)
-    winners = []
-    # per the convention w_c(extended node) = node of c, only automorphisms
-    # with that image can pass; filtering keeps the search fast
-    for perm in _aut_group(st):
-        if perm[0] != target_node:
-            continue
-
-        def phi(x: IVec) -> IVec:
-            return _permute(perm, g, tuple(a - b for a, b in zip(x, zeta)))
-
-        if any(phi(v) not in vertex_set for v in verts):
-            continue
-        ok = True
-        for dn in central:
-            expect = verts[rootdata.center_element_sum(st, target_node, dn)]
-            if phi(verts[dn]) != expect:
-                ok = False
-                break
-        if ok:
-            winners.append(perm)
+    # the node test goes first, as it is the cheap one; it starts at d = 0,
+    # which is the convention w_c(extended node) = node of c
+    winners = [
+        perm
+        for perm in _aut_group(st)
+        if all(perm[d] == rootdata.center_element_sum(st, target_node, d) for d in central)
+        and all(
+            _permute(perm, g, tuple(a - b for a, b in zip(v, zeta))) == verts[perm[i]]
+            for i, v in enumerate(verts)
+        )
+    ]
     if len(winners) != 1:
         raise AssertionError(
             f"vertex oracle found {len(winners)} automorphisms for node "
             f"{target_node} of {st}"
         )
-    perm = winners[0]
-    if perm[0] != target_node:
-        raise AssertionError("oracle winner does not send the extended node to c")
-    return CenterElement(target_node, perm, _node_order(st, target_node))
+    return CenterElement(target_node, winners[0], _node_order(st, target_node))
 
 
 def _node_order(st: SimpleType, node: int) -> int:
@@ -194,8 +193,12 @@ def center_group(st: SimpleType) -> CenterSubgroup:
 
 
 def _check_homomorphism(st: SimpleType, grp: CenterSubgroup) -> None:
+    """nu(a) nu(b) = nu(a + b) for each generator a and every element b, and
+    nu is injective.  By induction on a word in the generators the law then
+    holds for every a, since nu(0) is the identity (the one automorphism the
+    oracle passes for node 0)."""
     by_node = {e.node: e for e in grp.elements}
-    for a in grp.elements:
+    for a in grp.generators():
         for b in grp.elements:
             prod = rootdata.center_element_sum(st, a.node, b.node)
             if compose(a.perm, b.perm) != by_node[prod].perm:

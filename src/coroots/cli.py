@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import rootdata
-from .diagrams import DiagramError, classify, diagram_of, label, render_diagram
-from .rootdata import dual_coxeter, parse_type
+from .diagrams import DiagramError, classify, diagram_of, dual_coxeter, label, render_diagram
+from .rootdata import parse_type
 
 SCHEMA_DIAGRAM = "coroots/diagram/v1"
 SCHEMA_COMPONENTS = "coroots/components/v1"

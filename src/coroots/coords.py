@@ -111,13 +111,6 @@ def orbit_averages(g: tuple[int, ...], orbits) -> tuple[list[IVec], int]:
     return [tuple(m // o.size * x for x in s) for o, s in zip(orbits, sums)], m * g[0]
 
 
-def _generator_perms(sub_: CenterSubgroup) -> list[tuple[int, ...]]:
-    """Permutations of the non-identity generators: one for a cyclic
-    subgroup, every element of Z/2 x Z/2.  What they fix, the subgroup fixes."""
-    gens = (sub_.generator(),) if sub_.is_cyclic else sub_.elements
-    return [e.perm for e in gens if not e.is_identity]
-
-
 @lru_cache(maxsize=None)
 def fixed_subspace_coords(st: SimpleType, sub_: CenterSubgroup) -> tuple[IVec, ...]:
     """Simple-coroot coordinates of a basis of the subspace fixed by w_C.
@@ -128,8 +121,8 @@ def fixed_subspace_coords(st: SimpleType, sub_: CenterSubgroup) -> tuple[IVec, .
     """
     n = st.rank
     rows = []
-    for perm in _generator_perms(sub_):
-        m = perm_matrix_on_coroots_of(st, perm)
+    for e in sub_.generators():
+        m = perm_matrix_on_coroots_of(st, e.perm)
         rows.extend(tuple(m[i][j] - (i == j) for j in range(n)) for i in range(n))
     if not rows:
         return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
@@ -192,7 +185,7 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     # the orbit's first coroot x, which it is exactly when it lies in the
     # fixed subspace (the generators fix it) and x - avg is B-orthogonal to
     # the span; in ints, the residual is x L - avg g_0
-    gens = _generator_perms(sub_)
+    gens = [e.perm for e in sub_.generators()]
     form = coroot_form(st)[0]
     walls = [tuple(int_dot(k, col) for col in form) for k in span]
     for o, avg in zip(orbits.orbits, avgs):

@@ -234,6 +234,12 @@ def diagram_of(st: SimpleType) -> AffineDiagram:
     return make_diagram(rootdata.extended_cartan(st))
 
 
+def dual_coxeter(st: SimpleType) -> int:
+    """Dual Coxeter number, the sum of the coroot integers (the marks of
+    diagram_of); 1 for A0."""
+    return sum(diagram_of(st).marks)
+
+
 # ---------------------------------------------------------------------------
 # isomorphism and automorphisms
 

@@ -14,9 +14,8 @@ from fractions import Fraction as Q
 from math import gcd
 from typing import NamedTuple
 
-from . import rootdata
 from .center import CenterSubgroup, all_subgroups
-from .diagrams import diagram_of
+from .diagrams import diagram_of, dual_coxeter
 from .numerology import ClockPartition, MarkedDiagram, clocked, marked, quotient_marked
 from .rootdata import TRIVIAL, SimpleType
 
@@ -131,7 +130,7 @@ def components(st: SimpleType, sub_: CenterSubgroup) -> list[ComponentRecord]:
     total = sum(r.d_X for r in records)
     if total != g:
         raise AssertionError(f"component dimensions sum to {total}, not g={g}")
-    if g != rootdata.dual_coxeter(st):
+    if g != dual_coxeter(st):
         raise AssertionError("quotient marks do not sum to the dual Coxeter number")
     return sorted(records, key=ComponentRecord.sort_key)
 

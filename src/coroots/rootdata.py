@@ -2,9 +2,10 @@
 
 Every query reads one per-family bond table (extended_cartan), the
 extended coroot-diagram Cartan matrix.  Off it come the root integers h
-(sum_i h_i a_i = 0) and coroot integers g (sum_i g_i a_i^vee = 0) as
-positive kernels, the dual Coxeter number, and the alcove vertices in
-simple-coroot coordinates, which give the group law on the center.
+(sum_i h_i a_i = 0) as its positive kernel and the alcove vertices in
+simple-coroot coordinates, which give the group law on the center.  The
+coroot integers g (sum_i g_i a_i^vee = 0) and the dual Coxeter number are
+the marks of diagrams.diagram_of and their sum.
 
 The ambient realization of a type (datum, alcove, coroot_coord_matrix) is
 in coroots.ambient, a second route to the table that no query builds.
@@ -21,7 +22,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .linalg import IVec, det_int, positive_kernel, scaled_inverse, transpose
+from .linalg import IVec, det_int, positive_kernel, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -138,15 +139,6 @@ def extended_cartan(st: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, cart))
 
 
-def _positive_relation(m, st: SimpleType) -> tuple[int, ...]:
-    if st == TRIVIAL:
-        raise ValueError("the trivial type A0 has no root datum")
-    rel = positive_kernel(m)
-    if rel is None:
-        raise AssertionError(f"the bond table of {st} has no unique positive relation")
-    return rel
-
-
 @lru_cache(maxsize=None)
 def root_integers(st: SimpleType) -> tuple[int, ...]:
     """The root integers h, with sum_i h_i a_i = 0 on the extended roots.
@@ -154,21 +146,12 @@ def root_integers(st: SimpleType) -> tuple[int, ...]:
     The table holds n(i, j) = a_j(a_i^vee), so h is its positive kernel;
     AssertionError unless that kernel is one positive vector.
     """
-    return _positive_relation(extended_cartan(st), st)
-
-
-@lru_cache(maxsize=None)
-def coroot_integers(st: SimpleType) -> tuple[int, ...]:
-    """The coroot integers g, with sum_i g_i a_i^vee = 0: the positive
-    kernel of the transposed table, checked as for root_integers."""
-    return _positive_relation(transpose(extended_cartan(st)), st)
-
-
-def dual_coxeter(st: SimpleType) -> int:
-    """Dual Coxeter number, the sum of the extended coroot integers."""
     if st == TRIVIAL:
-        return 1
-    return sum(coroot_integers(st))
+        raise ValueError("the trivial type A0 has no root datum")
+    rel = positive_kernel(extended_cartan(st))
+    if rel is None:
+        raise AssertionError(f"the bond table of {st} has no unique positive relation")
+    return rel
 
 
 def center_vertex_nodes(st: SimpleType) -> list[int]:

@@ -18,7 +18,7 @@ from coroots.center import (
 from coroots.cli import run_check_all
 from coroots.coords import check_diagram1, project
 from coroots.derived import check_samediags, derived, quotient_marked
-from coroots.diagrams import classify, diagram_of, quotient
+from coroots.diagrams import classify, diagram_of, dual_coxeter, quotient
 from coroots.moduli import (
     catalog_types,
     clock_report,
@@ -29,7 +29,7 @@ from coroots.moduli import (
 )
 from coroots.numerology import check_assumption, clocked, counts, euler_phi, marked
 from coroots.projection import nonmultipliable, projection_type, restricted_type
-from coroots.rootdata import SimpleType, dual_coxeter, parse_type
+from coroots.rootdata import SimpleType, parse_type
 
 from test_center import oracle_winners
 from test_rootdata import ALL_SPECS, bonds, expected_figure

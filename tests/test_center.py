@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -6,7 +7,9 @@ import pytest
 
 from coroots.center import (
     CenterElement,
+    CenterSubgroup,
     _aut_group,
+    _check_homomorphism,
     _permute,
     all_subgroups,
     center_group,
@@ -50,15 +53,24 @@ TYPES_TO_12 = (
 )
 
 
+@lru_cache(maxsize=None)
+def _scaled_vertex_coords(st):
+    """The ambient alcove vertices' simple-coroot coordinates, solved once
+    per type and scaled to ints by their common denominator."""
+    d = datum(st)
+    xs = [coroot_coords(d, v) for v in alcove(st).vertices]
+    s = lcm(*(x.denominator for x in sum(xs, ())))
+    return [tuple(int(x * s) for x in v) for v in xs]
+
+
 def oracle_winners(st, target_node):
     """All diagram automorphisms passing the vertex test, without the
     node-image prefilter used by nu()."""
     d = datum(st)
-    alc = alcove(st)
     central = center_vertex_nodes(st)
-    # the vertices in simple-coroot coordinates, solved once: the affine
-    # map t -> M (t - zeta) is then a matrix product in those coordinates
-    xs = [coroot_coords(d, v) for v in alc.vertices]
+    # in the scaled vertex coordinates the affine map t -> M (t - zeta) is
+    # an integer matrix product
+    xs = _scaled_vertex_coords(st)
     zeta = xs[center_element_inverse(st, target_node)]
     xset = set(xs)
     winners = []
@@ -66,7 +78,8 @@ def oracle_winners(st, target_node):
         pm = perm_matrix_on_coroots(d, perm)
 
         def phi(x):
-            return mat_vec(pm, vsub(x, zeta))
+            y = [a - b for a, b in zip(x, zeta)]
+            return tuple(sum(a * b for a, b in zip(row, y)) for row in pm)
 
         if any(phi(x) not in xset for x in xs):
             continue
@@ -76,7 +89,9 @@ def oracle_winners(st, target_node):
 
 
 @pytest.mark.parametrize(
-    "spec", ["A1", "A2", "A5", "A12", "B3", "C2", "C6", "D4", "D5", "D6", "D7", "E6", "E7"]
+    "spec",
+    ["A1", "A2", "A5", "A12", "B3", "C2", "C6", "D4", "D5", "D6", "D7", "E6", "E7"]
+    + ["A20", "B12", "C14", "D13", "D14", "E8"],
 )
 def test_oracle_uniqueness_over_all_automorphisms(spec):
     st = parse_type(spec)
@@ -117,6 +132,30 @@ def test_nu_homomorphism_and_marks(spec):
             prod = center_element_sum(st, a.node, b.node)
             composed = tuple(a.perm[b.perm[i]] for i in d.nodes())
             assert composed == by_node[prod].perm
+
+
+def test_check_homomorphism_catches_a_corrupted_non_generator():
+    # A6's center is cyclic of order 7 with generator node 1; swapping the
+    # perms of nodes 2 and 3 leaves the generator intact, so only a product
+    # nu(1) nu(b) can show it
+    st = parse_type("A6")
+    grp = center_group(st)
+    assert grp.generators() == (nu(st, 1),)
+    swap = {2: 3, 3: 2}
+    corrupted = tuple(e._replace(perm=nu(st, swap.get(e.node, e.node)).perm) for e in grp.elements)
+    with pytest.raises(AssertionError, match="not a homomorphism"):
+        _check_homomorphism(st, CenterSubgroup(st, corrupted))
+
+
+def test_check_homomorphism_catches_a_shared_perm():
+    # sending C14's central element to the identity perm is a homomorphism
+    # from Z/2, but not an injective one
+    st = parse_type("C14")
+    grp = center_group(st)
+    trivial = tuple(e._replace(perm=nu(st, 0).perm) for e in grp.elements)
+    assert len(trivial) == 2
+    with pytest.raises(AssertionError, match="not injective"):
+        _check_homomorphism(st, CenterSubgroup(st, trivial))
 
 
 @pytest.mark.parametrize("spec", ["A4", "B5", "D5", "D6", "E6"])

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from coroots.center import all_subgroups, center_group, parse_center, trivial_subgroup
+from coroots.diagrams import dual_coxeter
 from coroots.moduli import (
     catalog_types,
     clock_report,
@@ -15,7 +16,7 @@ from coroots.moduli import (
     units_mod,
 )
 from coroots.numerology import euler_phi
-from coroots.rootdata import SimpleType, dual_coxeter, parse_type
+from coroots.rootdata import SimpleType, parse_type
 
 
 def lbl(t):

@@ -17,7 +17,7 @@ from coroots.ambient import (
     zero_vec,
 )
 from coroots.center import _check_homomorphism, center_group
-from coroots.diagrams import diagram_of
+from coroots.diagrams import diagram_of, dual_coxeter
 from coroots.linalg import det_int
 from coroots import rootdata
 from coroots.moduli import catalog_types
@@ -27,7 +27,6 @@ from coroots.rootdata import (
     center_element_inverse,
     center_element_sum,
     center_vertex_nodes,
-    dual_coxeter,
     fundamental_group_order,
     parse_type,
 )
@@ -134,9 +133,6 @@ def test_figures_node_for_node(spec):
     expect_bonds, expect_marks = expected_figure(spec)
     assert d.marks == expect_marks
     assert bonds(d.cartan) == expect_bonds
-    # the bond table's positive relation and the diagram's marks are one
-    # kernel of the transposed table
-    assert rootdata.coroot_integers(st) == d.marks
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -207,7 +203,7 @@ def test_center_order(spec, expect):
 @pytest.mark.parametrize(
     "spec,expect",
     [("E8", 30), ("A5", 6), ("G2", 4), ("F4", 9), ("B6", 11), ("C6", 7),
-     ("D7", 12), ("E6", 12), ("E7", 18), ("BC3", 7)],
+     ("D7", 12), ("E6", 12), ("E7", 18), ("BC3", 7), ("A0", 1)],
 )
 def test_dual_coxeter(spec, expect):
     assert dual_coxeter(parse_type(spec)) == expect
