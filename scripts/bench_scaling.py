@@ -41,6 +41,7 @@ RUNS = 7
 QUERIES = {
     "check-all --max-rank 24": ["check-all", "--max-rank", "24"],
     "check-all --max-rank 32": ["check-all", "--max-rank", "32"],
+    "check-all --max-rank 40": ["check-all", "--max-rank", "40"],
     "paper-tables --max-rank 24": ["paper-tables", "--max-rank", "24", "--out", "{out}"],
     "components --group A40 --center full": ["components", "--group", "A40", "--center", "full"],
     "components --group A80 --center full": ["components", "--group", "A80", "--center", "full"],

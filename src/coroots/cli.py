@@ -365,7 +365,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, DiagramError) as exc:
+    except (ValueError, DiagramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

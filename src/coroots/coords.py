@@ -10,12 +10,12 @@ common L (orbit_averages); their pairwise B-values give the Cartan
 integers (linalg.cartan_integers) and the squared lengths as exact
 fractions over s L^2.
 
-The subspaces the coordinate cross-checks work in are primitive integer
-bases cached per (type, subgroup): the fixed subspace of w_C, the kernel
-of M_g - I over the subgroup's generators g (fixed_subspace_coords) and,
-inside it, the torus t^{w_C}(gbar, k) (torus_subspace_coords), whose
-defining roots pair with coordinates through rows of the integer Cartan
-matrix.
+The subspaces are primitive integer bases cached per (type, subgroup):
+the fixed subspace of w_C, the kernel of M_g - I over the generators g
+(fixed_subspace_coords) and, inside it, the torus t^{w_C}(gbar, k)
+(torus_subspace_coords), whose defining roots pair with coordinates through
+rows of the integer Cartan matrix.  Only annihilator_factors needs the
+torus basis; check_samediags works from the orbit averages' Gram matrix.
 
 project() computes the orbit-projected coroots pi(a^v) = (1/n) sum of the
 orbit, their exact Cartan integers and the classified type: the

@@ -5,7 +5,8 @@ k | n_v survive; the rest span a disjoint union of A-type chains.  Each
 survivor gets a type from the shape of its adjacent chains, a rescaled
 length l_k = l / sqrt(type), and the new bonds give the extended coroot
 diagram of the root system on the corresponding torus.  check_samediags
-rebuilds the same diagram from exact coordinates and compares.
+rebuilds the same diagram from exact coordinates, with no basis of the
+torus (a Schur complement of the orbit averages' Gram matrix), and compares.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .center import CenterSubgroup, _assert_a_type, orbit_data
-from .coords import (
-    DiagramReport,
-    coroot_form,
-    orbit_averages,
-    products,
-    torus_subspace_coords,
-)
+from .coords import DiagramReport, coroot_form, orbit_averages, products
 from .diagrams import (
     AffineDiagram,
     ClassifyResult,
@@ -30,7 +25,7 @@ from .diagrams import (
     diagram_of,
     make_diagram,
 )
-from .linalg import cartan_integers, int_dot, scaled_inverse
+from .linalg import cartan_integers, scaled_inverse
 from .numerology import I_set, MarkedDiagram, quotient_marked
 from .rootdata import TRIVIAL, SimpleType
 
@@ -175,29 +170,32 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
 def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramReport:
     """Derived diagram vs the coordinate diagram on t^{w_C}(gbar, k).
 
-    The coordinate side projects the surviving orbit coroots orthogonally
-    onto t^{w_C}(gbar, k) (coords.torus_subspace_coords) and takes exact
-    Cartan integers in integer simple-coroot coordinates.  For a basis K and
-    G = K^T B K, the projections of v and w have B-product
-    (K^T B v)^T G^-1 (K^T B w).
+    On the fixed subspace the root of orbit o vanishes exactly on the
+    B-orthogonal complement of o's average, so t^{w_C}(gbar, k) is the
+    complement there of the span of the averages of the orbits I whose mark
+    k does not divide.  With P the B-Gram matrix of all orbit averages, the
+    surviving averages' projections onto it have B-products the Schur
+    complement P_SS - P_SI P_II^-1 P_IS, in ints den P_SS - P_SI (den
+    P_II^-1) P_IS; their exact Cartan integers are compared with the
+    derived diagram's.  P_II is positive definite: I spans a proper
+    subdiagram of an affine diagram, which is of finite type.
     """
     orbits = orbit_data(st, sub_)
     mq = quotient_marked(st, sub_)
     dd = derived(mq, k)
     if orbits.degenerate:
         return DiagramReport(dd.diagram.n_nodes == 1, "degenerate quotient")
-    span = torus_subspace_coords(st, sub_, k)
-    surviving = [o for o, mark in zip(orbits.orbits, mq.n) if mark % k == 0]
-    if len(surviving) != dd.diagram.n_nodes:
+    keep = [i for i, mark in enumerate(mq.n) if mark % k == 0]
+    if len(keep) != dd.diagram.n_nodes:
         return DiagramReport(False, "survivor counts differ")
-    form = coroot_form(st)[0]
-    if len(surviving) == 1:
-        ok = not span or not any(row[i] for i, row in enumerate(products(form, span)))
-        return DiagramReport(bool(ok and dd.diagram.n_nodes == 1), "rank-0 case")
-    avgs, _ = orbit_averages(diagram_of(st).marks, surviving)
-    kb = [tuple(int_dot(k, col) for col in form) for k in span]
-    inv, _ = scaled_inverse(products(form, span))
-    prods = products(inv, [tuple(int_dot(b, v) for b in kb) for v in avgs])
+    avgs, _ = orbit_averages(diagram_of(st).marks, orbits.orbits)
+    p = products(coroot_form(st)[0], avgs)
+    cut = [i for i, mark in enumerate(mq.n) if mark % k]
+    inv, den = scaled_inverse([[p[i][j] for j in cut] for i in cut])
+    cross = products(inv, [[p[s][i] for i in cut] for s in keep])
+    prods = [[den * p[s][t] - x for t, x in zip(keep, r)] for s, r in zip(keep, cross)]
+    if len(keep) == 1:
+        return DiagramReport(prods[0][0] == 0, "rank-0 case")
     for i, row in enumerate(cartan_integers(prods)):
         for j, c in enumerate(row):
             if c != dd.diagram.cartan[i][j]:
@@ -206,5 +204,4 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
                     f"Cartan integers differ at survivors ({i},{j}): "
                     f"coordinate {c} vs derived {dd.diagram.cartan[i][j]}",
                 )
-    return DiagramReport(True, "derived and coordinate diagrams agree",
-                         tuple(range(len(surviving))))
+    return DiagramReport(True, "derived and coordinate diagrams agree", tuple(range(len(keep))))

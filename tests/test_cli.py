@@ -429,6 +429,15 @@ def test_paper_tables_diff_clean(tmp_path):
         assert fresh == golden, f"{doc} table drifted from the golden copy"
 
 
+def test_paper_tables_out_naming_a_file_is_an_error(tmp_path):
+    target = tmp_path / "not-a-directory"
+    target.write_text("")
+    code, out, err = run_cli("paper-tables", "--out", str(target), "--max-rank", "1")
+    assert code == 1 and out == ""
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+
+
 def test_paper_tables_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("COROOTS_TABLE_DIR", str(tmp_path / "envdir"))
     assert main(["paper-tables", "--max-rank", "3"]) == 0

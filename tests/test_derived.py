@@ -5,8 +5,8 @@ import pytest
 from coroots.ambient import add, datum, dot, mat, scale, vec, zero_vec
 from coroots.center import all_subgroups, orbit_data, parse_center, trivial_subgroup
 from coroots.derived import check_samediags, derived, node_type, quotient_marked
-from coroots.diagrams import diagram_of
-from coroots.linalg import kernel_basis
+from coroots.diagrams import diagram_of, make_diagram
+from coroots.linalg import kernel_basis, transpose
 from coroots.moduli import catalog_types
 from coroots.coords import DiagramReport
 from coroots.numerology import marked
@@ -209,13 +209,32 @@ def _ambient_samediags(st, sub_, k):
                          tuple(range(len(surviving))))
 
 
-@pytest.mark.parametrize("st", catalog_types(8), ids=str)
+@pytest.mark.parametrize("st", catalog_types(16), ids=str)
 def test_samediags_matches_ambient_route(st):
     for sub in all_subgroups(st):
         for k in quotient_marked(st, sub).admissible_orders():
             assert check_samediags(st, sub, k) == _ambient_samediags(st, sub, k), (
                 st, sub.nodes, k,
             )
+
+
+@pytest.mark.parametrize("spec,center,k,pair", [
+    ("E8", "trivial", 2, "(1,2): coordinate -2 vs derived -1"),
+    ("B5", "full", 2, "(0,1)"),
+])
+def test_samediags_reports_a_reversed_derived_diagram(monkeypatch, spec, center, k, pair):
+    """A valid affine diagram with every bond reversed is caught at a named pair."""
+    import coroots.derived
+
+    def reversed_bonds(m, k):
+        dd = derived(m, k)
+        return dd._replace(diagram=make_diagram(transpose(dd.diagram.cartan)))
+
+    monkeypatch.setattr(coroots.derived, "derived", reversed_bonds)
+    st = parse_type(spec)
+    rep = check_samediags(st, parse_center(st, center), k)
+    assert rep.equal is False
+    assert rep.detail.startswith("Cartan integers differ at survivors " + pair), rep.detail
 
 
 def test_derived_submodule_is_not_shadowed():
