@@ -226,8 +226,8 @@ def test_samediags_reports_a_reversed_derived_diagram(monkeypatch, spec, center,
     """A valid affine diagram with every bond reversed is caught at a named pair."""
     import coroots.derived
 
-    def reversed_bonds(m, k):
-        dd = derived(m, k)
+    def reversed_bonds(m, order):
+        dd = derived(m, order)
         return dd._replace(diagram=make_diagram(transpose(dd.diagram.cartan)))
 
     monkeypatch.setattr(coroots.derived, "derived", reversed_bonds)
