@@ -49,6 +49,10 @@ QUERIES = {
     "derived --group D30 --center trivial --k 2": [
         "derived", "--group", "D30", "--center", "trivial", "--k", "2",
     ],
+    "derived --group D60 --center trivial --k 2": [
+        "derived", "--group", "D60", "--center", "trivial", "--k", "2",
+    ],
+    "project --group D60 --center full": ["project", "--group", "D60", "--center", "full"],
     "components --group C30 --center full": ["components", "--group", "C30", "--center", "full"],
     "components --group C60 --center full": ["components", "--group", "C60", "--center", "full"],
     "datum --group A40": ["datum", "--group", "A40"],

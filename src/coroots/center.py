@@ -377,5 +377,9 @@ def parse_center(st: SimpleType, spec: str) -> CenterSubgroup:
             raise ValueError("c_exotic is only defined for D_{2n}")
         return subgroup_generated(st, [st.rank - 1])
     if s.startswith("node:"):
-        return subgroup_generated(st, [int(s[5:])])
+        try:
+            node = int(s[5:])
+        except ValueError:
+            raise ValueError(f"center node {s[5:]!r} is not an integer") from None
+        return subgroup_generated(st, [node])
     raise ValueError(f"unrecognized center spec {spec!r}")

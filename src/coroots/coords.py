@@ -15,12 +15,12 @@ the fixed subspace of w_C, the kernel of M_g - I over the generators g
 (fixed_subspace_coords) and, inside it, the torus t^{w_C}(gbar, k)
 (torus_subspace_coords), whose defining roots pair with coordinates through
 rows of the integer Cartan matrix.  Only annihilator_factors needs the
-torus basis; check_samediags works from the orbit averages' Gram matrix.
+torus basis; check_samediags takes the averages' Gram matrix from project().
 
-project() computes the orbit-projected coroots pi(a^v) = (1/n) sum of the
-orbit, their exact Cartan integers and the classified type: the
-coordinate-level oracle that check_diagram1 compares node for node with
-the purely combinatorial quotient diagram.  It checks each orbit average
+project() computes, once per (type, subgroup), the orbit-projected coroots
+pi(a^v) = (1/n) sum of the orbit, their Gram matrix, exact Cartan integers
+and classified type: the coordinate-level oracle that check_diagram1
+compares node for node with the quotient diagram.  It checks each average
 against the defining property of the orthogonal projection, with no
 inverse: the generators, applied as permutations, fix it, and the orbit's
 coroot minus it is B-orthogonal to the fixed subspace.
@@ -161,6 +161,7 @@ class ProjectedSystem(NamedTuple):
     orbits: OrbitSet
     averages: tuple[IVec, ...]  # projected coroots' coordinates, times scale
     scale: int
+    gram: tuple[IVec, ...]  # the averages' B-products (coroot_form)
     diagram: AffineDiagram
     classified: ClassifyResult
 
@@ -169,24 +170,26 @@ class ProjectedSystem(NamedTuple):
         return len(self.fixed_coords)
 
 
+@lru_cache(maxsize=None)
 def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     """Projected-coroot system of the fixed subspace of a center subgroup."""
     g = diagram_of(st).marks
     orbits = orbit_data(st, sub_)
     span = fixed_subspace_coords(st, sub_)
     avgs, common = orbit_averages(g, orbits.orbits)
+    form, s = coroot_form(st)
+    prods = tuple(map(tuple, products(form, avgs)))
     if orbits.degenerate:
         if span:
             raise AssertionError("degenerate orbit with nonzero fixed space")
         dia = AffineDiagram(((2,),), (sum(g),), (Q(2),))
         res = ClassifyResult(TRIVIAL, sum(g), (0,))
-        return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
+        return ProjectedSystem(st, span, orbits, tuple(avgs), common, prods, dia, res)
     # dual route: each orbit average must be the orthogonal projection of
     # the orbit's first coroot x, which it is exactly when it lies in the
     # fixed subspace (the generators fix it) and x - avg is B-orthogonal to
     # the span; in ints, the residual is x L - avg g_0
     gens = [e.perm for e in sub_.generators()]
-    form = coroot_form(st)[0]
     walls = [tuple(int_dot(k, col) for col in form) for k in span]
     for o, avg in zip(orbits.orbits, avgs):
         x = _extended_coroot_coords(g, o.nodes[0])
@@ -199,10 +202,6 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
         raise AssertionError("nonzero projection expected off the degenerate case")
     if len(orbits.orbits) != len(span) + 1:
         raise AssertionError("orbit count is not the fixed dimension plus one")
-    if any(int_dot(orbits.marks, xs) for xs in zip(*avgs)):
-        raise AssertionError("projected coroot relation fails")
-    prods = products(form, avgs)
-    s = coroot_form(st)[1]
     lens = tuple(Q(row[i], s * common * common) for i, row in enumerate(prods))
     # an affine matrix has corank 1, and it is the Gram matrix of the
     # averages times a positive diagonal, so they span the fixed subspace
@@ -213,7 +212,7 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     res = classify(dia)
     if res is None:
         raise AssertionError("projected diagram failed to classify")
-    return ProjectedSystem(st, span, orbits, tuple(avgs), common, dia, res)
+    return ProjectedSystem(st, span, orbits, tuple(avgs), common, prods, dia, res)
 
 
 class DiagramReport(NamedTuple):

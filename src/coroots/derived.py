@@ -5,8 +5,9 @@ k | n_v survive; the rest span a disjoint union of A-type chains.  Each
 survivor gets a type from the shape of its adjacent chains, a rescaled
 length l_k = l / sqrt(type), and the new bonds give the extended coroot
 diagram of the root system on the corresponding torus.  check_samediags
-rebuilds the same diagram from exact coordinates, with no basis of the
-torus (a Schur complement of the orbit averages' Gram matrix), and compares.
+rebuilds the same diagram from exact coordinates, as a Schur complement of
+the orbit averages' Gram matrix that project() computes once per (type,
+subgroup), and compares.
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ from fractions import Fraction as Q
 from math import gcd
 from typing import NamedTuple
 
-from .center import CenterSubgroup, _assert_a_type, orbit_data
-from .coords import DiagramReport, coroot_form, orbit_averages, products
-from .diagrams import (
-    AffineDiagram,
-    ClassifyResult,
-    classify,
-    connected_components,
-    diagram_of,
-    make_diagram,
-)
+from .center import CenterSubgroup, _assert_a_type
+from .coords import DiagramReport, products, project
+from .diagrams import AffineDiagram, ClassifyResult, classify, connected_components, make_diagram
 from .linalg import cartan_integers, scaled_inverse
 from .numerology import I_set, MarkedDiagram, quotient_marked
 from .rootdata import TRIVIAL, SimpleType
@@ -33,25 +27,27 @@ TYPE_INF = "inf"
 TYPE_DIVISORS = {"inf": 0, "1": 1, "2i": 2, "2ii": 2, "3": 3, "4i": 4, "4ii": 4, "4iii": 4}
 
 
-def _i_components(m: MarkedDiagram, k: int) -> list[tuple[int, ...]]:
-    """Connected components of I_set(m, k), each sorted, in sorted order."""
-    cartan = m.diagram.cartan
-    comps = connected_components(I_set(m, k), lambda u, v: cartan[u][v])
-    return sorted(tuple(sorted(c)) for c in comps)
+def _chains(m: MarkedDiagram, k: int):
+    """The components of I_set(m, k), each sorted, in sorted order, and for
+    each survivor the list of those it is bonded to."""
+    dia = m.diagram
+    comps = connected_components(I_set(m, k), lambda u, v: dia.cartan[u][v])
+    chains = sorted(tuple(sorted(c)) for c in comps)
+    adjacent = {
+        v: [c for c in chains if any(dia.bonded(v, u) for u in c)]
+        for v in dia.nodes() if m.n[v] % k == 0
+    }
+    return chains, adjacent
 
 
-def node_type(m: MarkedDiagram, k: int, v: int) -> str:
-    """Survivor type tag: one of inf, 1, 2i, 2ii, 3, 4i, 4ii, 4iii."""
-    if m.n[v] % k != 0:
-        raise ValueError(f"node {v} does not survive at k={k}")
-    survivors = [u for u in m.diagram.nodes() if m.n[u] % k == 0]
-    if len(survivors) == 1:
-        return TYPE_INF
-    comps = _i_components(m, k)
-    adjacent = [c for c in comps if any(m.diagram.bonded(v, u) for u in c)]
-    lv = m.diagram.sq_lengths[v]
+def _survivor_type(m: MarkedDiagram, k: int, v: int, chains_of) -> str:
+    """The type tag of survivor v, from each survivor's adjacent chains."""
+    adjacent = chains_of[v]
     if not adjacent:
         return "1"
+    if len(chains_of) == 1:
+        return TYPE_INF
+    lv = m.diagram.sq_lengths[v]
     bonded_nodes = [u for c in adjacent for u in c if m.diagram.bonded(v, u)]
     if len(adjacent) == 1 and len(bonded_nodes) == 1:
         u = bonded_nodes[0]
@@ -72,6 +68,13 @@ def node_type(m: MarkedDiagram, k: int, v: int) -> str:
     raise AssertionError(
         f"node {v} fits no survivor type at k={k} (adjacent chains {adjacent})"
     )
+
+
+def node_type(m: MarkedDiagram, k: int, v: int) -> str:
+    """Survivor type tag: one of inf, 1, 2i, 2ii, 3, 4i, 4ii, 4iii."""
+    if m.n[v] % k != 0:
+        raise ValueError(f"node {v} does not survive at k={k}")
+    return _survivor_type(m, k, v, _chains(m, k)[1])
 
 
 class DerivedDiagram(NamedTuple):
@@ -104,13 +107,13 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     if base is not None and base.type in (SimpleType("G", 2), SimpleType("BC", 1)):
         if len(survivors) >= 2:
             raise AssertionError("G2/BC1 parent cannot have two survivors")
-    comps = _i_components(m, k)
+    chains, adjacent = _chains(m, k)
     kp = k // gcd(k, m.n0)
-    for c in comps:
+    for c in chains:
         if kp % (len(c) + 1) != 0:
             raise AssertionError("complement chain size+1 does not divide k")
         _assert_a_type(m.diagram, c)
-    types = {v: node_type(m, k, v) for v in survivors}
+    types = {v: _survivor_type(m, k, v, adjacent) for v in survivors}
     if len(survivors) == 1:
         v = survivors[0]
         dia = AffineDiagram(((2,),), (1,), (Q(2),))
@@ -121,30 +124,14 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     ell = {
         v: m.diagram.sq_lengths[v] / TYPE_DIVISORS[types[v]] for v in survivors
     }
-    adj_comp = {
-        v: [c for c in comps if any(m.diagram.bonded(v, u) for u in c)]
-        for v in survivors
-    }
     n = len(survivors)
-    pos = {v: i for i, v in enumerate(survivors)}
-    bonded = [[False] * n for _ in range(n)]
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i, v in enumerate(survivors):
-        for j, w in enumerate(survivors):
-            if j <= i:
+        for j, w in enumerate(survivors[:i]):
+            if not m.diagram.bonded(v, w) and not any(c in adjacent[w] for c in adjacent[v]):
                 continue
-            direct = m.diagram.bonded(v, w)
-            shared = any(c in adj_comp[w] for c in adj_comp[v])
-            bonded[i][j] = bonded[j][i] = direct or shared
-    cartan = [[0] * n for _ in range(n)]
-    for i in range(n):
-        cartan[i][i] = 2
-    for i, v in enumerate(survivors):
-        for j, w in enumerate(survivors):
-            if j <= i or not bonded[i][j]:
-                continue
-            others_i = any(bonded[i][t] for t in range(n) if t != j)
-            others_j = any(bonded[j][t] for t in range(n) if t != i)
-            if not others_i and not others_j and ell[v] == ell[w]:
+            # an affine diagram is connected: a pair with no other bond is all of it
+            if n == 2 and ell[v] == ell[w]:
                 cartan[i][j] = cartan[j][i] = -2
                 continue
             hi, lo = (i, j) if ell[v] >= ell[w] else (j, i)
@@ -161,7 +148,7 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     if res is None:
         raise AssertionError("derived diagram failed to classify")
     # the surviving values divided by k are proportional to the marks
-    ratios = {Q(m.n[v], k * dia.marks[pos[v]]) for v in survivors}
+    ratios = {Q(m.n[v], k * mark) for v, mark in zip(survivors, dia.marks)}
     if len(ratios) != 1:
         raise AssertionError("surviving values not proportional to derived marks")
     return DerivedDiagram(m, k, survivors, types, ell, dia, res)
@@ -173,29 +160,29 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
     On the fixed subspace the root of orbit o vanishes exactly on the
     B-orthogonal complement of o's average, so t^{w_C}(gbar, k) is the
     complement there of the span of the averages of the orbits I whose mark
-    k does not divide.  With P the B-Gram matrix of all orbit averages, the
-    surviving averages' projections onto it have B-products the Schur
-    complement P_SS - P_SI P_II^-1 P_IS, in ints den P_SS - P_SI (den
+    k does not divide.  With P the B-Gram matrix of all orbit averages,
+    cached by project() once its averages pass the orthogonal-projection
+    check, the surviving averages' projections onto it have B-products the
+    Schur complement P_SS - P_SI P_II^-1 P_IS, in ints den P_SS - P_SI (den
     P_II^-1) P_IS; their exact Cartan integers are compared with the
     derived diagram's.  P_II is positive definite: I spans a proper
     subdiagram of an affine diagram, which is of finite type.
     """
-    orbits = orbit_data(st, sub_)
+    ps = project(st, sub_)
     mq = quotient_marked(st, sub_)
     dd = derived(mq, k)
-    if orbits.degenerate:
+    if ps.orbits.degenerate:
         return DiagramReport(dd.diagram.n_nodes == 1, "degenerate quotient")
     keep = [i for i, mark in enumerate(mq.n) if mark % k == 0]
-    if len(keep) != dd.diagram.n_nodes:
-        return DiagramReport(False, "survivor counts differ")
-    avgs, _ = orbit_averages(diagram_of(st).marks, orbits.orbits)
-    p = products(coroot_form(st)[0], avgs)
+    if len(keep) == 1:
+        # the m averages span the fixed subspace (project asserts it) with one
+        # all-positive relation, the marks, so any m - 1 of them span it too
+        return DiagramReport(True, "rank-0 case")
+    p = ps.gram
     cut = [i for i, mark in enumerate(mq.n) if mark % k]
     inv, den = scaled_inverse([[p[i][j] for j in cut] for i in cut])
     cross = products(inv, [[p[s][i] for i in cut] for s in keep])
     prods = [[den * p[s][t] - x for t, x in zip(keep, r)] for s, r in zip(keep, cross)]
-    if len(keep) == 1:
-        return DiagramReport(prods[0][0] == 0, "rank-0 case")
     for i, row in enumerate(cartan_integers(prods)):
         for j, c in enumerate(row):
             if c != dd.diagram.cartan[i][j]:

@@ -15,7 +15,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .center import CenterSubgroup, all_subgroups
-from .diagrams import diagram_of, dual_coxeter
+from .diagrams import diagram_of
 from .numerology import ClockPartition, MarkedDiagram, clocked, marked, quotient_marked
 from .rootdata import TRIVIAL, SimpleType
 
@@ -120,18 +120,12 @@ def components(st: SimpleType, sub_: CenterSubgroup) -> list[ComponentRecord]:
     if not (sub_.is_trivial or sub_.is_cyclic):
         raise ValueError("non-cyclic subgroup: use noncyclic_components")
     m = quotient_marked(st, sub_)
-    g = sum(m.n)
     records = []
     for k in m.admissible_orders():
         d_X = sum(1 for x in m.n if x % k == 0)
         shape = _shape_cyclic(st, sub_, m, k, d_X)
         for label in units_mod(k):
             records.append(_record(k, label, d_X, shape))
-    total = sum(r.d_X for r in records)
-    if total != g:
-        raise AssertionError(f"component dimensions sum to {total}, not g={g}")
-    if g != dual_coxeter(st):
-        raise AssertionError("quotient marks do not sum to the dual Coxeter number")
     return sorted(records, key=ComponentRecord.sort_key)
 
 
@@ -147,20 +141,16 @@ def noncyclic_components(st: SimpleType) -> list[ComponentRecord]:
     n = st.rank // 2
     if n < 2:
         raise ValueError("D_{2n} needs n >= 2")
-    g = 2 * st.rank - 2
     f_big = 2 ** (2 * n - 3)
     f_small = 2 ** (2 * n - 4)
     shape_12 = SHAPE_S3_MOD_F
     shape_4 = SHAPE_POINT if n == 2 else SHAPE_S3_MOD_F
-    records = [
+    return [
         _record(1, 1, n, shape_12, f_big),
         _record(2, 1, n, shape_12, f_big),
         _record(4, 1, n - 1, shape_4, f_small),
         _record(4, 3, n - 1, shape_4, f_small),
     ]
-    if sum(r.d_X for r in records) != g:
-        raise AssertionError("non-cyclic component dimensions do not sum to g")
-    return records
 
 
 def components_for(st: SimpleType, sub_: CenterSubgroup) -> list[ComponentRecord]:

@@ -438,6 +438,19 @@ def test_paper_tables_out_naming_a_file_is_an_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec,reason", [
+    ("node:abc", "center node 'abc' is not an integer"),
+    ("node:99", "node 99 is not a center node of A5"),
+])
+def test_bad_center_node_is_one_usage_error(spec, reason):
+    code, out, err = run_cli("quotient", "--group", "A5", "--center", spec)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("usage error:")] == [
+        f"usage error: {reason}"
+    ]
+    assert "Traceback" not in err
+
+
 def test_paper_tables_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("COROOTS_TABLE_DIR", str(tmp_path / "envdir"))
     assert main(["paper-tables", "--max-rank", "3"]) == 0

@@ -8,7 +8,8 @@ from coroots.derived import check_samediags, derived, node_type, quotient_marked
 from coroots.diagrams import diagram_of, make_diagram
 from coroots.linalg import kernel_basis, transpose
 from coroots.moduli import catalog_types
-from coroots.coords import DiagramReport
+from coroots import coords
+from coroots.coords import DiagramReport, check_diagram1
 from coroots.numerology import marked
 from coroots.rootdata import parse_type
 from oracles import from_coroot_coords, perm_matrix_on_coroots, project_many
@@ -235,6 +236,37 @@ def test_samediags_reports_a_reversed_derived_diagram(monkeypatch, spec, center,
     rep = check_samediags(st, parse_center(st, center), k)
     assert rep.equal is False
     assert rep.detail.startswith("Cartan integers differ at survivors " + pair), rep.detail
+
+
+@pytest.mark.parametrize("st", catalog_types(8), ids=lbl)
+def test_samediags_builds_no_orbit_averages_after_diagram1(st, monkeypatch):
+    """Once check_diagram1 has projected (type, subgroup), samediags at every
+    k takes the orbits and their Gram matrix from that one projection."""
+    import coroots.derived
+
+    def rebuilt(*_):
+        raise AssertionError("orbit averages rebuilt")
+
+    for sub_ in all_subgroups(st):
+        assert check_diagram1(st, sub_).equal
+        with monkeypatch.context() as mp:
+            mp.setattr(coords, "orbit_averages", rebuilt)
+            mp.setattr(coroots.derived, "orbit_averages", rebuilt, raising=False)
+            for k in quotient_marked(st, sub_).admissible_orders():
+                assert check_samediags(st, sub_, k).equal, (st, sub_.nodes, k)
+
+
+@pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
+def test_derived_node_types_are_node_type(st):
+    """derived() reads each survivor's type off chains it computes once per
+    (m, k); node_type computes them afresh, for a lone node too."""
+    for sub_ in all_subgroups(st):
+        m = quotient_marked(st, sub_)
+        for k in m.admissible_orders():
+            dd = derived(m, k)
+            assert dd.node_types == {v: node_type(m, k, v) for v in dd.survivors}, (
+                st, sub_.nodes, k,
+            )
 
 
 def test_derived_submodule_is_not_shadowed():

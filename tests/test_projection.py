@@ -719,6 +719,7 @@ def test_project_rejects_a_shifted_orbit_average(st, monkeypatch):
     averages = coords.orbit_averages
     g = diagram_of(st).marks
     form = coroot_form(st)[0]
+    coords.project.cache_clear()
     for sub_ in all_subgroups(st):
         orbits = orbit_data(st, sub_)
         if orbits.degenerate:
@@ -749,6 +750,7 @@ def test_project_reports_a_non_affine_projected_matrix(spec, center, monkeypatch
         tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(m)) for i in range(m)
     )
     monkeypatch.setattr(coords, "cartan_integers", lambda prods: finite)
+    coords.project.cache_clear()
     with pytest.raises(AssertionError, match="projected coroots do not span the fixed subspace"):
         project(st, sub_)
 
