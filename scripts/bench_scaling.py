@@ -55,6 +55,7 @@ QUERIES = {
     "project --group D60 --center full": ["project", "--group", "D60", "--center", "full"],
     "components --group C30 --center full": ["components", "--group", "C30", "--center", "full"],
     "components --group C60 --center full": ["components", "--group", "C60", "--center", "full"],
+    "components --group D60 --center full": ["components", "--group", "D60", "--center", "full"],
     "datum --group A40": ["datum", "--group", "A40"],
     "datum --group A1": ["datum", "--group", "A1"],
 }

@@ -9,7 +9,9 @@ the central vertices by c.  That automorphism is nu(c).  A map sending the
 alcove onto itself sends the vertex off wall i to the vertex off wall
 perm[i], so the oracle maps each vertex once, against that one image, and
 the translation is the identity perm[d] = c + d on the central nodes.
-center_group checks the group law on generators times elements.
+Every center subgroup is the closure of its generators' automorphisms
+under composition, so the oracle runs on generators only; center_group
+checks the group law on generators times elements, and the nodes reached.
 
 The oracle runs on int tuples: the alcove vertices' simple-coroot
 coordinates times L, the LCM of their denominators
@@ -37,10 +39,10 @@ from . import rootdata
 from .diagrams import (
     AffineDiagram,
     automorphism_group,
-    closure,
     compose,
     connected_components,
     diagram_of,
+    generated_group,
     orbit_kind,
     orbits_of,
     quotient,
@@ -174,29 +176,42 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
             f"vertex oracle found {len(winners)} automorphisms for node "
             f"{target_node} of {st}"
         )
-    return CenterElement(target_node, winners[0], _node_order(st, target_node))
+    return _element(winners[0])
 
 
-def _node_order(st: SimpleType, node: int) -> int:
-    return len(closure([0], lambda m: (rootdata.center_element_sum(st, m, node),)))
+def _element(perm: tuple[int, ...]) -> CenterElement:
+    """Node perm[0]; order the length of node 0's cycle (the action is free)."""
+    order, v = 1, perm[0]
+    while v:
+        order, v = order + 1, perm[v]
+    return CenterElement(perm[0], perm, order)
+
+
+def _generated(st: SimpleType, perms) -> CenterSubgroup:
+    """The subgroup the perms generate; every center subgroup is built here."""
+    elements = map(_element, generated_group(perms, st.rank + 1))
+    return CenterSubgroup(st, tuple(sorted(elements, key=lambda e: e.node)))
 
 
 @lru_cache(maxsize=None)
 def center_group(st: SimpleType) -> CenterSubgroup:
-    """The full center, realized through the vertex oracle."""
-    elements = tuple(
-        sorted((nu(st, n) for n in rootdata.center_vertex_nodes(st)), key=lambda e: e.node)
-    )
-    grp = CenterSubgroup(st, elements)
+    """The full center.  The oracle runs on the central nodes not yet reached:
+    once for A, B, C, E6 and E7, twice for D, never for E8, F4 and G2."""
+    gens: list[tuple[int, ...]] = []
+    grp = _generated(st, gens)
+    for n in rootdata.center_vertex_nodes(st):
+        if n not in grp.nodes:
+            gens.append(nu(st, n).perm)
+            grp = _generated(st, gens)
     _check_homomorphism(st, grp)
     return grp
 
 
 def _check_homomorphism(st: SimpleType, grp: CenterSubgroup) -> None:
-    """nu(a) nu(b) = nu(a + b) for each generator a and every element b, and
-    nu is injective.  By induction on a word in the generators the law then
-    holds for every a, since nu(0) is the identity (the one automorphism the
-    oracle passes for node 0)."""
+    """nu(a) nu(b) = nu(a + b) for each generator a and every element b, nu
+    is injective, and the elements reach exactly the central nodes.  By
+    induction on a word in the generators the law then holds for every a,
+    since nu(0) is the identity."""
     by_node = {e.node: e for e in grp.elements}
     for a in grp.generators():
         for b in grp.elements:
@@ -206,34 +221,28 @@ def _check_homomorphism(st: SimpleType, grp: CenterSubgroup) -> None:
     perms = {e.perm for e in grp.elements}
     if len(perms) != len(grp.elements):
         raise AssertionError(f"nu is not injective for {st}")
+    if list(grp.nodes) != rootdata.center_vertex_nodes(st):
+        raise AssertionError(f"the center of {st} does not reach exactly its central nodes")
 
 
 def trivial_subgroup(st: SimpleType) -> CenterSubgroup:
-    return CenterSubgroup(st, (nu(st, 0),))
+    return _generated(st, [])
 
 
 def subgroup_generated(st: SimpleType, nodes) -> CenterSubgroup:
-    by_node = {e.node: e for e in center_group(st).elements}
-    nodes = list(nodes)
+    by_node = {e.node: e.perm for e in center_group(st).elements}
     for n in nodes:
         if n not in by_node:
             raise ValueError(f"node {n} is not a center node of {st}")
-    got = closure([0], lambda m: (rootdata.center_element_sum(st, m, n) for n in nodes))
-    elements = tuple(sorted((by_node[n] for n in got), key=lambda e: e.node))
-    return CenterSubgroup(st, elements)
+    return _generated(st, [by_node[n] for n in nodes])
 
 
 def all_subgroups(st: SimpleType) -> list[CenterSubgroup]:
     """All subgroups of the center: the cyclic ones, plus the full center
     when it is not cyclic (the only such case is D_{2n})."""
     full = center_group(st)
-    seen: dict[tuple[int, ...], CenterSubgroup] = {}
-    for e in full.elements:
-        sub_ = subgroup_generated(st, [e.node])
-        seen.setdefault(sub_.nodes, sub_)
-    if not full.is_cyclic:
-        seen.setdefault(full.nodes, full)
-    return sorted(seen.values(), key=lambda s: (s.order, s.nodes))
+    subs = {_generated(st, [e.perm]) for e in full.elements} | {full}
+    return sorted(subs, key=lambda s: (s.order, s.nodes))
 
 
 def cyclic_subgroups(st: SimpleType) -> list[CenterSubgroup]:
@@ -277,17 +286,9 @@ def orbit_data(st: SimpleType, sub_: CenterSubgroup) -> OrbitSet:
     dia = diagram_of(st)
     g = dia.marks
     orbs = orbits_of(sub_.perms(), dia.n_nodes)
-    for o in orbs:
-        marks = {g[u] for u in o}
-        if len(marks) != 1:
-            raise AssertionError("coroot integers not constant on an orbit")
     if len(orbs) == 1:
         return OrbitSet((Orbit(orbs[0], 1, sum(g)),), True)
-    out = []
-    for o in orbs:
-        eps = orbit_kind(dia, o)
-        out.append(Orbit(o, eps, len(o) * g[o[0]]))
-    return OrbitSet(tuple(out), False)
+    return OrbitSet(tuple(Orbit(o, orbit_kind(dia, o), len(o) * g[o[0]]) for o in orbs), False)
 
 
 def l_c_factors(st: SimpleType, sub_: CenterSubgroup) -> tuple[list[int], int]:
@@ -367,7 +368,7 @@ def parse_center(st: SimpleType, spec: str) -> CenterSubgroup:
             raise ValueError(
                 f"center of {st} is not cyclic; use c_SO, c_exotic or full"
             )
-        return subgroup_generated(st, [full.generator().node])
+        return full
     if s in ("c_SO", "c_so"):
         if st.family != "D":
             raise ValueError("c_SO is only defined for D types")

@@ -44,10 +44,14 @@ def _parse_group(text: str):
 
 
 def _parse_center(st, text: str):
+    """The center subgroup a spec names, refused for A0 once the spec is read."""
     from .center import parse_center
 
     try:
-        return parse_center(st, text)
+        sub_ = parse_center(st, text)
+        if st == rootdata.TRIVIAL:
+            raise ValueError("the trivial type A0 has no root datum")
+        return sub_
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -64,8 +64,6 @@ def _finite_part(st: SimpleType) -> tuple[list[IVec], list[int]]:
     """The finite block of the catalog Cartan matrix and the squared
     lengths of its nodes, which are integers (the shortest is 2)."""
     dia = diagram_of(st)
-    if any(x.denominator != 1 for x in dia.sq_lengths):
-        raise AssertionError(f"non-integral squared length in the diagram of {st}")
     return [row[1:] for row in dia.cartan[1:]], [x.numerator for x in dia.sq_lengths[1:]]
 
 

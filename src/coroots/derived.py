@@ -13,6 +13,7 @@ subgroup), and compares.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -91,8 +92,9 @@ class DerivedDiagram(NamedTuple):
         return tuple(self.parent.n[v] for v in self.survivors)
 
 
+@lru_cache(maxsize=None)
 def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
-    """The derived diagram of (m, k), classified."""
+    """The derived diagram of (m, k), classified; cached, so no caller may change its dicts."""
     if k < 1 or all(x % k for x in m.n):
         raise ValueError(f"{k} divides no node value")
     survivors = tuple(v for v in m.diagram.nodes() if m.n[v] % k == 0)
@@ -103,10 +105,6 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
             m, k, survivors, {v: "1" for v in survivors},
             {v: dia.sq_lengths[v] for v in survivors}, dia, res,
         )
-    base = classify(m.diagram)
-    if base is not None and base.type in (SimpleType("G", 2), SimpleType("BC", 1)):
-        if len(survivors) >= 2:
-            raise AssertionError("G2/BC1 parent cannot have two survivors")
     chains, adjacent = _chains(m, k)
     kp = k // gcd(k, m.n0)
     for c in chains:
@@ -171,8 +169,6 @@ def check_samediags(st: SimpleType, sub_: CenterSubgroup, k: int) -> DiagramRepo
     ps = project(st, sub_)
     mq = quotient_marked(st, sub_)
     dd = derived(mq, k)
-    if ps.orbits.degenerate:
-        return DiagramReport(dd.diagram.n_nodes == 1, "degenerate quotient")
     keep = [i for i, mark in enumerate(mq.n) if mark % k == 0]
     if len(keep) == 1:
         # the m averages span the fixed subspace (project asserts it) with one

@@ -337,6 +337,31 @@ def test_integer_center_layer_matches_fraction_oracle(st):
     assert center_group(st).elements == expect
 
 
+def test_the_oracle_runs_on_generators_only(monkeypatch):
+    """center_group runs the vertex oracle once per cyclic center, twice for
+    D_n, never for a trivial center and never on node 0; composition gives
+    every other element.  trivial_subgroup runs it not at all."""
+    import coroots.center
+
+    calls = []
+
+    def counted(st, node):
+        calls.append(node)
+        return nu(st, node)
+
+    monkeypatch.setattr(coroots.center, "nu", counted)
+    center_group.cache_clear()
+    for st in ORACLE_TYPES:
+        calls.clear()
+        trivial_subgroup(st)
+        assert calls == [], st
+        center_group(st)
+        if st in (SimpleType("E", 8), SimpleType("F", 4), SimpleType("G", 2)):
+            assert calls == [], st
+        else:
+            assert len(calls) == (2 if st.family == "D" else 1) and 0 not in calls, (st, calls)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("st", ORACLE_TYPES, ids=str)
 def test_nu_is_w0J_w0(st):

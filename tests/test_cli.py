@@ -373,7 +373,7 @@ def test_check_all_reports_a_failing_center_and_goes_on(monkeypatch, capsys):
     nu = center.nu
 
     def failing_nu(st, node):
-        if st == SimpleType("A", 3) and node == 2:
+        if st == SimpleType("A", 3) and node == 1:
             raise AssertionError("forced failure")
         return nu(st, node)
 
@@ -449,6 +449,30 @@ def test_bad_center_node_is_one_usage_error(spec, reason):
         f"usage error: {reason}"
     ]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("center", ["trivial", "full"])
+@pytest.mark.parametrize(
+    "argv", [["quotient"], ["project"], ["derived", "--k", "1"], ["components"], ["clock"]],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("group", ["A0", "SU(1)"])
+def test_the_trivial_type_has_no_center(group, argv, center, capsys):
+    assert main([*argv, "--group", group, "--center", center]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("usage error:")] == [
+        "usage error: the trivial type A0 has no root datum"
+    ]
+
+
+def test_derived_query_derives_once(capsys):
+    """cmd_derived and check_samediags share one cached derived diagram."""
+    from coroots.derived import derived
+
+    derived.cache_clear()
+    assert main(["derived", "--group", "D30", "--center", "trivial", "--k", "2"]) == 0
+    assert derived.cache_info().misses == 1
 
 
 def test_paper_tables_env_var(tmp_path, monkeypatch):

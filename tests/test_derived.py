@@ -156,8 +156,6 @@ def _ambient_samediags(st, sub_, k):
     orbits = orbit_data(st, sub_)
     mq = quotient_marked(st, sub_)
     dd = derived(mq, k)
-    if orbits.degenerate:
-        return DiagramReport(dd.diagram.n_nodes == 1, "degenerate quotient")
     n = d.rank
     rows = []
     for e in sub_.elements:
