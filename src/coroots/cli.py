@@ -3,6 +3,8 @@
 Subcommands: datum, quotient, project, derived, components, clock,
 rank-zero, paper-tables, check-all.  Everything is exact and
 deterministic; two runs of the same command produce identical bytes.
+Each command is one row of ``_COMMANDS``; ``main`` resolves its group
+and center subgroup once and hands them to the command's handler.
 Exit codes: 0 success, 1 rejected computation or failed internal
 invariant, 2 usage errors.
 """
@@ -14,7 +16,7 @@ import os
 import sys
 
 from . import rootdata
-from .diagrams import DiagramError, classify, diagram_of, dual_coxeter, label, render_diagram
+from .diagrams import classify, diagram_of, dual_coxeter, label, render_diagram
 from .rootdata import parse_type
 
 SCHEMA_DIAGRAM = "coroots/diagram/v1"
@@ -22,36 +24,32 @@ SCHEMA_COMPONENTS = "coroots/components/v1"
 
 
 class UsageError(Exception):
-    """Bad query syntax (unknown group or center spec): exit code 2."""
+    """Bad query (an unknown group or center spec, or a center named for
+    BC_n): exit code 2."""
 
 
-def _parse_type(text: str):
+def _resolve(args):
+    """The query's group and center subgroup, None where its command takes
+    no --group or no --center.  A command that takes --center takes a
+    group, so BC_n is refused there before the center layer loads; A0 is
+    refused once its center spec has been read."""
+    if not hasattr(args, "group"):
+        return None, None
     try:
-        return parse_type(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        st = parse_type(args.group)
+        if not hasattr(args, "center"):
+            return st, None
+        if st.family == "BC":
+            raise ValueError(
+                f"{st} is not a group: BC_n is a non-reduced root system "
+                "(use datum or check-all)"
+            )
+        from .center import parse_center
 
-
-def _parse_group(text: str):
-    """A group spec for the commands that need a group: BC_n is rejected."""
-    st = _parse_type(text)
-    if st.family == "BC":
-        raise UsageError(
-            f"{st} is not a group: BC_n is a non-reduced root system "
-            "(use datum or check-all)"
-        )
-    return st
-
-
-def _parse_center(st, text: str):
-    """The center subgroup a spec names, refused for A0 once the spec is read."""
-    from .center import parse_center
-
-    try:
-        sub_ = parse_center(st, text)
+        sub_ = parse_center(st, args.center)
         if st == rootdata.TRIVIAL:
             raise ValueError("the trivial type A0 has no root datum")
-        return sub_
+        return st, sub_
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -76,15 +74,11 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _diagram_payload(d, extra=None) -> dict:
-    out = {"schema": SCHEMA_DIAGRAM, **d.to_json()}
-    if extra:
-        out.update(extra)
-    return out
+def _diagram_payload(d, extra: dict) -> dict:
+    return {"schema": SCHEMA_DIAGRAM, **d.to_json(), **extra}
 
 
-def cmd_datum(args) -> int:
-    st = _parse_type(args.group)
+def cmd_datum(args, st, sub_) -> int:
     dia = diagram_of(st)
     h = rootdata.root_integers(st)
     order = rootdata.fundamental_group_order(st)
@@ -111,11 +105,9 @@ def cmd_datum(args) -> int:
     return 0
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args, st, sub_) -> int:
     from .center import quotient_diagram
 
-    st = _parse_type(args.group)
-    sub_ = _parse_center(st, args.center)
     q = quotient_diagram(st, sub_)
     res = classify(q)
     payload = _diagram_payload(
@@ -138,11 +130,9 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
+def cmd_project(args, st, sub_) -> int:
     from .coords import check_diagram1, project
 
-    st = _parse_type(args.group)
-    sub_ = _parse_center(st, args.center)
     ps = project(st, sub_)
     rep = check_diagram1(st, sub_)
     payload = _diagram_payload(
@@ -167,12 +157,10 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_derived(args) -> int:
+def cmd_derived(args, st, sub_) -> int:
     from .derived import check_samediags, derived
     from .numerology import quotient_marked
 
-    st = _parse_type(args.group)
-    sub_ = _parse_center(st, args.center)
     m = quotient_marked(st, sub_)
     dd = derived(m, args.k)
     rep = check_samediags(st, sub_, args.k)
@@ -202,11 +190,9 @@ def cmd_derived(args) -> int:
     return 0
 
 
-def cmd_components(args) -> int:
+def cmd_components(args, st, sub_) -> int:
     from .moduli import SHAPE_DISPLAY, components_for, record_to_json
 
-    st = _parse_group(args.group)
-    sub_ = _parse_center(st, args.center)
     recs = components_for(st, sub_)
     g = dual_coxeter(st)
     payload = {
@@ -228,11 +214,9 @@ def cmd_components(args) -> int:
     return 0
 
 
-def cmd_clock(args) -> int:
+def cmd_clock(args, st, sub_) -> int:
     from .moduli import clock_report
 
-    st = _parse_group(args.group)
-    sub_ = _parse_center(st, args.center)
     cr = clock_report(st, sub_)
     payload = {
         "schema": "coroots/clock/v1",
@@ -255,7 +239,7 @@ def cmd_clock(args) -> int:
     return 0
 
 
-def cmd_rank_zero(args) -> int:
+def cmd_rank_zero(args, st, sub_) -> int:
     from .moduli import rank_zero_list
 
     rows = rank_zero_list(args.k, args.central, args.max_rank)
@@ -275,7 +259,7 @@ def cmd_rank_zero(args) -> int:
     return 0
 
 
-def cmd_paper_tables(args) -> int:
+def cmd_paper_tables(args, st, sub_) -> int:
     from .tables import all_tables
 
     outdir = args.out or os.environ.get("COROOTS_TABLE_DIR", "golden")
@@ -288,14 +272,39 @@ def cmd_paper_tables(args) -> int:
     return 0
 
 
-def cmd_check_all(args) -> int:
-    ok = run_check_all(args.max_rank, print)
-    return 0 if ok else 1
+def cmd_check_all(args, st, sub_) -> int:
+    return 0 if run_check_all(args.max_rank, print) else 1
 
 
 def run_check_all(max_rank: int, emit) -> bool:
     from .checks import run_check_all
     return run_check_all(max_rank, emit)
+
+
+_OPTIONS = {
+    "group": {"required": True, "help": "e.g. E8, A5, Spin(12), SU(7), BC3"},
+    "center": {"default": "trivial", "help": "trivial, full, c, c_SO, c_exotic, or node:<id>"},
+    "format": {"choices": ("text", "json"), "default": "text"},
+    "k": {"type": _positive_int, "required": True},
+    "central": {"action": "store_true"},
+    "max-rank": {"type": _positive_int, "default": 12},
+    "out": {"help": "output directory (or $COROOTS_TABLE_DIR)"},
+}
+
+_COMMANDS = (
+    ("datum", cmd_datum, "extended coroot diagram and integers", "group format"),
+    ("quotient", cmd_quotient, "quotient diagram by a center subgroup", "group center format"),
+    ("project", cmd_project, "projected-coroot diagram on the fixed subspace",
+     "group center format"),
+    ("derived", cmd_derived, "derived diagram at an order k", "group center format k"),
+    ("components", cmd_components, "moduli components for a center subgroup",
+     "group center format"),
+    ("clock", cmd_clock, "rotation-invariant window partition", "group center format"),
+    ("rank-zero", cmd_rank_zero, "groups with rank-zero triples of order k",
+     "k central max-rank format"),
+    ("paper-tables", cmd_paper_tables, "regenerate the reference tables", "out max-rank"),
+    ("check-all", cmd_check_all, "run every cross-check over the catalog", "max-rank"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,58 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
         "compact simple Lie groups",
     )
     sp = p.add_subparsers(dest="command", required=True)
-
-    def common(q, center=True, fmt=True):
-        q.add_argument("--group", required=True, help="e.g. E8, A5, Spin(12), SU(7), BC3")
-        if center:
-            q.add_argument(
-                "--center",
-                default="trivial",
-                help="trivial, full, c, c_SO, c_exotic, or node:<id>",
-            )
-        if fmt:
-            q.add_argument("--format", choices=("text", "json"), default="text")
-
-    q = sp.add_parser("datum", help="extended coroot diagram and integers")
-    common(q, center=False)
-    q.set_defaults(fn=cmd_datum)
-
-    q = sp.add_parser("quotient", help="quotient diagram by a center subgroup")
-    common(q)
-    q.set_defaults(fn=cmd_quotient)
-
-    q = sp.add_parser("project", help="projected-coroot diagram on the fixed subspace")
-    common(q)
-    q.set_defaults(fn=cmd_project)
-
-    q = sp.add_parser("derived", help="derived diagram at an order k")
-    common(q)
-    q.add_argument("--k", type=_positive_int, required=True)
-    q.set_defaults(fn=cmd_derived)
-
-    q = sp.add_parser("components", help="moduli components for a center subgroup")
-    common(q)
-    q.set_defaults(fn=cmd_components)
-
-    q = sp.add_parser("clock", help="rotation-invariant window partition")
-    common(q)
-    q.set_defaults(fn=cmd_clock)
-
-    q = sp.add_parser("rank-zero", help="groups with rank-zero triples of order k")
-    q.add_argument("--k", type=_positive_int, required=True)
-    q.add_argument("--central", action="store_true")
-    q.add_argument("--max-rank", type=_positive_int, default=12)
-    q.add_argument("--format", choices=("text", "json"), default="text")
-    q.set_defaults(fn=cmd_rank_zero)
-
-    q = sp.add_parser("paper-tables", help="regenerate the reference tables")
-    q.add_argument("--out", default=None, help="output directory (or $COROOTS_TABLE_DIR)")
-    q.add_argument("--max-rank", type=_positive_int, default=12)
-    q.set_defaults(fn=cmd_paper_tables)
-
-    q = sp.add_parser("check-all", help="run every cross-check over the catalog")
-    q.add_argument("--max-rank", type=_positive_int, default=12)
-    q.set_defaults(fn=cmd_check_all)
+    for name, fn, help_, options in _COMMANDS:
+        q = sp.add_parser(name, help=help_)
+        for opt in options.split():
+            q.add_argument("--" + opt, **_OPTIONS[opt])
+        q.set_defaults(fn=fn)
     return p
 
 
@@ -364,12 +326,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, *_resolve(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, DiagramError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DiagramError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -317,7 +317,7 @@ def test_criterion_9_oracle_uniqueness():
 
     elements = 0
     for st in ALL_TYPES:
-        grp = center_group(st)  # asserts injective homomorphism internally
+        grp = center_group(st)  # asserts the homomorphism internally
         for node in center_vertex_nodes(st):
             winners = oracle_winners(st, node)
             assert len(winners) == 1, (st, node, len(winners))

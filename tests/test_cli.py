@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,8 +74,8 @@ def test_rank_zero_command(capsys):
 def test_exit_codes():
     code, _, err = run_cli("datum", "--group", "Z9")
     assert code == 2 and "usage" in err
-    code, _, err = run_cli("derived", "--group", "G2", "--center", "trivial", "--k", "5")
-    assert code == 1 and "divides no node value" in err
+    code, out, err = run_cli("derived", "--group", "G2", "--center", "trivial", "--k", "5")
+    assert (code, out, err) == (1, "", "error: 5 divides no node value\n")
     code, _, _ = run_cli("datum", "--group", "A0")
     assert code == 1
     code, _, _ = run_cli("nonsense")
@@ -273,7 +274,12 @@ def modules_loaded_by(argv):
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["datum", "--group", "A1"], 0), (["--help"], 0), (["datum", "--group", "X9"], 2)],
+    [
+        (["datum", "--group", "A1"], 0),
+        (["--help"], 0),
+        (["datum", "--group", "X9"], 2),
+        (["quotient", "--group", "BC3"], 2),  # BC_n is refused before center loads
+    ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
 def test_diagram_queries_load_only_the_diagram_layer(argv, code):
@@ -410,13 +416,70 @@ def test_make_tables_script_rejects_max_rank_0(tmp_path):
 
 
 def test_bc_is_rejected_where_a_group_is_needed(capsys):
-    for cmd in ("components", "clock"):
-        assert main([cmd, "--group", "BC3"]) == 2
+    """Every command that takes --center takes a group, and BC_n is none."""
+    for argv in (["quotient"], ["project"], ["derived", "--k", "1"], ["components"], ["clock"]):
+        assert main([*argv, "--group", "BC3", "--center", "full"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "usage error: BC3 is not a group" in captured.err
     assert main(["datum", "--group", "BC3"]) == 0
     assert "extended coroot diagram of BC3" in capsys.readouterr().out
+
+
+def pinned_help() -> dict:
+    """`coroots ... --help` at 80 columns, as pinned in tests/cli_help.txt."""
+    text = (REPO / "tests" / "cli_help.txt").read_text()
+    parts = re.split(r"^==> coroots (.*)\n", text, flags=re.M)
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+@pytest.mark.parametrize("argv, text", pinned_help().items(), ids=list(pinned_help()))
+def test_help_text_is_pinned(argv, text, monkeypatch, capsys):
+    """argparse wraps to the terminal width, so the width is fixed at 80."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text
+
+
+def test_help_pins_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    assert set(pinned_help()) == {"--help", *(f"{name} --help" for name in subparsers)}
+
+
+CENTERED = ("quotient", "project", "components", "clock")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a bad group spec
+        *([cmd, "--group", "Z9"] for cmd in ("datum", *CENTERED)),
+        ["derived", "--group", "Z9", "--k", "2"],
+        # a bad center spec
+        *([cmd, "--group", "A5", "--center", "bogus"] for cmd in CENTERED),
+        ["derived", "--group", "A5", "--center", "c_SO", "--k", "2"],
+        # a non-positive or non-integer --k or --max-rank
+        ["derived", "--group", "G2", "--k", "0"],
+        ["derived", "--group", "G2", "--k", "two"],
+        ["rank-zero", "--k", "-1"],
+        ["rank-zero", "--k", "2", "--max-rank", "x"],
+        ["paper-tables", "--max-rank", "0"],
+        ["check-all", "--max-rank", "two"],
+        # --format where it is not taken
+        ["paper-tables", "--format", "json"],
+        ["check-all", "--format", "json"],
+        # a missing required option
+        *([cmd] for cmd in ("datum", *CENTERED, "derived", "rank-zero")),
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_print_one_error_line(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+    assert "Traceback" not in err
 
 
 def test_paper_tables_diff_clean(tmp_path):
