@@ -57,6 +57,7 @@ QUERIES = {
     "components --group C60 --center full": ["components", "--group", "C60", "--center", "full"],
     "components --group D60 --center full": ["components", "--group", "D60", "--center", "full"],
     "datum --group A40": ["datum", "--group", "A40"],
+    "datum --group A160": ["datum", "--group", "A160"],
     "datum --group A1": ["datum", "--group", "A1"],
 }
 

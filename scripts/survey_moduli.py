@@ -7,9 +7,8 @@ import sys
 
 from coroots.center import all_subgroups
 from coroots.cli import _positive_int
-from coroots.diagrams import dual_coxeter
+from coroots.diagrams import dual_coxeter, label
 from coroots.moduli import catalog_types, components_for
-from coroots.tables import label
 
 
 def main() -> int:

@@ -318,18 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
         q = sp.add_parser(name, help=help_)
         for opt in options.split():
             q.add_argument("--" + opt, **_OPTIONS[opt])
-        q.set_defaults(fn=fn)
+        q.set_defaults(fn=fn, parser=q)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args, *_resolve(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        args.parser.print_usage(sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # DiagramError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

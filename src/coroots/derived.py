@@ -138,10 +138,8 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
                 raise AssertionError("l_k ratio of bonded survivors not integral")
             cartan[hi][lo] = -int(ratio)
             cartan[lo][hi] = -1
-    dia = make_diagram(
-        tuple(tuple(r) for r in cartan),
-        sq_lengths=tuple(2 * ell[v] / min(ell.values()) for v in survivors),
-    )
+    # the lengths make_diagram derives from these ratios are ell, min scaled to 2
+    dia = make_diagram(cartan)
     res = classify(dia)
     if res is None:
         raise AssertionError("derived diagram failed to classify")

@@ -1,11 +1,12 @@
 """Catalog of simple (and BC) root systems: the bond table and what it decides.
 
 Every query reads one per-family bond table (extended_cartan), the
-extended coroot-diagram Cartan matrix.  Off it come the root integers h
-(sum_i h_i a_i = 0) as its positive kernel and the alcove vertices in
-simple-coroot coordinates, which give the group law on the center.  The
-coroot integers g (sum_i g_i a_i^vee = 0) and the dual Coxeter number are
-the marks of diagrams.diagram_of and their sum.
+extended coroot-diagram Cartan matrix.  The coroot integers g
+(sum_i g_i a_i^vee = 0) and the dual Coxeter number are the marks of
+diagrams.diagram_of and their sum; the root integers h (sum_i h_i a_i = 0)
+follow from g and the coroot lengths.  Off the table also come the alcove
+vertices in simple-coroot coordinates, which give the group law on the
+center.
 
 The ambient realization of a type (datum, alcove, coroot_coord_matrix) is
 in coroots.ambient, a second route to the table that no query builds.
@@ -22,7 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .linalg import IVec, det_int, positive_kernel, scaled_inverse
+from .linalg import IVec, det_int, primitive, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -143,15 +144,19 @@ def extended_cartan(st: SimpleType) -> tuple[tuple[int, ...], ...]:
 def root_integers(st: SimpleType) -> tuple[int, ...]:
     """The root integers h, with sum_i h_i a_i = 0 on the extended roots.
 
-    The table holds n(i, j) = a_j(a_i^vee), so h is its positive kernel;
-    AssertionError unless that kernel is one positive vector.
+    a_i^vee = |a_i^vee|^2 a_i / 2, so sum_i g_i a_i^vee = 0 makes h the
+    primitive vector of g_i l_i, with g and l the marks and squared lengths
+    of diagrams.diagram_of.  In matrix terms: the table C holds
+    n(i, j) = a_j(a_i^vee), g spans the kernel of C^T and C diag(l) is
+    symmetric, so C (g_i l_i) = diag(l) C^T g = 0; make_diagram has shown
+    that kernel one positive line, and rank C = rank C^T.
     """
     if st == TRIVIAL:
         raise ValueError("the trivial type A0 has no root datum")
-    rel = positive_kernel(extended_cartan(st))
-    if rel is None:
-        raise AssertionError(f"the bond table of {st} has no unique positive relation")
-    return rel
+    from .diagrams import diagram_of
+
+    dia = diagram_of(st)
+    return primitive([g * l for g, l in zip(dia.marks, dia.sq_lengths)])
 
 
 def center_vertex_nodes(st: SimpleType) -> list[int]:

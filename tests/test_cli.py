@@ -482,6 +482,24 @@ def test_usage_errors_print_one_error_line(argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["quotient", "--group", "Z9"], ["components", "--group", "BC3"],
+     ["derived", "--group", "A5", "--center", "bogus", "--k", "2"]],
+    ids=" ".join,
+)
+def test_usage_error_prints_the_commands_usage(argv):
+    """A usage error names the failing command's options, as argparse's own
+    errors for that command do."""
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage error: ")
+    assert lines[1].startswith(f"usage: coroots {argv[0]} [-h]")
+    assert "--group GROUP" in err
+    assert len([line for line in lines if "error:" in line]) == 1, err
+
+
 def test_paper_tables_diff_clean(tmp_path):
     """Regenerated tables are byte-identical to the checked-in goldens."""
     code, out, _ = run_cli("paper-tables", "--out", str(tmp_path))

@@ -16,9 +16,9 @@ from coroots.ambient import (
     sub,
     zero_vec,
 )
-from coroots.center import _check_homomorphism, center_group
+from coroots.center import center_group
 from coroots.diagrams import diagram_of, dual_coxeter
-from coroots.linalg import det_int
+from coroots.linalg import det_int, positive_kernel
 from coroots import rootdata
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
@@ -311,7 +311,7 @@ def test_group_law_above_the_catalog():
         st = parse_type(spec)
         grp = center_group(st)
         assert grp.order == center_order(st)
-        _check_homomorphism(st, grp)
+        assert list(grp.nodes) == center_vertex_nodes(st)
 
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=str)
@@ -422,6 +422,16 @@ def test_fundamental_group_order_two_routes_to_rank_40():
         assert fundamental_group_order(st) == det, st
         if st.family != "BC":
             assert det == center_order(st) == len([x for x in d.h if x == 1]), st
+
+
+@pytest.mark.parametrize(
+    "st", catalog_types(40) + [SimpleType("B", 2)] + [SimpleType("BC", n) for n in range(1, 25)],
+    ids=str,
+)
+def test_root_integers_are_the_positive_kernel_of_the_table(st):
+    """h read off diagram_of's marks and lengths equals the dense positive
+    kernel of the extended Cartan matrix, the elimination it replaced."""
+    assert rootdata.root_integers(st) == positive_kernel(rootdata.extended_cartan(st))
 
 
 @pytest.mark.parametrize(
