@@ -351,7 +351,7 @@ def test_nu_is_w0J_w0(st):
 def test_center_elements_translate_the_central_nodes(st):
     """Every element of the center, not only the generators that nu's node
     test checks, acts on the central nodes as translation by its node under
-    the group law; so the closure of the generators is a homomorphic image."""
+    the group law; so composing any two elements follows that law."""
     central = center_vertex_nodes(st)
     for e in center_group(st).elements:
         assert [e.perm[d] for d in central] == [center_element_sum(st, e.node, d) for d in central]

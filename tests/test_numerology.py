@@ -44,6 +44,26 @@ def test_i_set_examples():
     assert sorted(mq.n[v] for v in I_set(mq, 4)) == [2, 2, 6]
 
 
+@pytest.mark.parametrize("spec", SWEEP)
+def test_assumption_assigns_each_node_once(spec):
+    """Each cover's witness assignment is a partition of I(n, k) whose block
+    for order d holds the residues of the punctured subgroup of order d, on
+    every marked diagram of a type and of its quotients."""
+    st_ = parse_type(spec)
+    ms = [marked(diagram_of(st_))]
+    if st_.family != "BC":
+        ms += [quotient_marked(st_, sub) for sub in all_subgroups(st_)]
+    for m in ms:
+        for k in range(2, max(m.n) + 1):
+            if all(x % k for x in m.n):
+                continue
+            dec = check_assumption(m, k)
+            flat = sorted(v for block in dec.assignment for v in block)
+            assert flat == sorted(I_set(m, k)), (m.n, k)
+            for d, block in zip(dec.subgroup_orders, dec.assignment):
+                assert sorted(m.n[v] % k for v in block) == [k // d * j for j in range(1, d)]
+
+
 def test_i_set_respects_n0_reduction():
     st_ = parse_type("E7")
     from coroots.center import center_group
