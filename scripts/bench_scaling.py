@@ -52,6 +52,9 @@ QUERIES = {
     "derived --group D60 --center trivial --k 2": [
         "derived", "--group", "D60", "--center", "trivial", "--k", "2",
     ],
+    "derived --group D120 --center trivial --k 2": [
+        "derived", "--group", "D120", "--center", "trivial", "--k", "2",
+    ],
     "project --group D60 --center full": ["project", "--group", "D60", "--center", "full"],
     "components --group C30 --center full": ["components", "--group", "C30", "--center", "full"],
     "components --group C60 --center full": ["components", "--group", "C60", "--center", "full"],

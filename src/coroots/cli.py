@@ -6,7 +6,7 @@ deterministic; two runs of the same command produce identical bytes.
 Each command is one row of ``_COMMANDS``; ``main`` resolves its group
 and center subgroup once and hands them to the command's handler.
 Exit codes: 0 success, 1 rejected computation or failed internal
-invariant, 2 usage errors.
+invariant, 2 usage errors, 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -325,7 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, *_resolve(args))
+        code = args.fn(args, *_resolve(args))
+        print(end="", flush=True)  # a reader gone after the last write fails here
+        return code
+    except BrokenPipeError:  # quiet, as SIGPIPE would be; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         args.parser.print_usage(sys.stderr)

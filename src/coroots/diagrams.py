@@ -12,6 +12,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from numbers import Rational
+from operator import mul
 from typing import NamedTuple
 
 from . import rootdata
@@ -244,17 +245,18 @@ def dual_coxeter(st: SimpleType) -> int:
 # isomorphism and automorphisms
 
 
-def _invariants(c: tuple[IVec, ...], marks: IVec) -> tuple[tuple, tuple, tuple]:
-    """Per-node isomorphism invariants of a Cartan matrix with node marks
-    (the mark and the Cartan integers), their sorted list, and each node's
-    neighbours in ascending order.
+def _invariants(c: tuple[IVec, ...]) -> tuple[tuple, tuple, tuple]:
+    """Per-node isomorphism invariants of a Cartan matrix (its sorted row
+    and column), their sorted list, and each node's neighbours in
+    ascending order.
 
-    Lengths are not needed: a bijection that preserves the Cartan integers
-    of an indecomposable matrix preserves the ratios of its lengths too.
+    Lengths and marks are not read: a bijection that preserves the Cartan
+    integers of an indecomposable affine matrix preserves the ratios of its
+    lengths and its marks, the line its transpose kills (Kac, Ch. 4).
     """
     nodes = range(len(c))
     nbrs = tuple(tuple(v for v in nodes if v != u and (c[u][v] or c[v][u])) for u in nodes)
-    base = [(m, tuple(sorted(row)), tuple(sorted(col))) for m, row, col in zip(marks, c, zip(*c))]
+    base = [(tuple(sorted(row)), tuple(sorted(col))) for row, col in zip(c, zip(*c))]
     # one round of neighbor refinement
     inv = tuple((base[u], tuple(sorted(base[v] for v in nbrs[u]))) for u in nodes)
     return inv, tuple(sorted(inv)), nbrs
@@ -262,17 +264,15 @@ def _invariants(c: tuple[IVec, ...], marks: IVec) -> tuple[tuple, tuple, tuple]:
 
 @lru_cache(maxsize=None)
 def _catalog_invariants(st: SimpleType) -> tuple[tuple, tuple, tuple]:
-    d = diagram_of(st)
-    return _invariants(d.cartan, d.marks)
+    return _invariants(rootdata.extended_cartan(st))
 
 
 def _isomorphisms(c1: tuple[IVec, ...], inv1, c2: tuple[IVec, ...], inv2, first_only: bool):
-    """Node bijections p with c2[p(u)][p(v)] == c1[u][v] and equal marks.
+    """Node bijections p with c2[p(u)][p(v)] == c1[u][v].
 
-    inv1, inv2 are the _invariants of (c1, marks1) and (c2, marks2), which
-    callers compute once; the marks enter only through them.  Nodes of c1
-    are placed in the order a graph search reaches them, so each new node
-    u but a component's first has a placed neighbour; u's
+    inv1, inv2 are the _invariants of c1 and c2, which callers compute
+    once.  Nodes of c1 are placed in the order a graph search reaches them,
+    so each new node u but a component's first has a placed neighbour; u's
     image is drawn, in ascending order, from the neighbours of that
     neighbour's image, since any other target breaks the bond.  The bonds
     of u are checked against its placed neighbours only, and the image must
@@ -320,8 +320,8 @@ def _isomorphisms(c1: tuple[IVec, ...], inv1, c2: tuple[IVec, ...], inv2, first_
 
 
 def automorphism_group(d: AffineDiagram) -> list[tuple[int, ...]]:
-    """All mark-preserving Cartan-matrix automorphisms, sorted."""
-    inv = _invariants(d.cartan, d.marks)
+    """All Cartan-matrix automorphisms, sorted; each keeps the marks too."""
+    inv = _invariants(d.cartan)
     return sorted(_isomorphisms(d.cartan, inv, d.cartan, inv, first_only=False))
 
 
@@ -375,12 +375,12 @@ def _candidate_types(rank: int) -> list[SimpleType]:
 def classify(d: AffineDiagram) -> ClassifyResult | None:
     """Catalog type whose extended coroot diagram is isomorphic to d.
 
-    Marks must match the catalog coroot integers up to one global integer
-    factor; lengths may be rescaled, and are not read: the answer is
-    computed once per (cartan, marks).  d's invariants are computed once,
-    the catalog's once per type, and _isomorphisms rejects a candidate
-    whose sorted invariants differ without a search.  Returns None only
-    for diagrams outside the catalog, which affine-type input never is.
+    The marks must be positive and killed by the transposed matrix, a test
+    made once: they are then a multiple (the scale) of the coroot integers
+    and every isomorphism carries them, so the search reads the Cartan
+    matrices alone, the catalog's off the bond table.  Lengths are not read
+    either; the answer is computed once per (cartan, marks).  Returns None
+    only for diagrams outside the catalog, which affine-type input never is.
     """
     return _classify(tuple(map(tuple, d.cartan)), tuple(d.marks))
 
@@ -389,14 +389,14 @@ def classify(d: AffineDiagram) -> ClassifyResult | None:
 def _classify(cartan: tuple[IVec, ...], marks: IVec) -> ClassifyResult | None:
     if len(marks) == 1:
         return ClassifyResult(TRIVIAL, marks[0], (0,))
-    scale = gcd(*marks)
-    inv = _invariants(cartan, tuple(m // scale for m in marks))
+    if min(marks) <= 0 or any(sum(map(mul, marks, col)) for col in zip(*cartan)):
+        return None
+    inv = _invariants(cartan)
     for st in _candidate_types(len(marks) - 1):
-        iso = _isomorphisms(
-            cartan, inv, diagram_of(st).cartan, _catalog_invariants(st), first_only=True
-        )
+        cat = rootdata.extended_cartan(st)
+        iso = _isomorphisms(cartan, inv, cat, _catalog_invariants(st), first_only=True)
         if iso:
-            return ClassifyResult(st, scale, iso[0])
+            return ClassifyResult(st, gcd(*marks), iso[0])
     return None
 
 
@@ -477,7 +477,9 @@ def quotient(d: AffineDiagram, group) -> AffineDiagram:
     perms = _validate_subgroup(d, group)
     orbs = orbits_of(perms, d.n_nodes)
     if len(orbs) == 1:
-        if not _is_cycle_diagram(d):
+        # of the affine diagrams only the A cycles have a transitive group
+        res = d.n_nodes > 1 and classify(d)
+        if not res or res.type.family != "A":
             raise DiagramError("transitive action on a non-cycle diagram")
         return AffineDiagram(((2,),), (sum(d.marks),), (Q(2),))
     eps = [orbit_kind(d, o) for o in orbs]
@@ -500,12 +502,3 @@ def quotient(d: AffineDiagram, group) -> AffineDiagram:
     marks = tuple(sum(d.marks[u] for u in o) for o in orbs)
     return make_diagram(cartan, marks)
 
-
-def _is_cycle_diagram(d: AffineDiagram) -> bool:
-    # the A-family extended diagrams: every node has exactly two bonds
-    # counted with multiplicity (the 2-node cycle has one double pair)
-    if d.n_nodes == 2:
-        return d.cartan[0][1] == -2 and d.cartan[1][0] == -2
-    return all(len(d.neighbors(u)) == 2 for u in d.nodes()) and all(
-        d.bond_mult(u, v) == 1 for u in d.nodes() for v in d.neighbors(u)
-    )

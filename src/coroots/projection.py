@@ -154,8 +154,8 @@ def annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[Simpl
 def classify_finite_cartan(cartan) -> SimpleType:
     """Match an indecomposable finite Cartan matrix against the catalog.
 
-    Both sides are diagrams with unit marks, matched by the one isomorphism
-    search; a decomposable matrix matches no catalog one.  B_n and C_n come
+    Both sides are matched by the one isomorphism search on their Cartan
+    integers; a decomposable matrix matches no catalog one.  B_n and C_n come
     before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).  A
     non-integral entry raises DiagramError.
     """
@@ -169,7 +169,7 @@ def _classify_finite(cartan) -> tuple[SimpleType, tuple[int, ...]]:
     if n == 0:
         return TRIVIAL, ()
     cartan = tuple(_ints(row, "cartan entry") for row in cartan)
-    inv = _invariants(cartan, (1,) * n)
+    inv = _invariants(cartan)
     for st in _candidate_types(n):
         iso = _isomorphisms(cartan, inv, *_catalog_finite(st), first_only=True)
         if iso:
@@ -182,7 +182,7 @@ def _catalog_finite(st: SimpleType) -> tuple[tuple[IVec, ...], tuple]:
     # the catalog stores the coroot-side matrix; the root-side one is its
     # transpose (n(a,b) = n(b^v, a^v))
     fin = tuple(zip(*(row[1:] for row in rootdata.extended_cartan(st)[1:])))
-    return fin, _invariants(fin, (1,) * st.rank)
+    return fin, _invariants(fin)
 
 
 # ---------------------------------------------------------------------------

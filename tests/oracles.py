@@ -18,10 +18,14 @@ coroot lengths of a datum, the alcove barycenter and the known center
 orders per family.  Two more routes follow it: the Weyl part w_c of each
 central element as a product of longest elements, which shares no code
 with coroots.center, and the full-scan isomorphism search that the
-library's neighbour-driven search must agree with.  Beside it is the
-all-pairs rule for a list of automorphisms, which checks every element
-against the Cartan matrix and closure on every product, where the library
-checks generators and compares with the group they generate.
+library's neighbour-driven search must agree with, pruned by invariants
+that hold the marks where the library's do not.  The classifier built on
+it builds every candidate's catalog diagram and matches the marks node for
+node; the library tests the marks once and reads the bond tables.
+Beside it is the all-pairs rule for a list of automorphisms, which checks
+every element against the Cartan matrix and closure on every product,
+where the library checks generators and compares with the group they
+generate.
 
 After the adapters comes the inverse route to the projected coroots: each
 orbit's first extended coroot times the orthogonal projector onto the
@@ -45,7 +49,13 @@ from operator import mul
 from coroots.ambient import add, alcove, datum, is_zero, mat, scale
 from coroots.center import orbit_data
 from coroots.coords import coroot_form, fixed_subspace_coords, products, root_form
-from coroots.diagrams import DiagramError, connected_components, diagram_of
+from coroots.diagrams import (
+    ClassifyResult,
+    DiagramError,
+    _candidate_types,
+    connected_components,
+    diagram_of,
+)
 from coroots.linalg import cartan_integers, int_dot, transpose
 from coroots.projection import _reflection_closure, classify_finite_cartan
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, root_integers
@@ -368,11 +378,25 @@ def w_c_perms(st):
 # Diagram isomorphisms by a full scan
 
 
+def mark_invariants(c, marks):
+    """Per-node invariants of a Cartan matrix with node marks, refined once
+    by the neighbours' (the mark and the sorted row and column of each
+    node), and their sorted list.  The library's invariants leave the marks
+    out, so the scan below prunes on finer ones."""
+    nodes = range(len(c))
+    base = [(m, tuple(sorted(row)), tuple(sorted(col))) for m, row, col in zip(marks, c, zip(*c))]
+    inv = tuple(
+        (base[u], tuple(sorted(base[v] for v in nodes if v != u and (c[u][v] or c[v][u]))))
+        for u in nodes
+    )
+    return inv, tuple(sorted(inv))
+
+
 def scan_isomorphisms(c1, inv1, c2, inv2, first_only):
     """Node bijections p with c2[p(u)][p(v)] == c1[u][v] and equal marks, in
     the order coroots.diagrams._isomorphisms finds them.
 
-    inv1, inv2 are diagrams._invariants of the two Cartan matrices with
+    inv1, inv2 are the mark_invariants of the two Cartan matrices with
     their marks.  Nodes of c1 are placed in the same graph-search order, but
     each tries every unused target with equal invariants against every node
     placed so far."""
@@ -407,6 +431,25 @@ def scan_isomorphisms(c1, inv1, c2, inv2, first_only):
 
     extend(0)
     return found
+
+
+def classify_by_catalog_scan(d):
+    """coroots.diagrams.classify by building every candidate's catalog
+    diagram: d's marks over their gcd must equal the candidate's coroot
+    integers under a bijection that the full scan finds, pruned by
+    mark_invariants.  The library tests the marks once and searches on the
+    Cartan matrices alone."""
+    if d.n_nodes == 1:
+        return ClassifyResult(TRIVIAL, d.marks[0], (0,))
+    scale = gcd(*d.marks)
+    inv = mark_invariants(d.cartan, tuple(m // scale for m in d.marks))
+    for st in _candidate_types(d.n_nodes - 1):
+        cat = diagram_of(st)
+        cat_inv = mark_invariants(cat.cartan, cat.marks)
+        iso = scan_isomorphisms(d.cartan, inv, cat.cartan, cat_inv, first_only=True)
+        if iso:
+            return ClassifyResult(st, scale, iso[0])
+    return None
 
 
 def validate_subgroup_all_pairs(d, group):

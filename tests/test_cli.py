@@ -556,6 +556,52 @@ def test_derived_query_derives_once(capsys):
     assert derived.cache_info().misses == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient", "--group", "E7", "--center", "full"],
+        ["project", "--group", "D13", "--center", "full"],
+        ["derived", "--group", "D30", "--center", "trivial", "--k", "2"],
+        ["components", "--group", "C14", "--center", "full"],
+        ["clock", "--group", "E7", "--center", "full"],
+    ],
+    ids=" ".join,
+)
+def test_a_cold_query_builds_one_catalog_diagram(argv):
+    """classify matches candidates on their bond tables, so a query in a
+    fresh interpreter builds only its own type's catalog diagram."""
+    code = (
+        "import contextlib, io\n"
+        "from coroots import diagrams\n"
+        "from coroots.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(diagrams.diagram_of.cache_info().misses)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["datum", "--group", "A1"], ["datum", "--group", "A160"], ["check-all", "--max-rank", "3"]],
+    ids=" ".join,
+)
+def test_a_closed_pipe_ends_quietly(argv):
+    """The reader closes the pipe before the query writes: exit 141, as a
+    tool that SIGPIPE ends, so a cut check-all never reads as a pass, and
+    nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coroots.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+
+
 def test_paper_tables_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("COROOTS_TABLE_DIR", str(tmp_path / "envdir"))
     assert main(["paper-tables", "--max-rank", "3"]) == 0

@@ -13,7 +13,6 @@ from hypothesis import strategies as hst
 from coroots.diagrams import (
     AffineDiagram,
     DiagramError,
-    _invariants,
     _validate_subgroup,
     automorphism_group,
     classify,
@@ -35,7 +34,14 @@ from coroots.derived import derived, quotient_marked
 from coroots.linalg import kernel_basis, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, parse_type
-from oracles import coroot_sq_lengths, kac_accepts, scan_isomorphisms, validate_subgroup_all_pairs
+from oracles import (
+    classify_by_catalog_scan,
+    coroot_sq_lengths,
+    kac_accepts,
+    mark_invariants,
+    scan_isomorphisms,
+    validate_subgroup_all_pairs,
+)
 
 
 def test_is_affine_type_examples():
@@ -108,24 +114,80 @@ def test_classify_is_mark_sensitive():
     "st", catalog_types(40) + [SimpleType("BC", n) for n in range(1, 41)], ids=str
 )
 def test_automorphism_group_matches_the_full_scan(st):
+    """The library's search reads the Cartan integers alone, the scan
+    prunes on the marks too; both find the same group, and every
+    automorphism keeps the marks."""
     d = diagram_of(st)
-    inv = _invariants(d.cartan, d.marks)
+    inv = mark_invariants(d.cartan, d.marks)
     c = d.cartan
-    assert automorphism_group(d) == sorted(scan_isomorphisms(c, inv, c, inv, first_only=False))
+    group = automorphism_group(d)
+    assert group == sorted(scan_isomorphisms(c, inv, c, inv, first_only=False))
+    assert all(tuple(d.marks[p[u]] for u in d.nodes()) == d.marks for p in group)
 
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=str)
 def test_classify_node_map_is_the_full_scans_first(st):
-    """The neighbour-driven search finds the same first isomorphism."""
+    """The neighbour-driven search on the Cartan integers finds the same
+    first isomorphism as the full scan pruned by the marks."""
     for sub_ in all_subgroups(st):
         q = quotient_diagram(st, sub_)
         if q.n_nodes == 1:
             continue
         res = classify(q)
-        inv = _invariants(q.cartan, tuple(m // res.scale for m in q.marks))
+        inv = mark_invariants(q.cartan, tuple(m // res.scale for m in q.marks))
         cat = diagram_of(res.type)
-        first = scan_isomorphisms(q.cartan, inv, cat.cartan, _invariants(cat.cartan, cat.marks), True)
+        cat_inv = mark_invariants(cat.cartan, cat.marks)
+        first = scan_isomorphisms(q.cartan, inv, cat.cartan, cat_inv, first_only=True)
         assert res.node_map == first[0]
+
+
+def _diagrams_built_from(st):
+    """The catalog diagram of st and, per center subgroup, its quotient,
+    projected and derived diagrams."""
+    yield diagram_of(st)
+    for sub_ in all_subgroups(st) if st.family != "BC" else ():
+        yield quotient_diagram(st, sub_)
+        yield project(st, sub_).diagram
+        mq = quotient_marked(st, sub_)
+        for k in mq.admissible_orders():
+            yield derived(mq, k).diagram
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "st", catalog_types(24) + [SimpleType("BC", n) for n in range(1, 25)], ids=str
+)
+def test_classify_matches_the_catalog_diagram_scan(st):
+    """Type, scale and node map equal those found by building every
+    candidate's catalog diagram and scanning it with the marks."""
+    for d in _diagrams_built_from(st):
+        assert classify(d) == classify_by_catalog_scan(d), d
+
+
+@pytest.mark.parametrize(
+    "marks", [(1, 1, 2), (-1, -1, -1), (-2, -2, -2), (0, 1, 1), (0, 0, 0)], ids=str
+)
+def test_classify_rejects_marks_off_the_relation_line(marks):
+    """Marks that are not a positive multiple of the relation vector (A2's
+    is (1, 1, 1)) classify as nothing, though the matrix is A2's."""
+    a2 = diagram_of(parse_type("A2"))
+    d = AffineDiagram(a2.cartan, marks, a2.sq_lengths)
+    assert classify(d) is None
+    if any(marks):
+        assert classify_by_catalog_scan(d) is None
+
+
+def test_a_transitive_group_needs_an_a_cycle():
+    """A group acting transitively on the nodes is refused unless the
+    diagram is an A cycle: on one node, and on the triangle of double
+    bonds, which no affine matrix is."""
+    with pytest.raises(DiagramError, match="transitive action on a non-cycle diagram"):
+        quotient(diagram_of(TRIVIAL), [])
+    c = tuple(tuple(2 if i == j else -2 for j in range(3)) for i in range(3))
+    with pytest.raises(DiagramError, match="transitive action on a non-cycle diagram"):
+        quotient(AffineDiagram(c, (1, 1, 1), (Q(2),) * 3), [(1, 2, 0), (2, 0, 1)])
+    a3 = diagram_of(parse_type("A3"))
+    assert quotient(a3, automorphism_group(a3)).marks == (4,)
 
 
 def test_automorphism_groups():
