@@ -380,8 +380,8 @@ def classify(d: AffineDiagram) -> ClassifyResult | None:
     and every isomorphism carries them, so the search reads the Cartan
     matrices alone, the catalog's off the bond table.  Lengths are not read
     either; the answer is computed once per (cartan, marks).  Returns None
-    only for diagrams outside the catalog, which affine-type input never is.
-    """
+    for marks that fail the test and for diagrams outside the catalog,
+    which affine-type input never is."""
     return _classify(tuple(map(tuple, d.cartan)), tuple(d.marks))
 
 
