@@ -14,9 +14,11 @@ reference speed) are printed as the "scaling" block of a BENCH_<n>.json file:
 imported, read off sys.modules in one extra untimed run per query and tree:
 what a cold query compiles when no bytecode is cached.  `datum --group A1` is
 the cold-start floor: interpreter start and package import with next to no
-computation.  "bytecode_cached" is false when the children may not write
-bytecode (PYTHONDONTWRITEBYTECODE or -B, which they inherit), so each one
-compiles the package afresh; runs with and without it do not compare.
+computation.  The four queries of perfbench's rank-cliff workload (A13, C14
+and D13) sit a little above that floor, which their medians show beside it.
+"bytecode_cached" is false when the children may not write bytecode
+(PYTHONDONTWRITEBYTECODE or -B, which they inherit), so each one compiles
+the package afresh; runs with and without it do not compare.
 `paper-tables` writes its tables into a fresh temporary directory per run
 (the "{out}" argument), outside the timed span.  A query that exits
 nonzero aborts the run with exit code 1.
@@ -59,6 +61,12 @@ QUERIES = {
     "components --group C30 --center full": ["components", "--group", "C30", "--center", "full"],
     "components --group C60 --center full": ["components", "--group", "C60", "--center", "full"],
     "components --group D60 --center full": ["components", "--group", "D60", "--center", "full"],
+    "components --group A13 --center full": ["components", "--group", "A13", "--center", "full"],
+    "project --group D13 --center full": ["project", "--group", "D13", "--center", "full"],
+    "components --group C14 --center full": ["components", "--group", "C14", "--center", "full"],
+    "derived --group D13 --center trivial --k 2": [
+        "derived", "--group", "D13", "--center", "trivial", "--k", "2",
+    ],
     "datum --group A40": ["datum", "--group", "A40"],
     "datum --group A160": ["datum", "--group", "A160"],
     "datum --group A1": ["datum", "--group", "A1"],

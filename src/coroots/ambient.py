@@ -22,10 +22,11 @@ identity, and dot and to_int admit no other.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import rootdata
 from .diagrams import diagram_of
@@ -102,18 +103,18 @@ def inverse(m: Mat) -> Mat:
     return tuple(tuple(Q(x, den) for x in row) for row in rows)
 
 
-class RootDatum(NamedTuple):
-    type: SimpleType
-    ambient_dim: int
-    gram: Mat
-    extended_roots: tuple[Vec, ...]
-    extended_coroots: tuple[Vec, ...]
-    h: tuple[int, ...]
-    g: tuple[int, ...]
-    coroot_lattice_basis: tuple[Vec, ...]
-    coweight_lattice_basis: tuple[Vec, ...]
-    # simple-coroot coordinates of the fundamental coweights
-    coweight_coroot_coords: tuple[Vec, ...]
+class RootDatum(namedtuple(
+    "RootDatum",
+    "type ambient_dim gram extended_roots extended_coroots h g"
+    " coroot_lattice_basis coweight_lattice_basis coweight_coroot_coords",
+)):
+    """type: SimpleType; ambient_dim: int; gram: Mat; extended_roots,
+    extended_coroots: tuple[Vec, ...]; h, g: tuple[int, ...];
+    coroot_lattice_basis, coweight_lattice_basis: tuple[Vec, ...];
+    coweight_coroot_coords: tuple[Vec, ...], the simple-coroot coordinates
+    of the fundamental coweights."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -132,8 +133,10 @@ class RootDatum(NamedTuple):
         return cartan_integers([[int_dot(u, v) for v in cr] for u in cr])
 
 
-class AlcoveData(NamedTuple):
-    vertices: tuple[Vec, ...]  # vertex i corresponds to node i; vertex 0 is the origin
+class AlcoveData(namedtuple("AlcoveData", "vertices")):
+    """vertices: tuple[Vec, ...], vertex i for node i; vertex 0 is the origin."""
+
+    __slots__ = ()
 
 
 def _basis_vec(i: int, n: int) -> Vec:

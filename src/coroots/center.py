@@ -34,8 +34,8 @@ subspace of w_C and the tori t^{w_C}(gbar, k)) are in coroots.coords.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import rootdata
 from .diagrams import (
@@ -52,19 +52,21 @@ from .linalg import IVec, transpose
 from .rootdata import SimpleType
 
 
-class CenterElement(NamedTuple):
-    node: int
-    perm: tuple[int, ...]
-    order: int
+class CenterElement(namedtuple("CenterElement", "node perm order")):
+    """node: int; perm: tuple[int, ...]; order: int."""
+
+    __slots__ = ()
 
     @property
     def is_identity(self) -> bool:
         return self.node == 0
 
 
-class CenterSubgroup(NamedTuple):
-    type: SimpleType
-    elements: tuple[CenterElement, ...]  # sorted by node id, identity first
+class CenterSubgroup(namedtuple("CenterSubgroup", "type elements")):
+    """type: SimpleType; elements: tuple[CenterElement, ...], sorted by
+    node id, identity first."""
+
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -245,19 +247,20 @@ def quotient_diagram(st: SimpleType, sub_: CenterSubgroup) -> AffineDiagram:
 # Orbits of a center subgroup on the extended diagram
 
 
-class Orbit(NamedTuple):
-    nodes: tuple[int, ...]
-    eps: int
-    mark: int
+class Orbit(namedtuple("Orbit", "nodes eps mark")):
+    """nodes: tuple[int, ...]; eps: int; mark: int."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.nodes)
 
 
-class OrbitSet(NamedTuple):
-    orbits: tuple[Orbit, ...]
-    degenerate: bool
+class OrbitSet(namedtuple("OrbitSet", "orbits degenerate")):
+    """orbits: tuple[Orbit, ...]; degenerate: bool."""
+
+    __slots__ = ()
 
     @property
     def marks(self) -> tuple[int, ...]:

@@ -5,13 +5,16 @@ rank-zero, paper-tables, check-all.  Everything is exact and
 deterministic; two runs of the same command produce identical bytes.
 Each command is one row of ``_COMMANDS``; ``main`` resolves its group
 and center subgroup once and hands them to the command's handler.
-Exit codes: 0 success, 1 rejected computation or failed internal
-invariant, 2 usage errors, 141 when the reader closes stdout early.
+Exit codes: 0 success, 1 rejected computation, failed internal
+invariant or closed stdout, 2 usage errors, 141 when the reader closes
+stdout early.  ``run`` is the program entry; ``main`` is what it and any
+in-process caller run.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -324,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # fd 1 closed at start: output that goes nowhere is no pass
+        print("error: stdout is closed", file=sys.stderr)
+        return 1
     try:
         code = args.fn(args, *_resolve(args))
         print(end="", flush=True)  # a reader gone after the last write fails here
@@ -343,5 +349,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The program: main, then exit without collecting the heap.
+
+    main has flushed stdout by now.  Freezing moves every object out of
+    the collector's reach, so the exit's module teardown runs no final
+    cyclic collection over the caches; the OS reclaims the memory.  main
+    itself leaves the collector alone for in-process callers.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

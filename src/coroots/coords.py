@@ -28,10 +28,10 @@ coroot minus it is B-orthogonal to the fixed subspace.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .center import (
     CenterSubgroup,
@@ -153,15 +153,16 @@ def torus_subspace_coords(st: SimpleType, sub_: CenterSubgroup, k: int) -> tuple
     )
 
 
-class ProjectedSystem(NamedTuple):
-    type: SimpleType
-    fixed_coords: tuple[IVec, ...]  # fixed_subspace_coords
-    orbits: OrbitSet
-    averages: tuple[IVec, ...]  # projected coroots' coordinates, times scale
-    scale: int
-    gram: tuple[IVec, ...]  # the averages' B-products (coroot_form)
-    diagram: AffineDiagram
-    classified: ClassifyResult
+class ProjectedSystem(namedtuple(
+    "ProjectedSystem", "type fixed_coords orbits averages scale gram diagram classified"
+)):
+    """type: SimpleType; fixed_coords: tuple[IVec, ...], the
+    fixed_subspace_coords; orbits: OrbitSet; averages: tuple[IVec, ...],
+    the projected coroots' coordinates times scale; scale: int; gram:
+    tuple[IVec, ...], the averages' B-products (coroot_form); diagram:
+    AffineDiagram; classified: ClassifyResult."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -213,10 +214,10 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     return ProjectedSystem(st, span, orbits, tuple(avgs), common, prods, dia, res)
 
 
-class DiagramReport(NamedTuple):
-    equal: bool
-    detail: str
-    node_bijection: tuple[int, ...] | None = None
+class DiagramReport(namedtuple("DiagramReport", "equal detail node_bijection", defaults=(None,))):
+    """equal: bool; detail: str; node_bijection: tuple[int, ...] or None."""
+
+    __slots__ = ()
 
 
 def check_diagram1(st: SimpleType, sub_: CenterSubgroup) -> DiagramReport:

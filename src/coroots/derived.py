@@ -12,10 +12,10 @@ subgroup), and compares.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from .center import CenterSubgroup, _assert_a_type
 from .coords import DiagramReport, products, project
@@ -78,14 +78,14 @@ def node_type(m: MarkedDiagram, k: int, v: int) -> str:
     return _survivor_type(m, k, v, _chains(m, k)[1])
 
 
-class DerivedDiagram(NamedTuple):
-    parent: MarkedDiagram
-    k: int
-    survivors: tuple[int, ...]
-    node_types: dict[int, str]
-    ell_k_sq: dict[int, Q]
-    diagram: AffineDiagram
-    classified: ClassifyResult
+class DerivedDiagram(namedtuple(
+    "DerivedDiagram", "parent k survivors node_types ell_k_sq diagram classified"
+)):
+    """parent: MarkedDiagram; k: int; survivors: tuple[int, ...];
+    node_types: dict[int, str]; ell_k_sq: dict[int, Q]; diagram:
+    AffineDiagram; classified: ClassifyResult."""
+
+    __slots__ = ()
 
     @property
     def surviving_values(self) -> tuple[int, ...]:

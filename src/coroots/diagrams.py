@@ -8,22 +8,23 @@ catalog diagrams node 0 is the extended node.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from numbers import Rational
 from operator import mul
-from typing import NamedTuple
 
 from . import rootdata
 from .linalg import IVec, positive_kernel, transpose
 from .rootdata import FAMILIES, TRIVIAL, SimpleType
 
 
-class AffineDiagram(NamedTuple):
-    cartan: tuple[tuple[int, ...], ...]
-    marks: tuple[int, ...]
-    sq_lengths: tuple[Q, ...]
+class AffineDiagram(namedtuple("AffineDiagram", "cartan marks sq_lengths")):
+    """cartan: tuple[tuple[int, ...], ...]; marks: tuple[int, ...];
+    sq_lengths: tuple[Q, ...]."""
+
+    __slots__ = ()
 
     @property
     def n_nodes(self) -> int:
@@ -352,10 +353,11 @@ def generated_group(gens, n: int) -> list[tuple[int, ...]]:
     return sorted(closure([tuple(range(n))], lambda p: (compose(g, p) for g in gens)))
 
 
-class ClassifyResult(NamedTuple):
-    type: SimpleType
-    scale: int  # marks are scale * (catalog coroot integers)
-    node_map: tuple[int, ...]  # input node -> catalog node
+class ClassifyResult(namedtuple("ClassifyResult", "type scale node_map")):
+    """type: SimpleType; scale: int, the marks are scale * (catalog coroot
+    integers); node_map: tuple[int, ...], input node -> catalog node."""
+
+    __slots__ = ()
 
 
 def _candidate_types(rank: int) -> list[SimpleType]:

@@ -10,9 +10,9 @@ the annihilator subgroup's simple factors.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
 from math import gcd
-from typing import NamedTuple
 
 from .center import CenterSubgroup, all_subgroups
 from .diagrams import diagram_of
@@ -32,15 +32,15 @@ SHAPE_DISPLAY = {
 }
 
 
-class ComponentRecord(NamedTuple):
-    order: int
-    label: int  # unit mod order; (order, cs) identifies the component
-    d_X: int
-    dim: int
-    shape: str
-    cs: Q
-    torus_rank: int
-    f_order: int | None = None  # finite quotient group, non-cyclic case only
+class ComponentRecord(namedtuple(
+    "ComponentRecord", "order label d_X dim shape cs torus_rank f_order", defaults=(None,)
+)):
+    """order: int; label: int, a unit mod order, and (order, cs)
+    identifies the component; d_X: int; dim: int; shape: str; cs: Q;
+    torus_rank: int; f_order: int or None, the finite quotient group's
+    order, in the non-cyclic case only."""
+
+    __slots__ = ()
 
     def sort_key(self):
         return (self.order, self.label)
@@ -199,14 +199,12 @@ def catalog_types(max_rank: int = 12) -> list[SimpleType]:
     return out
 
 
-class ClockReport(NamedTuple):
-    """The J-window partition with the component records that own its windows."""
+class ClockReport(namedtuple("ClockReport", "g windows parity components valid")):
+    """The J-window partition with the component records that own its
+    windows: g, windows and parity as in ClockPartition; components:
+    tuple[ComponentRecord, ...]; valid: bool."""
 
-    g: int
-    windows: dict[tuple[int, int], tuple[int, ...]]  # (x, r) -> residues mod 2g
-    parity: str  # "even" or "odd"
-    components: tuple[ComponentRecord, ...]
-    valid: bool
+    __slots__ = ()
 
     union = ClockPartition.union
 

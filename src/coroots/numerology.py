@@ -8,10 +8,9 @@ and the rotation-invariant partition of Z/2g by the J(x,r) windows.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from .center import CenterSubgroup, quotient_diagram
 from .diagrams import AffineDiagram
@@ -33,9 +32,10 @@ def euler_phi(n: int) -> int:
     return out
 
 
-class MarkedDiagram(NamedTuple):
-    diagram: AffineDiagram
-    n: tuple[int, ...]
+class MarkedDiagram(namedtuple("MarkedDiagram", "diagram n")):
+    """diagram: AffineDiagram; n: tuple[int, ...]."""
+
+    __slots__ = ()
 
     @property
     def n0(self) -> int:
@@ -78,9 +78,12 @@ def I_set(m: MarkedDiagram, k: int) -> tuple[int, ...]:
     return tuple(v for v in m.diagram.nodes() if m.n[v] % k != 0)
 
 
-class Decomposition(NamedTuple):
-    subgroup_orders: tuple[int, ...]  # cyclic subgroups of Z/k, by order
-    assignment: tuple[tuple[int, ...], ...]  # nodes assigned to each subgroup
+class Decomposition(namedtuple("Decomposition", "subgroup_orders assignment")):
+    """subgroup_orders: tuple[int, ...], cyclic subgroups of Z/k, by
+    order; assignment: tuple[tuple[int, ...], ...], the nodes assigned to
+    each subgroup."""
+
+    __slots__ = ()
 
 
 def _punctured(k: int, d: int) -> list[int]:
@@ -140,11 +143,10 @@ def check_assumption(m: MarkedDiagram, k: int) -> Decomposition | None:
     return Decomposition(tuple(orders), tuple(assignment))
 
 
-class NumerologyCounts(NamedTuple):
-    N: int
-    g: int
-    i: dict[int, int]
-    d: dict[int, int]
+class NumerologyCounts(namedtuple("NumerologyCounts", "N g i d")):
+    """N: int; g: int; i: dict[int, int]; d: dict[int, int]."""
+
+    __slots__ = ()
 
 
 def counts(m: MarkedDiagram) -> NumerologyCounts:
@@ -187,10 +189,11 @@ def counts(m: MarkedDiagram) -> NumerologyCounts:
     return NumerologyCounts(N, g, i, d)
 
 
-class ClockPartition(NamedTuple):
-    g: int
-    windows: dict[tuple[int, int], tuple[int, ...]]  # (x, r) -> residues mod 2g
-    parity: str  # "even" or "odd"
+class ClockPartition(namedtuple("ClockPartition", "g windows parity")):
+    """g: int; windows: dict[tuple[int, int], tuple[int, ...]], (x, r) ->
+    residues mod 2g; parity: str, "even" or "odd"."""
+
+    __slots__ = ()
 
     def union(self) -> set[int]:
         return set().union(*self.windows.values())

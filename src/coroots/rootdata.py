@@ -19,17 +19,18 @@ e_0-e_1, e_1-e_2, ...).
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .linalg import IVec, det_int, primitive, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
-class SimpleType(NamedTuple):
-    family: str
-    rank: int
+class SimpleType(namedtuple("SimpleType", "family rank")):
+    """family: str, one of FAMILIES; rank: int."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.family == "A" and self.rank == 0:

@@ -9,7 +9,7 @@ tests diff them against the checked-in golden copies.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .center import (
     all_subgroups,
@@ -27,10 +27,10 @@ from .projection import annihilator_factors, nonmultipliable, projection_type, r
 from .rootdata import SimpleType
 
 
-class TableDocument(NamedTuple):
-    name: str
-    title: str
-    rows: tuple[str, ...]
+class TableDocument(namedtuple("TableDocument", "name title rows")):
+    """name: str; title: str; rows: tuple[str, ...]."""
+
+    __slots__ = ()
 
     def text(self) -> str:
         head = [f"# {self.title}", ""]

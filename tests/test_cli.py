@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import subprocess
@@ -622,3 +623,67 @@ def test_format_json_is_accepted_by_the_commands_the_readme_lists():
         with pytest.raises(SystemExit) as exc:
             main([name, "--format", "json"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["datum", "--group", "A1"], ["check-all", "--max-rank", "2"]], ids=" ".join
+)
+def test_a_closed_stdout_is_an_error(argv):
+    """With fd 1 closed before start, Python sets sys.stdout to None and
+    print writes nowhere; a sweep whose output went nowhere is no pass."""
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m coroots.cli "$@" >&-', sys.executable, *argv],
+        capture_output=True, cwd=REPO,
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"error: stdout is closed\n")
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    assert main(["datum", "--group", "A1"]) == 0
+    assert "extended coroot diagram of A1" in capsys.readouterr().out
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+def test_the_program_entry_freezes_the_heap_before_exit():
+    """run exits with main's code after moving the heap out of the
+    collector's reach; an atexit hook sees the frozen objects."""
+    code = (
+        "import atexit, gc, sys\n"
+        "from coroots import cli\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv[1:] = ['derived', '--group', 'G2', '--k', '5']\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: 5 divides no node value\nTrue\n"
+
+
+def test_the_console_script_is_the_main_block_entry():
+    """pyproject's `coroots` script and `python -m coroots.cli` run the
+    same function."""
+    import ast
+    import tomllib
+
+    import coroots.cli
+
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["coroots"]
+    module, name = target.split(":")
+    assert module == "coroots.cli" and callable(getattr(coroots.cli, name))
+    tree = ast.parse((REPO / "src" / "coroots" / "cli.py").read_text())
+    block = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+
+
+def test_module_run_writes_the_in_process_bytes(capsysbinary):
+    proc = subprocess.run(
+        [sys.executable, "-m", "coroots.cli", "datum", "--group", "A160"],
+        capture_output=True, cwd=REPO,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(["datum", "--group", "A160"]) == 0
+    assert capsysbinary.readouterr().out == proc.stdout

@@ -1,21 +1,89 @@
 """The record types: what the package relies on of their tuple behaviour.
 
-Every record is an immutable named tuple.  These tests pin the parts the
-code and its output depend on: the repr format, tuple order on SimpleType
-(the catalog order is the sorted order), the B2 alias, the flat field
-list of ClockReport, and immutability.
+Every record is an immutable named tuple, a ``collections.namedtuple``
+subclass with empty ``__slots__``.  These tests pin the parts the code and
+its output depend on: the field lists and defaults, the repr format, tuple
+order on SimpleType (the catalog order is the sorted order), the B2 alias,
+``_replace`` keeping the subclass, and immutability.
 """
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import coroots
 from coroots.ambient import RootDatum, datum
 from coroots.center import parse_center
 from coroots.coords import DiagramReport, check_diagram1
 from coroots.diagrams import classify, diagram_of
-from coroots.moduli import ClockReport, catalog_types, clock_report
+from coroots.moduli import ClockReport, ComponentRecord, catalog_types, clock_report
 from coroots.rootdata import SimpleType, parse_type
+
+FIELDS = {
+    "ambient.AlcoveData": ("vertices",),
+    "ambient.RootDatum": (
+        "type", "ambient_dim", "gram", "extended_roots", "extended_coroots", "h", "g",
+        "coroot_lattice_basis", "coweight_lattice_basis", "coweight_coroot_coords",
+    ),
+    "center.CenterElement": ("node", "perm", "order"),
+    "center.CenterSubgroup": ("type", "elements"),
+    "center.Orbit": ("nodes", "eps", "mark"),
+    "center.OrbitSet": ("orbits", "degenerate"),
+    "coords.DiagramReport": ("equal", "detail", "node_bijection"),
+    "coords.ProjectedSystem": (
+        "type", "fixed_coords", "orbits", "averages", "scale", "gram", "diagram",
+        "classified",
+    ),
+    "derived.DerivedDiagram": (
+        "parent", "k", "survivors", "node_types", "ell_k_sq", "diagram", "classified",
+    ),
+    "diagrams.AffineDiagram": ("cartan", "marks", "sq_lengths"),
+    "diagrams.ClassifyResult": ("type", "scale", "node_map"),
+    "moduli.ClockReport": ("g", "windows", "parity", "components", "valid"),
+    "moduli.ComponentRecord": (
+        "order", "label", "d_X", "dim", "shape", "cs", "torus_rank", "f_order",
+    ),
+    "numerology.ClockPartition": ("g", "windows", "parity"),
+    "numerology.Decomposition": ("subgroup_orders", "assignment"),
+    "numerology.MarkedDiagram": ("diagram", "n"),
+    "numerology.NumerologyCounts": ("N", "g", "i", "d"),
+    "rootdata.SimpleType": ("family", "rank"),
+    "tables.TableDocument": ("name", "title", "rows"),
+}
+
+
+def record_classes():
+    """Every tuple subclass defined in a coroots module, by module.name."""
+    out = {}
+    for info in pkgutil.iter_modules(coroots.__path__):
+        module = importlib.import_module(f"coroots.{info.name}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, tuple)
+                    and obj.__module__ == module.__name__):
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def test_every_record_class_is_pinned():
+    assert set(record_classes()) == set(FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_record_fields_slots_and_replace(name):
+    cls = record_classes()[name]
+    assert cls._fields == FIELDS[name]
+    assert "__slots__" in vars(cls) and cls.__slots__ == ()
+    rec = cls._make(range(len(cls._fields)))
+    assert not hasattr(rec, "__dict__")
+    swapped = rec._replace(**{cls._fields[0]: -1})
+    assert type(swapped) is cls and swapped[0] == -1 and swapped[1:] == rec[1:]
+
+
+def test_optional_last_fields_default_to_none():
+    assert DiagramReport(True, "x").node_bijection is None
+    assert ComponentRecord(1, 1, 1, 0, "point", 0, 0).f_order is None
 
 
 def test_repr_format():
