@@ -44,10 +44,12 @@ QUERIES = {
     "check-all --max-rank 24": ["check-all", "--max-rank", "24"],
     "check-all --max-rank 32": ["check-all", "--max-rank", "32"],
     "check-all --max-rank 40": ["check-all", "--max-rank", "40"],
+    "check-all --max-rank 48": ["check-all", "--max-rank", "48"],
     "paper-tables --max-rank 24": ["paper-tables", "--max-rank", "24", "--out", "{out}"],
     "components --group A40 --center full": ["components", "--group", "A40", "--center", "full"],
     "components --group A80 --center full": ["components", "--group", "A80", "--center", "full"],
     "components --group A160 --center full": ["components", "--group", "A160", "--center", "full"],
+    "components --group A320 --center full": ["components", "--group", "A320", "--center", "full"],
     "derived --group D30 --center trivial --k 2": [
         "derived", "--group", "D30", "--center", "trivial", "--k", "2",
     ],

@@ -16,8 +16,9 @@ The tests and the stage benchmark read it as a second route to the table.
 The rational vector layer they compute in is here too: vectors are tuples
 of Fractions (Vec), matrices tuples of rows (Mat), and to_int scales
 vectors by the LCM of their denominators to the int tuples that
-coroots.linalg works on.  Every catalog form is a scalar times the
-identity, and dot and to_int admit no other.
+coroots.linalg works on; inverse scales a rational matrix's rows the same
+way.  Every catalog form is a scalar times the identity, and dot and
+to_int admit no other.
 """
 
 from __future__ import annotations
@@ -98,9 +99,16 @@ def to_int(vectors, gram: Mat | None = None) -> tuple[list[IVec], int]:
 
 
 def inverse(m: Mat) -> Mat:
-    """Inverse of a square matrix; raises ValueError if it is singular."""
-    rows, den = scaled_inverse(m)
-    return tuple(tuple(Q(x, den) for x in row) for row in rows)
+    """Inverse of a square rational matrix; raises ValueError if it is singular.
+
+    This is where Fractions meet coroots.linalg, which takes ints: row i is
+    scaled to ints by the LCM s_i of its denominators, scaled_inverse gives
+    D (S m)^-1 = D m^-1 S^-1, and column i is multiplied back by s_i.
+    """
+    scales = [lcm(*(x.denominator for x in row)) for row in m]
+    ints = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(m, scales)]
+    rows, den = scaled_inverse(ints)
+    return tuple(tuple(Q(x * s, den) for x, s in zip(row, scales)) for row in rows)
 
 
 class RootDatum(namedtuple(

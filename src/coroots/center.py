@@ -232,10 +232,6 @@ def all_subgroups(st: SimpleType) -> list[CenterSubgroup]:
     return sorted(subs, key=lambda s: (s.order, s.nodes))
 
 
-def cyclic_subgroups(st: SimpleType) -> list[CenterSubgroup]:
-    return [s for s in all_subgroups(st) if s.is_cyclic]
-
-
 @lru_cache(maxsize=None)
 def quotient_diagram(st: SimpleType, sub_: CenterSubgroup) -> AffineDiagram:
     """The quotient of the extended coroot diagram by a center subgroup,

@@ -35,7 +35,12 @@ def _resolve(args):
     """The query's group and center subgroup, None where its command takes
     no --group or no --center.  A command that takes --center takes a
     group, so BC_n is refused there before the center layer loads; A0 is
-    refused once its center spec has been read."""
+    refused once its center spec has been read.  A --max-rank above
+    rootdata.MAX_RANK is refused too."""
+    if getattr(args, "max_rank", 0) > rootdata.MAX_RANK:
+        raise UsageError(
+            f"--max-rank {args.max_rank} is above the largest supported rank {rootdata.MAX_RANK}"
+        )
     if not hasattr(args, "group"):
         return None, None
     try:

@@ -45,6 +45,7 @@ from .diagrams import (
     AffineDiagram,
     ClassifyResult,
     DiagramError,
+    _ints,
     classify,
     diagram_of,
     make_diagram,
@@ -60,11 +61,11 @@ def _integer_form(num, den: int) -> tuple[tuple[IVec, ...], int]:
     return tuple(tuple(x // g for x in row) for row in num), den // g
 
 
-def _finite_part(st: SimpleType) -> tuple[list[IVec], list[int]]:
+def _finite_part(st: SimpleType) -> tuple[list[IVec], IVec]:
     """The finite block of the catalog Cartan matrix and the squared
     lengths of its nodes, which are integers (the shortest is 2)."""
     dia = diagram_of(st)
-    return [row[1:] for row in dia.cartan[1:]], [x.numerator for x in dia.sq_lengths[1:]]
+    return [row[1:] for row in dia.cartan[1:]], _ints(dia.sq_lengths[1:], "squared length")
 
 
 @lru_cache(maxsize=None)

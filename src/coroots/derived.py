@@ -71,13 +71,6 @@ def _survivor_type(m: MarkedDiagram, k: int, v: int, chains_of) -> str:
     )
 
 
-def node_type(m: MarkedDiagram, k: int, v: int) -> str:
-    """Survivor type tag: one of inf, 1, 2i, 2ii, 3, 4i, 4ii, 4iii."""
-    if m.n[v] % k != 0:
-        raise ValueError(f"node {v} does not survive at k={k}")
-    return _survivor_type(m, k, v, _chains(m, k)[1])
-
-
 class DerivedDiagram(namedtuple(
     "DerivedDiagram", "parent k survivors node_types ell_k_sq diagram classified"
 )):

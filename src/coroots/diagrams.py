@@ -165,7 +165,10 @@ def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
     Entries and marks must be integers (2.0 is, 2.5 is not).  The relation
     vector and the lengths derived from the Cartan integers are computed
     once per matrix; given marks must be positive and the relation vector
-    times their gcd.
+    times their gcd, given lengths one per node, positive and a multiple of
+    the derived ones.  Those are the lengths with n(u,v) l(v)^2 =
+    n(v,u) l(u)^2 on every bond: the diagram is connected, so the bonds fix
+    them up to a scale.
     """
     cartan = tuple(_ints(row, "cartan entry") for row in cartan)
     rel = _relation_vector(cartan)
@@ -181,11 +184,17 @@ def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
             len(rel) > 1 and tuple(m // gcd(*marks) for m in marks) != rel
         ):
             raise DiagramError("marks are not the affine relation vector")
+    lens = _lengths_from_cartan(cartan)
     if sq_lengths is None:
-        sq_lengths = _lengths_from_cartan(cartan)
+        sq_lengths = lens
     else:
         sq_lengths = tuple(Q(x) for x in sq_lengths)
-        _check_lengths(cartan, sq_lengths)
+        if len(sq_lengths) != len(lens):
+            raise DiagramError(f"{len(sq_lengths)} squared lengths for {len(lens)} nodes")
+        if any(x <= 0 for x in sq_lengths):
+            raise DiagramError("squared lengths must be positive")
+        if any(x * lens[0] != sq_lengths[0] * y for x, y in zip(sq_lengths, lens)):
+            raise DiagramError("lengths inconsistent with Cartan integers")
     return AffineDiagram(cartan, marks, sq_lengths)
 
 
@@ -210,21 +219,6 @@ def _lengths_from_cartan(cartan: tuple[IVec, ...]) -> tuple[Q, ...]:
                     raise DiagramError("inconsistent length assignment")
     lo = min(lens)
     return tuple(2 * x / lo for x in lens)
-
-
-def _check_lengths(cartan, lens) -> None:
-    """One positive squared length per node, with n(u,v) l(v)^2 =
-    n(v,u) l(u)^2 on every bonded pair (_check_gcm has shown that both
-    entries of an unbonded pair are zero)."""
-    n = len(cartan)
-    if len(lens) != n:
-        raise DiagramError(f"{len(lens)} squared lengths for {n} nodes")
-    if any(x <= 0 for x in lens):
-        raise DiagramError("squared lengths must be positive")
-    for u in range(n):
-        for v in range(u + 1, n):
-            if cartan[u][v] and cartan[u][v] * lens[v] != cartan[v][u] * lens[u]:
-                raise DiagramError("lengths inconsistent with Cartan integers")
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,9 @@ rows are eliminated with integer row operations and reduced by their
 gcds, and the callers read the integer rows directly.  Bareiss elimination
 gives integer determinants (det_int).
 
-The eliminations also take rational rows (the ambient realization and the
-tests pass Fractions): each row is read through .numerator and
-.denominator and scaled once to ints, so every result is integral.  The
-rational vector layer itself is in coroots.ambient, its one user.
+Int matrices in, int results out: every caller in the package builds its
+matrices from ints.  A rational matrix is scaled to ints by its caller; the
+one that takes Fractions, ambient.inverse, scales each row at its edge.
 """
 
 from __future__ import annotations
@@ -50,34 +49,28 @@ def transpose(m):
 
 
 def primitive(v) -> IVec:
-    """Scale a nonzero rational vector to integer entries with gcd 1.
+    """An integer vector divided by the gcd of its entries.
 
     The sign is fixed so the first nonzero entry is positive; a zero
     vector stays zero.
     """
-    s = lcm(*(a.denominator for a in v))
-    ints = [a.numerator * (s // a.denominator) for a in v]
-    g = gcd(*ints)
+    g = gcd(*v)
     if g == 0:
-        return tuple(ints)
-    if next(a for a in ints if a) < 0:
+        return tuple(v)
+    if next(a for a in v if a) < 0:
         g = -g
-    return tuple(a // g for a in ints)
+    return tuple(a // g for a in v)
 
 
 def _int_echelon(m) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination on the rows of m.
+    """Fraction-free Gauss-Jordan elimination on the rows of an int matrix.
 
-    Each row is scaled once to ints by the LCM of its denominators,
-    eliminated with integer row operations p row_i - f row_r and divided by
-    its gcd.  Returns the int rows and the pivot columns: row r holds its
-    pivot p_r and zeros in the other pivot columns, so x / p_r is the
-    reduced row echelon form (which is unique).
+    Each row is eliminated with integer row operations p row_i - f row_r
+    and divided by its gcd.  Returns the int rows and the pivot columns:
+    row r holds its pivot p_r and zeros in the other pivot columns, so
+    x / p_r is the reduced row echelon form (which is unique).
     """
-    rows = []
-    for row in m:
-        s = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
+    rows = [list(row) for row in m]
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -103,14 +96,13 @@ def _int_echelon(m) -> tuple[list[list[int]], list[int]]:
 
 
 def scaled_inverse(m) -> tuple[list[IVec], int]:
-    """The inverse of a square matrix as D m^-1 in ints, and D, the LCM of
-    its entries' denominators; raises ValueError if m is singular.
+    """The inverse of a square int matrix as D m^-1 in ints, and D, the LCM
+    of its entries' denominators; raises ValueError if m is singular.
 
-    Every row of the eliminated [m | I] has gcd 1: scaled to ints it has
-    gcd 1 (it holds the scale itself in the identity block), and it is
-    divided by its gcd whenever it changes.  So row r of the inverse is
-    x / p_r with no factor common to p_r and all of x, and D is the LCM of
-    the pivots.
+    Every row of the eliminated [m | I] has gcd 1: it starts with a 1 in
+    the identity block, and it is divided by its gcd whenever it changes.
+    So row r of the inverse is x / p_r with no factor common to p_r and all
+    of x, and D is the LCM of the pivots.
     """
     n = len(m)
     aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(m)]
@@ -125,8 +117,7 @@ def kernel_basis(m) -> list[IVec]:
     """Basis of the right kernel, as primitive integer vectors.
 
     The vector of free column f has x_f = 1 and x_c = -x_{r,f} / p_r at the
-    pivot c of row r; times the LCM of the pivots it is integral.  m may
-    hold ints or Fractions.
+    pivot c of row r; times the LCM of the pivots it is integral.
     """
     if not m:
         return []

@@ -47,16 +47,7 @@ class ComponentRecord(namedtuple(
 
 
 def record_to_json(r: ComponentRecord) -> dict:
-    return {
-        "order": r.order,
-        "label": r.label,
-        "d_X": r.d_X,
-        "dim": r.dim,
-        "shape": r.shape,
-        "cs": str(r.cs),
-        "torus_rank": r.torus_rank,
-        "f_order": r.f_order,
-    }
+    return {**r._asdict(), "cs": str(r.cs)}
 
 
 def record_from_json(obj: dict) -> ComponentRecord:

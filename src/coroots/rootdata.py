@@ -27,6 +27,10 @@ from .linalg import IVec, det_int, primitive, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
+# The largest rank a query may name: a type is built as dense (n+1)^2
+# matrices, so an unbounded rank is an unbounded allocation.
+MAX_RANK = 1000
+
 class SimpleType(namedtuple("SimpleType", "family rank")):
     """family: str, one of FAMILIES; rank: int."""
 
@@ -75,13 +79,16 @@ def _sp(m: int) -> SimpleType:
 
 
 def parse_type(text: str) -> SimpleType:
-    """Parse a group spec like 'E8', 'A_5', 'Spin(12)', 'SU(7)', 'BC3'."""
+    """Parse a group spec like 'E8', 'A_5', 'Spin(12)', 'SU(7)', 'BC3', of
+    rank at most MAX_RANK."""
     s = text.strip()
     for rx, build in _GROUP_ALIASES:
         m = rx.match(s)
         if m:
             st = build(m)
             validate_type(st)
+            if st.rank > MAX_RANK:
+                raise ValueError(f"{st} is above the largest supported rank {MAX_RANK}")
             return st
     raise ValueError(f"unrecognized group spec {text!r}")
 
@@ -154,10 +161,10 @@ def root_integers(st: SimpleType) -> tuple[int, ...]:
     """
     if st == TRIVIAL:
         raise ValueError("the trivial type A0 has no root datum")
-    from .diagrams import diagram_of
+    from .diagrams import _ints, diagram_of
 
     dia = diagram_of(st)
-    return primitive([g * l for g, l in zip(dia.marks, dia.sq_lengths)])
+    return primitive([g * l for g, l in zip(dia.marks, _ints(dia.sq_lengths, "squared length"))])
 
 
 def center_vertex_nodes(st: SimpleType) -> list[int]:

@@ -5,7 +5,9 @@ here work on Fraction vectors, ambient ones where a root datum is
 involved, with their own Gauss-Jordan elimination and a general Gram
 form.  They share no code with the library's integer elimination, kernels
 and scaling to ints, so a test that compares a library result with one of
-them compares two different routes.
+them compares two different routes.  coroots.linalg takes ints only, so
+int_rows scales a rational matrix's rows to ints for it; the Fraction
+routes keep the unscaled matrix.
 
 The three adapters near the end are not oracles: they give the integer
 root-set routes (coroots.projection's reflection closure and the
@@ -25,7 +27,10 @@ node; the library tests the marks once and reads the bond tables.
 Beside it is the all-pairs rule for a list of automorphisms, which checks
 every element against the Cartan matrix and closure on every product,
 where the library checks generators and compares with the group they
-generate.
+generate.  Then two rules the library now reaches another way: the
+pairwise bond rule for given squared lengths (make_diagram tests a
+multiple of the lengths it derives), and the survivor type tags of a
+derived diagram, read off chains this file grows itself.
 
 After the adapters comes the inverse route to the projected coroots: each
 orbit's first extended coroot times the orthogonal projector onto the
@@ -109,6 +114,33 @@ def row_echelon(m):
 
 def rank(m):
     return len(row_echelon(m)[1])
+
+
+def row_scale(row):
+    """The least positive int that makes a rational row integral: the LCM
+    of its denominators."""
+    return lcm(*(Q(x).denominator for x in row))
+
+
+def int_rows(m):
+    """A rational matrix with each row times its row_scale, as int tuples:
+    the input coroots.linalg takes.  Scaling rows keeps the kernel and the
+    reduced row echelon form."""
+    out = []
+    for row in m:
+        s = row_scale(row)
+        out.append(tuple(int(x * s) for x in row))
+    return out
+
+
+def gauss_jordan_inverse(m):
+    """The inverse of a square matrix, read off the reduced [m | I], or None
+    if m is singular."""
+    n = len(m)
+    rows, pivots = row_echelon([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)])
+    if pivots != list(range(n)):
+        return None
+    return [tuple(Q(x) for x in row[n:]) for row in rows]
 
 
 def solve(m, b):
@@ -499,6 +531,59 @@ def kac_accepts(cartan, marks):
     if any(m <= 0 for m in marks):
         return False
     return n == 1 or all(sum(m * a for m, a in zip(marks, col)) == 0 for col in zip(*cartan))
+
+
+def check_lengths(cartan, lens):
+    """One positive squared length per node, with n(u,v) l(v)^2 =
+    n(v,u) l(u)^2 on every bonded pair, or DiagramError with the failing
+    condition.  The pairwise rule make_diagram's multiple-of-the-derived-
+    lengths test replaced; cartan must be a GCM."""
+    n = len(cartan)
+    if len(lens) != n:
+        raise DiagramError(f"{len(lens)} squared lengths for {n} nodes")
+    if any(x <= 0 for x in lens):
+        raise DiagramError("squared lengths must be positive")
+    for u in range(n):
+        for v in range(u + 1, n):
+            if cartan[u][v] and cartan[u][v] * lens[v] != cartan[v][u] * lens[u]:
+                raise DiagramError("lengths inconsistent with Cartan integers")
+
+
+def node_type(m, k, v):
+    """The type tag of survivor v of the marked diagram m at order k, from
+    a scan of its own: the non-surviving nodes (k does not divide n_u) are
+    grown into chains along bonds, and v's tag is read off the chains it
+    touches.  inf for a lone survivor, 1 beside no chain; one chain of one
+    node, longer than v: 2ii; two chains of sizes (1, 1): 2i, or 4i when v
+    is longer than one of them; (2, 2): 3, (3, 3): 4ii, (1, 3): 4iii."""
+    dia = m.diagram
+    nodes = range(dia.n_nodes)
+    assert m.n[v] % k == 0, (v, k)
+    rest = {u for u in nodes if m.n[u] % k}
+    chains = []
+    while rest:
+        chain, todo = set(), [min(rest)]
+        while todo:
+            u = todo.pop()
+            if u in rest:
+                rest.remove(u)
+                chain.add(u)
+                todo += [w for w in rest if dia.cartan[u][w]]
+        chains.append(chain)
+    touching = [c for c in chains if any(dia.cartan[v][u] for u in c)]
+    if not touching:
+        return "1"
+    if sum(m.n[u] % k == 0 for u in nodes) == 1:
+        return "inf"
+    lens = dia.sq_lengths
+    sizes = tuple(sorted(len(c) for c in touching))
+    if sizes == (1,) and lens[v] < lens[min(touching[0])]:
+        return "2ii"
+    if sizes == (1, 1):
+        return "2i" if all(lens[v] <= lens[min(c)] for c in touching) else "4i"
+    tag = {(2, 2): "3", (3, 3): "4ii", (1, 3): "4iii"}.get(sizes)
+    assert tag is not None, (v, k, sizes)
+    return tag
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from coroots.center import (
     _permute,
     all_subgroups,
     center_group,
-    cyclic_subgroups,
     l_c_factors,
     nu,
     orbit_data,
@@ -202,7 +201,7 @@ def test_subgroup_enumeration():
     assert [s.order for s in all_subgroups(parse_type("A11"))] == [1, 2, 3, 4, 6, 12]
     subs = all_subgroups(parse_type("D6"))
     assert sorted(s.order for s in subs) == [1, 2, 2, 2, 4]
-    assert [s.order for s in cyclic_subgroups(parse_type("D6"))] == [1, 2, 2, 2]
+    assert [s.order for s in subs if s.is_cyclic] == [1, 2, 2, 2]
 
 
 def _generated_by_pairs(st, nodes):

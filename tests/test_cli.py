@@ -511,6 +511,42 @@ def test_paper_tables_diff_clean(tmp_path):
         assert fresh == golden, f"{doc} table drifted from the golden copy"
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["datum", "--group", "A1001"], "A1001 is above the largest supported rank 1000"),
+        (["datum", "--group", "SU(1002)"], "A1001 is above the largest supported rank 1000"),
+        (["components", "--group", "Spin(2003)"], "B1001 is above the largest supported rank 1000"),
+        (["datum", "--group", "A99999999999999999999"],
+         "A99999999999999999999 is above the largest supported rank 1000"),
+        (["check-all", "--max-rank", "1001"],
+         "--max-rank 1001 is above the largest supported rank 1000"),
+        (["rank-zero", "--k", "2", "--max-rank", "1001"],
+         "--max-rank 1001 is above the largest supported rank 1000"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+)
+def test_a_rank_above_the_bound_is_a_usage_error(argv, reason):
+    """A rank past rootdata.MAX_RANK is refused before anything is built:
+    one usage error line, then the usage line, well inside the timeout."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "coroots.cli", *argv],
+        capture_output=True, text=True, cwd=REPO, timeout=5,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0] == f"usage error: {reason}"
+    assert lines[1].startswith(f"usage: coroots {argv[0]} [-h]")
+
+
+def test_the_largest_supported_rank_parses():
+    assert parse_type("A1000") == SimpleType("A", 1000)
+    assert parse_type("SU(1001)") == SimpleType("A", 1000)
+    assert parse_type("Spin(2000)") == SimpleType("D", 1000)
+    with pytest.raises(ValueError, match="above the largest supported rank"):
+        parse_type("Sp(2002)")
+
+
 def test_paper_tables_out_naming_a_file_is_an_error(tmp_path):
     target = tmp_path / "not-a-directory"
     target.write_text("")

@@ -28,7 +28,7 @@ from coroots.projection import (
     restricted_type,
 )
 from coroots.rootdata import SimpleType, parse_type
-from oracles import close_under_reflections
+from oracles import close_under_reflections, int_rows
 
 
 def positive_ray_count(t: SimpleType) -> int:
@@ -75,7 +75,7 @@ def test_restricted_and_projected_systems_share_walls(spec):
                 seeds.append(scale(2, avg))
         closure = close_under_reflections(seeds, d.gram)
         # primitive() fixes the sign, so each reflection hyperplane counts once
-        rays = {primitive(v) for v in closure}
+        rays = {primitive(ints) for ints in int_rows(closure)}
         assert len(rays) == positive_ray_count(projection_type(st_, sub)), (
             spec,
             sub.nodes,
@@ -123,9 +123,9 @@ def test_folding_root_integers(spec, tau):
         ]
     )
     assert all(x.denominator == 1 for row in cartan for x in row)
-    ker = kernel_basis(transpose(cartan))
+    ker = kernel_basis(int_rows(transpose(cartan)))
     assert len(ker) == 1
-    assert ker[0] == primitive(tuple(Q(w) for w in weights))
+    assert ker[0] == primitive(weights)
 
 
 def test_dihedral_quotient_of_a3_cycle():

@@ -2,9 +2,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from coroots.ambient import add, datum, dot, mat, scale, vec, zero_vec
+from coroots.ambient import add, datum, dot, scale, vec, zero_vec
 from coroots.center import all_subgroups, orbit_data, parse_center, trivial_subgroup
-from coroots.derived import check_samediags, derived, node_type, quotient_marked
+from coroots.derived import check_samediags, derived, quotient_marked
 from coroots.diagrams import diagram_of, make_diagram
 from coroots.linalg import kernel_basis, transpose
 from coroots.moduli import catalog_types
@@ -12,7 +12,7 @@ from coroots import coords
 from coroots.coords import DiagramReport, check_diagram1
 from coroots.numerology import marked
 from coroots.rootdata import parse_type
-from oracles import from_coroot_coords, perm_matrix_on_coroots, project_many
+from oracles import from_coroot_coords, int_rows, node_type, perm_matrix_on_coroots, project_many
 
 
 def lbl(t):
@@ -22,28 +22,26 @@ def lbl(t):
 def test_node_types_e8():
     m = marked(diagram_of(parse_type("E8")))
     # k=3: the branch node (mark 3 at Bourbaki node 2) sees two A_2 chains
-    survivors3 = [v for v in m.diagram.nodes() if m.n[v] % 3 == 0]
-    types3 = {v: node_type(m, 3, v) for v in survivors3}
+    types3 = derived(m, 3).node_types
     assert sorted(types3.values()) == ["1", "3", "3"]
     # k=2: the mark-6 node is adjacent to two A_1 chains of its own length
+    types2 = derived(m, 2).node_types
     survivors2 = [v for v in m.diagram.nodes() if m.n[v] % 2 == 0]
-    types2 = {v: node_type(m, 2, v) for v in survivors2}
+    assert sorted(types2) == survivors2
     # equal lengths put the mark-6 node in case 2(i), like the other
     # doubly-flanked survivors of a simply laced diagram
     six = next(v for v in survivors2 if m.n[v] == 6)
     assert types2[six] == "2i"
     assert sorted(types2.values()) == ["1", "1", "2i", "2i", "2i"]
     # k=5, k=6: unique survivor
-    assert node_type(m, 5, next(v for v in m.diagram.nodes() if m.n[v] == 5)) == "inf"
-    with pytest.raises(ValueError):
-        node_type(m, 2, next(v for v in m.diagram.nodes() if m.n[v] == 5))
+    five = next(v for v in m.diagram.nodes() if m.n[v] == 5)
+    assert derived(m, 5).node_types == {five: "inf"}
+    assert five not in types2
 
 
 def test_node_types_e8_k4():
     m = marked(diagram_of(parse_type("E8")))
-    survivors = [v for v in m.diagram.nodes() if m.n[v] % 4 == 0]
-    types = sorted(node_type(m, 4, v) for v in survivors)
-    assert types == ["4ii", "4iii"]
+    assert sorted(derived(m, 4).node_types.values()) == ["4ii", "4iii"]
 
 
 def test_derived_k1_is_parent():
@@ -162,7 +160,7 @@ def _ambient_samediags(st, sub_, k):
         if not e.is_identity:
             m = perm_matrix_on_coroots(d, e.perm)
             rows += [[m[i][j] - (i == j) for j in range(n)] for i in range(n)]
-    coords = kernel_basis(mat(rows)) if rows else [
+    coords = kernel_basis(int_rows(rows)) if rows else [
         vec([int(j == i) for j in range(n)]) for i in range(n)
     ]
     fixed = [from_coroot_coords(d, c) for c in coords]
@@ -173,7 +171,7 @@ def _ambient_samediags(st, sub_, k):
     ]
     if rows:
         subspace = []
-        for c in kernel_basis(mat(rows)):
+        for c in kernel_basis(int_rows(rows)):
             v = zero_vec(d.ambient_dim)
             for x, b in zip(c, fixed):
                 v = add(v, scale(x, b))
@@ -256,8 +254,9 @@ def test_samediags_builds_no_orbit_averages_after_diagram1(st, monkeypatch):
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=lbl)
 def test_derived_node_types_are_node_type(st):
-    """derived() reads each survivor's type off chains it computes once per
-    (m, k); node_type computes them afresh, for a lone node too."""
+    """derived() reads each survivor's type off the chains of
+    connected_components; the oracle node_type grows its own chains and
+    reads the case list on them, for a lone node too."""
     for sub_ in all_subgroups(st):
         m = quotient_marked(st, sub_)
         for k in m.admissible_orders():

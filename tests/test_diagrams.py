@@ -35,6 +35,7 @@ from coroots.linalg import kernel_basis, transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, parse_type
 from oracles import (
+    check_lengths,
     classify_by_catalog_scan,
     coroot_sq_lengths,
     kac_accepts,
@@ -631,6 +632,71 @@ def _gcms_with_positive_vectors(draw):
 @given(_gcms_with_positive_vectors())
 def test_kac_route_matches_the_kernel_on_random_gcms(case):
     _assert_routes_agree(*case)
+
+
+# ---------------------------------------------------------------------------
+# Given lengths: a multiple of the derived lengths against the pairwise rule
+
+
+@lru_cache(maxsize=None)
+def _catalog_and_quotient_diagrams(max_rank):
+    """Every catalog diagram (BC_n too) and center quotient up to max_rank."""
+    out = set()
+    for st in catalog_types(max_rank):
+        out.add(diagram_of(st))
+        out.update(quotient_diagram(st, sub_) for sub_ in all_subgroups(st))
+    out.update(diagram_of(SimpleType("BC", n)) for n in range(1, max_rank + 1))
+    return sorted(out)
+
+
+def _assert_length_checks_agree(cartan, marks, lens):
+    """make_diagram accepts given lengths exactly when the pairwise rule of
+    oracles.check_lengths does, keeps them, and otherwise fails with the
+    rule's message."""
+    got = _outcome(make_diagram, cartan, marks, lens)
+    assert got == _outcome(check_lengths, cartan, tuple(Q(x) for x in lens)), (cartan, lens)
+    if got is None:
+        assert make_diagram(cartan, marks, lens).sq_lengths == tuple(Q(x) for x in lens)
+
+
+def test_given_lengths_match_the_pairwise_rule_on_catalog_and_quotients():
+    """Multiples of each diagram's lengths are accepted; one entry raised,
+    one entry zero or negative, and one length too few or too many are
+    rejected, each with the pairwise rule's message."""
+    for d in _catalog_and_quotient_diagrams(12):
+        lens = d.sq_lengths
+        for c in (1, 3, Q(1, 2)):
+            _assert_length_checks_agree(d.cartan, d.marks, [c * x for x in lens])
+        for u in d.nodes():
+            for x in (lens[u] + 1, 0, -lens[u]):
+                _assert_length_checks_agree(d.cartan, d.marks, lens[:u] + (x,) + lens[u + 1 :])
+        for wrong in (lens[:-1], lens + (2,)):
+            _assert_length_checks_agree(d.cartan, d.marks, wrong)
+
+
+@hst.composite
+def _length_vectors(draw):
+    """A catalog or quotient diagram and a length vector: a positive
+    multiple of its lengths, with one entry perturbed or zero, or one entry
+    dropped or added."""
+    d = draw(hst.sampled_from(_catalog_and_quotient_diagrams(12)))
+    c = draw(hst.fractions(min_value=Q(1, 12), max_value=12))
+    lens = [c * x for x in d.sq_lengths]
+    u = draw(hst.integers(0, d.n_nodes - 1))
+    kind = draw(hst.sampled_from(["multiple", "perturbed", "zero", "count"]))
+    if kind == "perturbed":
+        lens[u] += draw(hst.fractions(min_value=-3, max_value=3))
+    elif kind == "zero":
+        lens[u] = 0
+    elif kind == "count":
+        lens = lens[:-1] if draw(hst.booleans()) else lens + [lens[u]]
+    return d.cartan, d.marks, lens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_length_vectors())
+def test_given_lengths_match_the_pairwise_rule_on_random_vectors(case):
+    _assert_length_checks_agree(*case)
 
 
 _CACHE_GUARD = """

@@ -19,13 +19,16 @@ from coroots.linalg import (
     scaled_inverse,
 )
 from oracles import (
+    gauss_jordan_inverse,
     gram_of,
     in_lattice,
+    int_rows,
     lattice_index,
     mat_vec,
     orthogonal_project,
     rank,
     row_echelon,
+    row_scale,
     solve,
 )
 
@@ -43,22 +46,22 @@ def matrices(rows, cols):
 
 
 def test_kernel_basis_identity_empty():
-    assert kernel_basis(mat([[1, 0], [0, 1]])) == []
+    assert kernel_basis([[1, 0], [0, 1]]) == []
 
 
 def test_kernel_basis_zero_matrix_full():
-    basis = kernel_basis(mat([[0, 0, 0]]))
+    basis = kernel_basis([[0, 0, 0]])
     assert len(basis) == 3
 
 
 def test_kernel_basis_affine_a1():
-    basis = kernel_basis(mat([[2, -2], [-2, 2]]))
-    assert basis == [vec([1, 1])]
+    basis = kernel_basis([[2, -2], [-2, 2]])
+    assert basis == [(1, 1)]
 
 
 def test_positive_kernel_needs_one_positive_line():
     assert positive_kernel([[2, -2], [-2, 2]]) == (1, 1)
-    assert positive_kernel([[Q(1, 2), Q(-1, 3)]]) == (2, 3)
+    assert positive_kernel(int_rows([[Q(1, 2), Q(-1, 3)]])) == (2, 3)
     assert positive_kernel([[1, 1]]) is None  # spanned by (1, -1)
     assert positive_kernel([[1, 0, 0], [0, 1, 0]]) is None  # spanned by (0, 0, 1)
     assert positive_kernel([[1, 0], [0, 1]]) is None  # zero kernel
@@ -67,7 +70,7 @@ def test_positive_kernel_needs_one_positive_line():
 
 @given(matrices(3, 4))
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m):
+    for v in kernel_basis(int_rows(m)):
         assert is_zero(mat_vec(m, v))
         assert all(x.denominator == 1 for x in v)
 
@@ -77,32 +80,30 @@ def test_kernel_vectors_annihilate(m):
 def test_kernel_vectors_are_primitive_with_positive_lead(m):
     from math import gcd
 
-    for v in kernel_basis(m):
+    for v in kernel_basis(int_rows(m)):
         assert gcd(*v) == 1
         assert next(x for x in v if x) > 0
-    assert kernel_basis(mat([[1, 1]])) == [(1, -1)]
+    assert kernel_basis([[1, 1]]) == [(1, -1)]
 
 
 @given(matrices(4, 3))
 def test_rank_plus_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == 3
+    assert rank(m) + len(kernel_basis(int_rows(m))) == 3
 
 
 @given(st.lists(rationals, min_size=3, max_size=3))
 def test_primitive_is_integral_coprime(entries):
     v = vec(entries)
-    p = primitive(v)
+    (ints,) = int_rows([v])
+    p = primitive(ints)
     if is_zero(v):
         assert p == v
         return
     from math import gcd
 
-    ints = [int(x) for x in p]
-    assert all(x.denominator == 1 for x in p)
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    assert g == 1
+    assert all(type(x) is int for x in p)
+    assert gcd(*p) == 1
+    assert next(x for x in p if x) > 0
     # p is parallel to v
     i = next(i for i, x in enumerate(v) if x != 0)
     assert scale(v[i] / p[i], p) == v
@@ -230,8 +231,9 @@ def echelon_inputs(draw):
 @example(mat([[Q(1, 2), Q(-1, 3)], [Q(1, 4), Q(5, 6)], [1, 1]]))
 def test_row_echelon_matches_fraction_gauss_jordan(m):
     """The fraction-free elimination's rows, each divided by its pivot, are
-    the reduced row echelon form of the Fraction Gauss-Jordan oracle."""
-    rows, pivots = _int_echelon(m)
+    the reduced row echelon form of the Fraction Gauss-Jordan oracle on the
+    unscaled rows."""
+    rows, pivots = _int_echelon(int_rows(m))
     assert all(type(x) is int for row in rows for x in row)
     dens = [rows[i][c] for i, c in enumerate(pivots)] + [1] * (len(rows) - len(pivots))
     reduced = [tuple(Q(x, d) for x in row) for row, d in zip(rows, dens)]
@@ -253,7 +255,7 @@ def test_row_echelon_entries_stay_small():
     stays within a few tens of kB.
     """
     rng = random.Random(16)
-    m = mat([[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)])
+    m = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
     tracemalloc.start()
     try:
         rows, pivots = _int_echelon(m)
@@ -303,12 +305,18 @@ def test_det_int_matches_leibniz(m):
 @example(mat([[2, 0], [0, 3]]))
 @example(mat([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]]))
 def test_scaled_inverse_is_the_inverse_over_its_lcm_denominator(m):
+    """scaled_inverse of the int rows s_i m_i against the Fraction
+    Gauss-Jordan inverse of m itself: (S m)^-1 = m^-1 S^-1, so column i of
+    the oracle's inverse is divided by s_i."""
+    ints = int_rows(m)
+    oracle = gauss_jordan_inverse(m)
     try:
-        rows, den = scaled_inverse(m)
+        rows, den = scaled_inverse(ints)
     except ValueError:
-        assert rank(m) < len(m)
+        assert oracle is None
         return
-    inv = inverse(m)
+    scales = [row_scale(row) for row in m]
+    inv = [tuple(x / s for x, s in zip(row, scales)) for row in oracle]
     assert den == lcm(*(x.denominator for row in inv for x in row))
     assert all(type(x) is int for row in rows for x in row)
     assert [tuple(x * den for x in row) for row in inv] == rows

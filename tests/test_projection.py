@@ -54,6 +54,7 @@ from oracles import (
     fixed_subspace_kernel,
     from_coroot_coords,
     in_span,
+    int_rows,
     mat_vec,
     pairing,
     perm_matrix_on_coroots,
@@ -614,7 +615,7 @@ def _ambient_fixed_basis(d, sub_):
     if not rows:
         coords = [vec([int(j == i) for j in range(n)]) for i in range(n)]
     else:
-        coords = kernel_basis(mat(rows))
+        coords = kernel_basis(int_rows(rows))
     return [from_coroot_coords(d, c) for c in coords]
 
 
@@ -631,7 +632,7 @@ def _ambient_subspace(d, sub_, k):
     if not rows:
         return fixed
     out = []
-    for c in kernel_basis(mat(rows)):
+    for c in kernel_basis(int_rows(rows)):
         v = zero_vec(d.ambient_dim)
         for x, b in zip(c, fixed):
             v = add(v, scale(x, b))
