@@ -46,6 +46,7 @@ QUERIES = {
     "check-all --max-rank 40": ["check-all", "--max-rank", "40"],
     "check-all --max-rank 48": ["check-all", "--max-rank", "48"],
     "paper-tables --max-rank 24": ["paper-tables", "--max-rank", "24", "--out", "{out}"],
+    "paper-tables --max-rank 40": ["paper-tables", "--max-rank", "40", "--out", "{out}"],
     "components --group A40 --center full": ["components", "--group", "A40", "--center", "full"],
     "components --group A80 --center full": ["components", "--group", "A80", "--center", "full"],
     "components --group A160 --center full": ["components", "--group", "A160", "--center", "full"],

@@ -190,8 +190,10 @@ def _element(perm: tuple[int, ...]) -> CenterElement:
     return CenterElement(perm[0], perm, order)
 
 
-def _generated(st: SimpleType, perms) -> CenterSubgroup:
-    """The subgroup the perms generate; every center subgroup is built here."""
+@lru_cache(maxsize=None)
+def _generated(st: SimpleType, perms: tuple[tuple[int, ...], ...]) -> CenterSubgroup:
+    """The subgroup the perms generate; every center subgroup is built here,
+    once per (type, generators)."""
     elements = map(_element, generated_group(perms, st.rank + 1))
     return CenterSubgroup(st, tuple(sorted(elements, key=lambda e: e.node)))
 
@@ -201,11 +203,11 @@ def center_group(st: SimpleType) -> CenterSubgroup:
     """The full center.  The oracle runs on the central nodes not yet reached:
     once for A, B, C, E6 and E7, twice for D, never for E8, F4 and G2."""
     central = rootdata.center_vertex_nodes(st)
-    gens: list[tuple[int, ...]] = []
+    gens: tuple[tuple[int, ...], ...] = ()
     grp = _generated(st, gens)
     for n in central:
         if n not in grp.nodes:
-            gens.append(nu(st, n).perm)
+            gens += (nu(st, n).perm,)
             grp = _generated(st, gens)
     if list(grp.nodes) != central:
         raise AssertionError(f"the center of {st} does not reach exactly its central nodes")
@@ -213,7 +215,7 @@ def center_group(st: SimpleType) -> CenterSubgroup:
 
 
 def trivial_subgroup(st: SimpleType) -> CenterSubgroup:
-    return _generated(st, [])
+    return _generated(st, ())
 
 
 def subgroup_generated(st: SimpleType, nodes) -> CenterSubgroup:
@@ -221,14 +223,14 @@ def subgroup_generated(st: SimpleType, nodes) -> CenterSubgroup:
     for n in nodes:
         if n not in by_node:
             raise ValueError(f"node {n} is not a center node of {st}")
-    return _generated(st, [by_node[n] for n in nodes])
+    return _generated(st, tuple(by_node[n] for n in nodes))
 
 
 def all_subgroups(st: SimpleType) -> list[CenterSubgroup]:
     """All subgroups of the center: the cyclic ones, plus the full center
     when it is not cyclic (the only such case is D_{2n})."""
     full = center_group(st)
-    subs = {_generated(st, [e.perm]) for e in full.elements} | {full}
+    subs = {_generated(st, (e.perm,)) for e in full.elements} | {full}
     return sorted(subs, key=lambda s: (s.order, s.nodes))
 
 

@@ -188,12 +188,16 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     # dual route: each orbit average must be the orthogonal projection of
     # the orbit's first coroot x, which it is exactly when it lies in the
     # fixed subspace (the generators fix it) and x - avg is B-orthogonal to
-    # the span; in ints, the residual is x L - avg g_0
+    # the span; in ints, the residual is x L - avg g_0.  It is zero on a
+    # one-node orbit (avg = m x, L = m g_0), so the walls B k are built only
+    # once a residual is not
     gens = [e.perm for e in sub_.generators()]
-    walls = [tuple(int_dot(k, col) for col in form) for k in span]
+    walls: list[IVec] = []
     for o, avg in zip(orbits.orbits, avgs):
         x = _extended_coroot_coords(g, o.nodes[0])
         residual = tuple(a * common - b * g[0] for a, b in zip(x, avg))
+        if any(residual) and not walls:
+            walls = [tuple(int_dot(k, col) for col in form) for k in span]
         if any(_permute(p, g, avg) != avg for p in gens) or any(
             int_dot(residual, w) for w in walls
         ):

@@ -96,8 +96,12 @@ class DiagramError(ValueError):
 
 def _ints(xs, what: str) -> IVec:
     """The entries as ints; DiagramError unless each one is an integral
-    rational number (an int, Fraction or sympy Integer, say) or float."""
-    for x in (xs := tuple(xs)):
+    rational number (an int, Fraction or sympy Integer, say) or float.  A
+    row of plain ints, what the library builds, comes back as it is."""
+    xs = tuple(xs)
+    if all(type(x) is int for x in xs):
+        return xs
+    for x in xs:
         if not isinstance(x, (Rational, float)) or x % 1:
             raise DiagramError(f"{what} {x!r} is not an integer")
     return tuple(map(int, xs))
@@ -201,24 +205,29 @@ def make_diagram(cartan, marks=None, sq_lengths=None) -> AffineDiagram:
 @lru_cache(maxsize=None)
 def _lengths_from_cartan(cartan: tuple[IVec, ...]) -> tuple[Q, ...]:
     """Squared lengths consistent with the Cartan integers, min scaled to 2,
-    once per matrix."""
+    once per matrix.
+
+    The walk is in ints from 12 at node 0: an affine diagram's squared
+    lengths are 1 to 4 times the shortest, in the ratios 1:2:4 or 1:3
+    (Kac, Ch. 4), so each one is 12 times a ratio whose denominator
+    divides 12."""
     n = len(cartan)
-    lens: list[Q | None] = [None] * n
-    lens[0] = Q(1)
+    lens: list[int | None] = [None] * n
+    lens[0] = 12
     stack = [0]
     while stack:
         u = stack.pop()
         for v in range(n):
             if v != u and cartan[u][v] != 0:
                 # n(u,v) l(v)^2 = n(v,u) l(u)^2
-                lv = lens[u] * Q(cartan[v][u], cartan[u][v])
-                if lens[v] is None:
+                lv, r = divmod(lens[u] * cartan[v][u], cartan[u][v])
+                if lens[v] is None and not r:
                     lens[v] = lv
                     stack.append(v)
-                elif lens[v] != lv:
+                elif r or lens[v] != lv:
                     raise DiagramError("inconsistent length assignment")
     lo = min(lens)
-    return tuple(2 * x / lo for x in lens)
+    return tuple(Q(2 * x, lo) for x in lens)
 
 
 @lru_cache(maxsize=None)
@@ -354,7 +363,9 @@ class ClassifyResult(namedtuple("ClassifyResult", "type scale node_map")):
     __slots__ = ()
 
 
-def _candidate_types(rank: int) -> list[SimpleType]:
+@lru_cache(maxsize=None)
+def _candidate_types(rank: int) -> tuple[SimpleType, ...]:
+    """The catalog types of a rank, B2 left out as the alias of C2."""
     out = []
     for fam in FAMILIES:
         st = SimpleType(fam, rank)
@@ -365,7 +376,7 @@ def _candidate_types(rank: int) -> list[SimpleType]:
         if fam == "B" and rank == 2:
             continue  # alias of C2, one datum
         out.append(st)
-    return out
+    return tuple(out)
 
 
 def classify(d: AffineDiagram) -> ClassifyResult | None:

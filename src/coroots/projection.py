@@ -146,7 +146,7 @@ def annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[Simpl
     doubled = {i for i, x in enumerate(diag) if st.family == "BC" and x == min(diag)}
     types = []
     for block in connected_components(sorted(live), lambda i, j: cart[i][j]):
-        ft = classify_finite_cartan([[cart[i][j] for j in block] for i in block])
+        ft = _classify_finite(tuple(tuple(cart[i][j] for j in block) for i in block))[0]
         types.append(SimpleType("BC", ft.rank) if doubled & set(block) else ft)
     return tuple(sorted(types))
 
@@ -159,16 +159,16 @@ def classify_finite_cartan(cartan) -> SimpleType:
     before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).  A
     non-integral entry raises DiagramError.
     """
-    return _classify_finite(cartan)[0]
+    return _classify_finite(tuple(_ints(row, "cartan entry") for row in cartan))[0]
 
 
-def _classify_finite(cartan) -> tuple[SimpleType, tuple[int, ...]]:
-    """classify_finite_cartan and a node map: input node i is the catalog
-    type's finite node map[i] + 1."""
+@lru_cache(maxsize=None)
+def _classify_finite(cartan: tuple[IVec, ...]) -> tuple[SimpleType, tuple[int, ...]]:
+    """classify_finite_cartan on a matrix of ints, once per matrix, and a
+    node map: input node i is the catalog type's finite node map[i] + 1."""
     n = len(cartan)
     if n == 0:
         return TRIVIAL, ()
-    cartan = tuple(_ints(row, "cartan entry") for row in cartan)
     inv = _invariants(cartan)
     for st in _candidate_types(n):
         iso = _isomorphisms(cartan, inv, *_catalog_finite(st), first_only=True)
@@ -253,13 +253,13 @@ def _restricted(st: SimpleType, coords: tuple[IVec, ...]) -> SimpleType:
     if len(groups) != len(coords):
         raise AssertionError(f"{len(groups)} restricted simple roots in dimension {len(coords)}")
     inv, _ = scaled_inverse(products(coroot_form(st)[0], coords))
-    res = classify_finite_cartan(cartan_integers(products(inv, list(groups))))
+    res = _classify_finite(cartan_integers(products(inv, list(groups))))[0]
     doubles = False
     for group in groups.values():
         for block in connected_components(sorted(live.union(group)), lambda i, j: cart[i][j]):
             if live.issuperset(block):
                 continue
-            ft, node_map = _classify_finite([[cart[i][j] for j in block] for i in block])
+            ft, node_map = _classify_finite(tuple(tuple(cart[i][j] for j in block) for i in block))
             h = rootdata.root_integers(ft)
             c = sum(h[node_map[p] + 1] for p, i in enumerate(block) if i in group)
             if c > 2:

@@ -85,6 +85,11 @@ def parse_type(text: str) -> SimpleType:
     for rx, build in _GROUP_ALIASES:
         m = rx.match(s)
         if m:
+            # a number two digits longer than MAX_RANK names a higher rank in
+            # every spelling, and one of thousands of digits is past what
+            # int() converts
+            if len(m.group(m.lastindex).lstrip("0")) > len(str(MAX_RANK)) + 1:
+                raise ValueError(f"{s} is above the largest supported rank {MAX_RANK}")
             st = build(m)
             validate_type(st)
             if st.rank > MAX_RANK:

@@ -27,10 +27,11 @@ node; the library tests the marks once and reads the bond tables.
 Beside it is the all-pairs rule for a list of automorphisms, which checks
 every element against the Cartan matrix and closure on every product,
 where the library checks generators and compares with the group they
-generate.  Then two rules the library now reaches another way: the
+generate.  Then three rules the library now reaches another way: the
 pairwise bond rule for given squared lengths (make_diagram tests a
-multiple of the lengths it derives), and the survivor type tags of a
-derived diagram, read off chains this file grows itself.
+multiple of the lengths it derives), the length walk on Fractions (the
+library walks in ints), and the survivor type tags of a derived diagram,
+read off chains this file grows itself.
 
 After the adapters comes the inverse route to the projected coroots: each
 orbit's first extended coroot times the orthogonal projector onto the
@@ -547,6 +548,29 @@ def check_lengths(cartan, lens):
         for v in range(u + 1, n):
             if cartan[u][v] and cartan[u][v] * lens[v] != cartan[v][u] * lens[u]:
                 raise DiagramError("lengths inconsistent with Cartan integers")
+
+
+def lengths_from_cartan(cartan):
+    """Squared lengths with n(u,v) l(v)^2 = n(v,u) l(u)^2 on every bond, the
+    shortest 2, by a walk on Fractions from 1 at node 0: the route
+    make_diagram took before its walk went to ints.  cartan must be an
+    indecomposable GCM; an inconsistent bond raises DiagramError."""
+    n = len(cartan)
+    lens = [None] * n
+    lens[0] = Q(1)
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in range(n):
+            if v != u and cartan[u][v] != 0:
+                lv = lens[u] * Q(cartan[v][u], cartan[u][v])
+                if lens[v] is None:
+                    lens[v] = lv
+                    stack.append(v)
+                elif lens[v] != lv:
+                    raise DiagramError("inconsistent length assignment")
+    lo = min(lens)
+    return tuple(2 * x / lo for x in lens)
 
 
 def node_type(m, k, v):

@@ -539,6 +539,22 @@ def test_a_rank_above_the_bound_is_a_usage_error(argv, reason):
     assert lines[1].startswith(f"usage: coroots {argv[0]} [-h]")
 
 
+@pytest.mark.parametrize("spelling", ["A{}", "SU({})", "Spin({})", "Sp({})"])
+def test_a_rank_of_thousands_of_digits_is_refused_by_the_bound(spelling):
+    """A rank past int()'s digit limit gets the rank bound's usage error,
+    not the interpreter's message about its conversion setting."""
+    spec = spelling.format("9" * 5000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coroots.cli", "datum", "--group", spec],
+        capture_output=True, text=True, cwd=REPO, timeout=5,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0] == f"usage error: {spec} is above the largest supported rank 1000"
+    assert lines[1].startswith("usage: coroots datum [-h]")
+    assert "digits" not in proc.stderr and "int_max_str_digits" not in proc.stderr
+
+
 def test_the_largest_supported_rank_parses():
     assert parse_type("A1000") == SimpleType("A", 1000)
     assert parse_type("SU(1001)") == SimpleType("A", 1000)

@@ -13,6 +13,8 @@ from hypothesis import strategies as hst
 from coroots.diagrams import (
     AffineDiagram,
     DiagramError,
+    _ints,
+    _lengths_from_cartan,
     _validate_subgroup,
     automorphism_group,
     classify,
@@ -39,6 +41,7 @@ from oracles import (
     classify_by_catalog_scan,
     coroot_sq_lengths,
     kac_accepts,
+    lengths_from_cartan,
     mark_invariants,
     scan_isomorphisms,
     validate_subgroup_all_pairs,
@@ -453,6 +456,31 @@ def test_non_integral_entries_and_marks_are_rejected(data):
     assert make_diagram(as_floats, (float(m) for m in d.marks)) == make_diagram(d.cartan, d.marks)
 
 
+@pytest.mark.parametrize("row,want", [
+    ((2, -1, 0), (2, -1, 0)),
+    ([2, -1, 0], (2, -1, 0)),
+    ((), ()),
+    ((2, Q(-1), 0.0), (2, -1, 0)),
+    ([Q(4, 2), -3], (2, -3)),
+], ids=str)
+def test_ints_passes_int_rows_and_converts_integral_ones(row, want):
+    """A row of plain ints comes back as it is (the same tuple when given
+    one); a row with a Fraction or float of integral value comes back as
+    ints."""
+    got = _ints(row, "entry")
+    assert got == want and all(type(x) is int for x in got)
+    if type(row) is tuple and all(type(x) is int for x in row):
+        assert got is row
+
+
+@pytest.mark.parametrize("row", [
+    (2, 2.5, 0), (2, -1, "2"), ("2",), (2, Q(1, 2), -1), (2, None), (-1, 2, 0.5),
+], ids=str)
+def test_ints_rejects_a_non_integer_among_ints(row):
+    with pytest.raises(DiagramError, match="entry .* is not an integer"):
+        _ints(row, "entry")
+
+
 def test_make_diagram_rejects_non_positive_marks():
     """Marks are a positive multiple of the relation vector on every size,
     the single node included."""
@@ -634,6 +662,33 @@ def test_kac_route_matches_the_kernel_on_random_gcms(case):
     _assert_routes_agree(*case)
 
 
+@hst.composite
+def _affine_trees_and_cycles(draw):
+    """An affine GCM with its nodes relabelled at random: a catalog diagram
+    of rank at most 12 (BC_n too) or its transpose, which between them give
+    every affine type (Kac, Ch. 4, Tables Aff 1-3).  All are trees but the
+    cycles of A_n, n >= 2, and the relabelling moves the node a walk starts
+    from."""
+    st = draw(hst.sampled_from(catalog_types(12) + [SimpleType("BC", n) for n in range(1, 13)]))
+    c = extended_cartan(st)
+    if draw(hst.booleans()):
+        c = transpose(c)
+    n = len(c)
+    p = draw(hst.permutations(range(n)))
+    return tuple(tuple(c[p[i]][p[j]] for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_affine_trees_and_cycles(), hst.data())
+def test_kac_route_matches_the_kernel_on_random_affine_trees_and_cycles(cartan, data):
+    """A multiple of the relation vector is accepted, and one mark raised
+    by 1 rejected, by both routes alike."""
+    marks = tuple(data.draw(hst.integers(1, 3)) * x for x in is_affine_type(cartan))
+    _assert_routes_agree(cartan, marks)
+    u = data.draw(hst.integers(0, len(marks) - 1))
+    _assert_routes_agree(cartan, marks[:u] + (marks[u] + 1,) + marks[u + 1 :])
+
+
 # ---------------------------------------------------------------------------
 # Given lengths: a multiple of the derived lengths against the pairwise rule
 
@@ -699,24 +754,41 @@ def test_given_lengths_match_the_pairwise_rule_on_random_vectors(case):
     _assert_length_checks_agree(*case)
 
 
+def _assert_length_walks_agree(cartan):
+    """The int walk of make_diagram gives the Fraction walk's lengths, as
+    Fractions."""
+    got = _lengths_from_cartan(cartan)
+    assert got == lengths_from_cartan(cartan), cartan
+    assert all(type(x) is Q for x in got)
+
+
+def test_int_length_walk_matches_the_fraction_walk_on_check_all_diagrams():
+    for cartan, _ in _check_all_diagrams(12):
+        _assert_length_walks_agree(cartan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_affine_trees_and_cycles())
+def test_int_length_walk_matches_the_fraction_walk_on_random_affine_diagrams(cartan):
+    _assert_length_walks_agree(cartan)
+
+
 _CACHE_GUARD = """
-import json
-from coroots import diagrams
+import json, sys
+from coroots import center, diagrams, projection
 
 seen = {}
-for name in ("_classify", "_relation_vector", "_lengths_from_cartan"):
-    cached, keys, calls = getattr(diagrams, name), set(), [0]
+for module, name in %s:
+    cached, keys, calls = getattr(module, name), set(), [0]
 
     def spy(*key, cached=cached, keys=keys, calls=calls):
         keys.add(key)
         calls[0] += 1
         return cached(*key)
 
-    setattr(diagrams, name, spy)
+    setattr(module, name, spy)
     seen[name] = (cached, keys, calls)
-from coroots.checks import run_check_all
-
-assert run_check_all(6, lambda line: None)
+%s
 out = {}
 for name, (cached, keys, calls) in seen.items():
     info = cached.cache_info()
@@ -725,15 +797,37 @@ print(json.dumps(out))
 """
 
 
+def _assert_each_value_computed_once(caches, run, *argv):
+    """Run the script with the named caches spied on, in a fresh
+    interpreter: each cache misses once per distinct key and is hit on
+    every repeat, and there are repeats."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CACHE_GUARD % (caches, run), *argv],
+        capture_output=True, text=True, cwd=Path(__file__).resolve().parent.parent,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, (calls, distinct, hits, misses) in json.loads(proc.stdout.splitlines()[-1]).items():
+        assert misses == distinct and hits == calls - distinct > 0, (name, calls, distinct)
+
+
 def test_check_all_validates_and_classifies_each_diagram_once():
     """A cold run_check_all(6) misses the classification cache once per
     distinct (cartan, marks), and those of the relation vector (which
     validates every diagram) and the lengths once per distinct matrix, and
     hits them on every repeat."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _CACHE_GUARD], capture_output=True, text=True,
-        cwd=Path(__file__).resolve().parent.parent,
+    _assert_each_value_computed_once(
+        "[(diagrams, n) for n in ('_classify', '_relation_vector', '_lengths_from_cartan')]",
+        "from coroots.checks import run_check_all\nassert run_check_all(6, lambda line: None)",
     )
-    assert proc.returncode == 0, proc.stderr
-    for name, (calls, distinct, hits, misses) in json.loads(proc.stdout).items():
-        assert misses == distinct and hits == calls - distinct > 0, (name, calls, distinct)
+
+
+def test_paper_tables_classifies_each_finite_matrix_and_subgroup_once(tmp_path):
+    """A cold paper-tables --max-rank 6 misses the finite classifier's
+    cache once per distinct matrix and the subgroup builder's once per
+    (type, generators), and hits them on every repeat."""
+    _assert_each_value_computed_once(
+        "[(projection, '_classify_finite'), (center, '_generated')]",
+        "from coroots.cli import main\n"
+        "assert main(['paper-tables', '--max-rank', '6', '--out', sys.argv[1]]) == 0",
+        str(tmp_path),
+    )
