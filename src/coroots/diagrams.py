@@ -365,7 +365,6 @@ class ClassifyResult(namedtuple("ClassifyResult", "type scale node_map")):
 
 @lru_cache(maxsize=None)
 def _candidate_types(rank: int) -> tuple[SimpleType, ...]:
-    """The catalog types of a rank, B2 left out as the alias of C2."""
     out = []
     for fam in FAMILIES:
         st = SimpleType(fam, rank)
