@@ -823,7 +823,7 @@ def test_check_all_validates_and_classifies_each_diagram_once():
 
 def test_paper_tables_classifies_each_finite_matrix_and_subgroup_once(tmp_path):
     """A cold paper-tables --max-rank 6 misses the finite classifier's
-    cache once per distinct matrix and the subgroup builder's once per
+    cache once per distinct matrix and center._generated's once per
     (type, generators), and hits them on every repeat."""
     _assert_each_value_computed_once(
         "[(projection, '_classify_finite'), (center, '_generated')]",
