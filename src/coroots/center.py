@@ -47,6 +47,7 @@ from .diagrams import (
     orbit_kind,
     orbits_of,
     quotient,
+    subdiagram_type,
 )
 from .linalg import IVec, transpose
 from .rootdata import SimpleType
@@ -142,20 +143,16 @@ def perm_matrix_on_coroots_of(st: SimpleType, perm: tuple[int, ...]) -> tuple[IV
 
 
 @lru_cache(maxsize=None)
-def _aut_group(st: SimpleType) -> tuple[tuple[int, ...], ...]:
-    return tuple(automorphism_group(diagram_of(st)))
-
-
-@lru_cache(maxsize=None)
 def nu(st: SimpleType, target_node: int) -> CenterElement:
     """The Weyl part of the center element attached to an h=1 node.
 
     Found by the alcove vertex-permutation oracle: the affine map
     t -> w(t - zeta) with zeta the vertex of the inverse element must
     permute the alcove vertices and act on the central vertices as
-    translation by the element.  Exactly one diagram automorphism passes.
-    In one pass: v_i must map to v_{perm[i]}, and perm[d] must be c + d on
-    the central nodes d (see the module docstring).
+    translation by the element.  Exactly one diagram automorphism passes,
+    and only those sending the extended node to c are searched.  In one
+    pass: v_i must map to v_{perm[i]}, and perm[d] must be c + d on the
+    central nodes d (see the module docstring).
     """
     if rootdata.root_integers(st)[target_node] != 1:
         raise ValueError(f"node {target_node} does not carry a central element")
@@ -163,11 +160,11 @@ def nu(st: SimpleType, target_node: int) -> CenterElement:
     verts = rootdata.alcove_int_coords(st)[0]
     central = rootdata.center_vertex_nodes(st)
     zeta = verts[rootdata.center_element_inverse(st, target_node)]
-    # the node test goes first, as it is the cheap one; it starts at d = 0,
-    # which is the convention w_c(extended node) = node of c
+    # the search is seeded with the node test at d = 0, the convention
+    # w_c(extended node) = node of c; the rest of it is the cheap test
     winners = [
         perm
-        for perm in _aut_group(st)
+        for perm in automorphism_group(diagram_of(st), target_node)
         if all(perm[d] == rootdata.center_element_sum(st, target_node, d) for d in central)
         and all(
             _permute(perm, g, tuple(a - b for a, b in zip(v, zeta))) == verts[perm[i]]
@@ -316,23 +313,11 @@ def _l_c_from_coefficients(st: SimpleType, sub_: CenterSubgroup) -> list[int]:
                 marked.add(i + 1)
     if not marked:
         return []
-    dia = diagram_of(st)
-    cartan = dia.cartan
+    cartan = diagram_of(st).cartan
     comps = connected_components(sorted(marked), lambda u, v: cartan[u][v])
-    for comp in comps:
-        _assert_a_type(dia, comp)
+    if any(subdiagram_type(cartan, c)[0].family != "A" for c in comps):
+        raise AssertionError("subdiagram component is not of A type")
     return [len(c) + 1 for c in comps]
-
-
-def _assert_a_type(dia, comp) -> None:
-    for u in comp:
-        inside = [v for v in dia.neighbors(u) if v in comp]
-        if len(inside) > 2 or any(dia.bond_mult(u, v) != 1 for v in inside):
-            raise AssertionError("subdiagram component is not of A type")
-    if len(comp) > 1 and sum(
-        1 for u in comp if len([v for v in dia.neighbors(u) if v in comp]) == 1
-    ) != 2:
-        raise AssertionError("subdiagram component is not a chain")
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +349,8 @@ def parse_center(st: SimpleType, spec: str) -> CenterSubgroup:
             raise ValueError("c_exotic is only defined for D_{2n}")
         return subgroup_generated(st, [st.rank - 1])
     if s.startswith("node:"):
+        if rootdata.beyond_max_rank(s[5:]):
+            raise ValueError(f"node {s[5:]} is not a center node of {st}")
         try:
             node = int(s[5:])
         except ValueError:

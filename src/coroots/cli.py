@@ -36,8 +36,9 @@ def _resolve(args):
     no --group or no --center.  A command that takes --center takes a
     group, so BC_n is refused there before the center layer loads; A0 is
     refused once its center spec has been read.  A --max-rank above
-    rootdata.MAX_RANK is refused too."""
-    if getattr(args, "max_rank", 0) > rootdata.MAX_RANK:
+    rootdata.MAX_RANK is refused too, as is one _max_rank kept as text."""
+    max_rank = getattr(args, "max_rank", 0)
+    if isinstance(max_rank, str) or max_rank > rootdata.MAX_RANK:
         raise UsageError(
             f"--max-rank {args.max_rank} is above the largest supported rank {rootdata.MAX_RANK}"
         )
@@ -63,7 +64,7 @@ def _resolve(args):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for --k and --max-rank: a bad value exits 2."""
+    """argparse type for --k: a bad value exits 2."""
     try:
         value = int(text)
     except ValueError:
@@ -71,6 +72,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _max_rank(text: str) -> int | str:
+    """argparse type for --max-rank: a _positive_int, or the text of a
+    numeral too long to be a rank, which _resolve refuses before int()
+    sees it."""
+    return text if rootdata.beyond_max_rank(text.strip()) else _positive_int(text)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -295,7 +303,7 @@ _OPTIONS = {
     "format": {"choices": ("text", "json"), "default": "text"},
     "k": {"type": _positive_int, "required": True},
     "central": {"action": "store_true"},
-    "max-rank": {"type": _positive_int, "default": 12},
+    "max-rank": {"type": _max_rank, "default": 12},
     "out": {"help": "output directory (or $COROOTS_TABLE_DIR)"},
 }
 

@@ -35,15 +35,12 @@ from math import gcd, lcm
 
 from .center import (
     CenterSubgroup,
-    OrbitSet,
     _permute,
     orbit_data,
     perm_matrix_on_coroots_of,
     quotient_diagram,
 )
 from .diagrams import (
-    AffineDiagram,
-    ClassifyResult,
     DiagramError,
     _ints,
     classify,
@@ -51,7 +48,7 @@ from .diagrams import (
     make_diagram,
 )
 from .linalg import IVec, cartan_integers, int_dot, kernel_basis
-from .rootdata import TRIVIAL, SimpleType
+from .rootdata import SimpleType
 
 
 def _integer_form(num, den: int) -> tuple[tuple[IVec, ...], int]:
@@ -182,9 +179,8 @@ def project(st: SimpleType, sub_: CenterSubgroup) -> ProjectedSystem:
     if orbits.degenerate:
         if span:
             raise AssertionError("degenerate orbit with nonzero fixed space")
-        dia = AffineDiagram(((2,),), (sum(g),), (Q(2),))
-        res = ClassifyResult(TRIVIAL, sum(g), (0,))
-        return ProjectedSystem(st, span, orbits, tuple(avgs), common, prods, dia, res)
+        dia = make_diagram(((2,),), (sum(g),))
+        return ProjectedSystem(st, span, orbits, tuple(avgs), common, prods, dia, classify(dia))
     # dual route: each orbit average must be the orthogonal projection of
     # the orbit's first coroot x, which it is exactly when it lies in the
     # fixed subspace (the generators fix it) and x - avg is B-orthogonal to

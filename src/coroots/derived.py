@@ -17,12 +17,12 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 
-from .center import CenterSubgroup, _assert_a_type
+from .center import CenterSubgroup
 from .coords import DiagramReport, products, project
-from .diagrams import AffineDiagram, ClassifyResult, classify, connected_components, make_diagram
+from .diagrams import classify, connected_components, make_diagram, subdiagram_type
 from .linalg import cartan_integers, scaled_inverse
 from .numerology import I_set, MarkedDiagram, quotient_marked
-from .rootdata import TRIVIAL, SimpleType
+from .rootdata import SimpleType
 
 TYPE_INF = "inf"
 TYPE_DIVISORS = {"inf": 0, "1": 1, "2i": 2, "2ii": 2, "3": 3, "4i": 4, "4ii": 4, "4iii": 4}
@@ -103,15 +103,12 @@ def derived(m: MarkedDiagram, k: int) -> DerivedDiagram:
     for c in chains:
         if kp % (len(c) + 1) != 0:
             raise AssertionError("complement chain size+1 does not divide k")
-        _assert_a_type(m.diagram, c)
+        if subdiagram_type(m.diagram.cartan, c)[0].family != "A":
+            raise AssertionError("subdiagram component is not of A type")
     types = {v: _survivor_type(m, k, v, adjacent) for v in survivors}
     if len(survivors) == 1:
-        v = survivors[0]
-        dia = AffineDiagram(((2,),), (1,), (Q(2),))
-        return DerivedDiagram(
-            m, k, survivors, types, {v: Q(0)}, dia,
-            ClassifyResult(TRIVIAL, 1, (0,)),
-        )
+        dia = make_diagram(((2,),), (1,))
+        return DerivedDiagram(m, k, survivors, types, {survivors[0]: Q(0)}, dia, classify(dia))
     ell = {
         v: m.diagram.sq_lengths[v] / TYPE_DIVISORS[types[v]] for v in survivors
     }

@@ -36,12 +36,6 @@ class AffineDiagram(namedtuple("AffineDiagram", "cartan marks sq_lengths")):
     def bonded(self, u: int, v: int) -> bool:
         return u != v and self.cartan[u][v] != 0
 
-    def neighbors(self, u: int) -> list[int]:
-        return [v for v in self.nodes() if self.bonded(u, v)]
-
-    def bond_mult(self, u: int, v: int) -> int:
-        return self.cartan[u][v] * self.cartan[v][u]
-
     def to_json(self) -> dict:
         return {
             "nodes": list(self.nodes()),
@@ -267,12 +261,22 @@ def _invariants(c: tuple[IVec, ...]) -> tuple[tuple, tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _catalog_invariants(st: SimpleType) -> tuple[tuple, tuple, tuple]:
-    return _invariants(rootdata.extended_cartan(st))
+def _catalog_affine(st: SimpleType) -> tuple[tuple[IVec, ...], tuple]:
+    cartan = rootdata.extended_cartan(st)
+    return cartan, _invariants(cartan)
 
 
-def _isomorphisms(c1: tuple[IVec, ...], inv1, c2: tuple[IVec, ...], inv2, first_only: bool):
-    """Node bijections p with c2[p(u)][p(v)] == c1[u][v].
+@lru_cache(maxsize=None)
+def _catalog_finite(st: SimpleType) -> tuple[tuple[IVec, ...], tuple]:
+    # the catalog stores the coroot-side matrix; the root-side one is its
+    # transpose (n(a,b) = n(b^v, a^v))
+    fin = tuple(zip(*(row[1:] for row in rootdata.extended_cartan(st)[1:])))
+    return fin, _invariants(fin)
+
+
+def _isomorphisms(c1: tuple[IVec, ...], inv1, c2: tuple[IVec, ...], inv2, image0=None):
+    """Node bijections p with c2[p(u)][p(v)] == c1[u][v], lazily, and only
+    those with p(0) == image0 when it is given.
 
     inv1, inv2 are the _invariants of c1 and c2, which callers compute
     once.  Nodes of c1 are placed in the order a graph search reaches them,
@@ -280,63 +284,66 @@ def _isomorphisms(c1: tuple[IVec, ...], inv1, c2: tuple[IVec, ...], inv2, first_
     image is drawn, in ascending order, from the neighbours of that
     neighbour's image, since any other target breaks the bond.  The bonds
     of u are checked against its placed neighbours only, and the image must
-    have as many placed neighbours, so no other bond appears.
+    have as many placed neighbours, so no other bond appears.  The search
+    backtracks on an explicit stack of each step's remaining targets.
     """
     if len(c1) != len(c2) or inv1[1] != inv2[1]:
-        return []
+        return
     n = len(c1)
     (inv1, _, nbrs1), (inv2, _, nbrs2) = inv1, inv2
     order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
     pos = {u: i for i, u in enumerate(order)}
     # per step: the node and its neighbours placed before it
     steps = [(u, [v for v in nbrs1[u] if pos[v] < i]) for i, u in enumerate(order)]
-    found: list[tuple[int, ...]] = []
     perm = [-1] * n
     used = [False] * n
-    placed_nbrs2 = [0] * n  # per node of d2, how many of its neighbours are images
+    placed_nbrs2 = [0] * n  # per node of c2, how many of its neighbours are images
 
-    def extend(i: int) -> bool:
-        if i == n:
-            found.append(tuple(perm))
-            return first_only
-        u, back = steps[i]
+    def targets(u: int, back: list[int]):
         for t in nbrs2[perm[back[0]]] if back else range(n):
             if used[t] or placed_nbrs2[t] != len(back) or inv1[u] != inv2[t]:
+                continue
+            if u == 0 and image0 is not None and t != image0:
                 continue
             for v in back:
                 if c1[u][v] != c2[t][perm[v]] or c1[v][u] != c2[perm[v]][t]:
                     break
             else:
-                perm[u] = t
-                used[t] = True
-                for w in nbrs2[t]:
-                    placed_nbrs2[w] += 1
-                if extend(i + 1):
-                    return True
-                for w in nbrs2[t]:
-                    placed_nbrs2[w] -= 1
-                used[t] = False
-                perm[u] = -1
-        return False
+                yield t
 
-    extend(0)
-    return found
+    stack = [targets(*steps[0])]
+    while stack:
+        u = steps[len(stack) - 1][0]
+        t = perm[u]
+        if t >= 0:  # back from a later step: free u's image for the next one
+            used[t] = False
+            for w in nbrs2[t]:
+                placed_nbrs2[w] -= 1
+            perm[u] = -1
+        t = next(stack[-1], -1)
+        if t < 0:
+            stack.pop()
+            continue
+        perm[u] = t
+        used[t] = True
+        for w in nbrs2[t]:
+            placed_nbrs2[w] += 1
+        if len(stack) == n:
+            yield tuple(perm)
+        else:
+            stack.append(targets(*steps[len(stack)]))
 
 
-def automorphism_group(d: AffineDiagram) -> list[tuple[int, ...]]:
-    """All Cartan-matrix automorphisms, sorted; each keeps the marks too."""
+def automorphism_group(d: AffineDiagram, image0: int | None = None) -> list[tuple[int, ...]]:
+    """All Cartan-matrix automorphisms, sorted, or those sending node 0 to
+    image0; each keeps the marks too."""
     inv = _invariants(d.cartan)
-    return sorted(_isomorphisms(d.cartan, inv, d.cartan, inv, first_only=False))
+    return sorted(_isomorphisms(d.cartan, inv, d.cartan, inv, image0))
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p after q): node v goes to p[q[v]]."""
     return tuple(p[q[v]] for v in range(len(p)))
-
-
-def composition_table(group: list[tuple[int, ...]]) -> list[list[int]]:
-    index = {p: i for i, p in enumerate(group)}
-    return [[index[compose(p, q)] for q in group] for p in group]
 
 
 def closure(seeds, step) -> set:
@@ -397,12 +404,48 @@ def _classify(cartan: tuple[IVec, ...], marks: IVec) -> ClassifyResult | None:
         return ClassifyResult(TRIVIAL, marks[0], (0,))
     if min(marks) <= 0 or any(sum(map(mul, marks, col)) for col in zip(*cartan)):
         return None
+    found = _first_match(cartan, len(marks) - 1, _catalog_affine)
+    return None if found is None else ClassifyResult(found[0], gcd(*marks), found[1])
+
+
+def classify_finite_cartan(cartan) -> SimpleType:
+    """Match an indecomposable finite Cartan matrix against the catalog.
+
+    Both sides are matched by the one isomorphism search on their Cartan
+    integers; a decomposable matrix matches no catalog one.  B_n and C_n come
+    before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).  A
+    non-integral entry raises DiagramError.
+    """
+    return _classify_finite(tuple(_ints(row, "cartan entry") for row in cartan))[0]
+
+
+def subdiagram_type(cartan, nodes) -> tuple[SimpleType, tuple[int, ...]]:
+    """_classify_finite of the submatrix of a matrix of ints on some
+    nodes, which must span a connected subdiagram of finite type."""
+    return _classify_finite(tuple(tuple(cartan[i][j] for j in nodes) for i in nodes))
+
+
+@lru_cache(maxsize=None)
+def _classify_finite(cartan: tuple[IVec, ...]) -> tuple[SimpleType, tuple[int, ...]]:
+    """classify_finite_cartan on a matrix of ints, once per matrix, and a
+    node map: input node i is the catalog type's finite node map[i] + 1."""
+    if not cartan:
+        return TRIVIAL, ()
+    found = _first_match(cartan, len(cartan), _catalog_finite)
+    if found is None:
+        raise AssertionError("unrecognized finite Cartan matrix")
+    return found
+
+
+def _first_match(cartan: tuple[IVec, ...], rank: int, catalog):
+    """The first candidate type of the rank whose catalog matrix (with its
+    _invariants, from catalog(st)) is isomorphic to cartan, and the first
+    node map found; None if there is none."""
     inv = _invariants(cartan)
-    for st in _candidate_types(len(marks) - 1):
-        cat = rootdata.extended_cartan(st)
-        iso = _isomorphisms(cartan, inv, cat, _catalog_invariants(st), first_only=True)
-        if iso:
-            return ClassifyResult(st, gcd(*marks), iso[0])
+    for st in _candidate_types(rank):
+        iso = next(_isomorphisms(cartan, inv, *catalog(st)), None)
+        if iso is not None:
+            return st, iso
     return None
 
 
@@ -487,7 +530,7 @@ def quotient(d: AffineDiagram, group) -> AffineDiagram:
         res = d.n_nodes > 1 and classify(d)
         if not res or res.type.family != "A":
             raise DiagramError("transitive action on a non-cycle diagram")
-        return AffineDiagram(((2,),), (sum(d.marks),), (Q(2),))
+        return make_diagram(((2,),), (sum(d.marks),))
     eps = [orbit_kind(d, o) for o in orbs]
     k = len(orbs)
     cartan = [[0] * k for _ in range(k)]

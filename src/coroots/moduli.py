@@ -50,19 +50,6 @@ def record_to_json(r: ComponentRecord) -> dict:
     return {**r._asdict(), "cs": str(r.cs)}
 
 
-def record_from_json(obj: dict) -> ComponentRecord:
-    return ComponentRecord(
-        int(obj["order"]),
-        int(obj["label"]),
-        int(obj["d_X"]),
-        int(obj["dim"]),
-        str(obj["shape"]),
-        Q(obj["cs"]),
-        int(obj["torus_rank"]),
-        None if obj.get("f_order") is None else int(obj["f_order"]),
-    )
-
-
 def units_mod(k: int) -> list[int]:
     if k == 1:
         return [1]

@@ -35,17 +35,16 @@ from .coords import (  # noqa: F401
     root_form,
 )
 from .diagrams import (
-    _candidate_types,
-    _ints,
-    _invariants,
-    _isomorphisms,
+    _catalog_finite,
+    classify_finite_cartan,
     closure,
     connected_components,
     generated_group,
     orbits_of,
+    subdiagram_type,
 )
 from .linalg import IVec, cartan_integers, int_dot, scaled_inverse
-from .rootdata import TRIVIAL, SimpleType
+from .rootdata import SimpleType
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +92,7 @@ def _reflection_closure(seeds: list[IVec], form) -> set[IVec]:
 
 
 # ---------------------------------------------------------------------------
-# The chamber walk, annihilators and the finite classifier
+# The chamber walk and annihilators
 
 
 def _chamber_walk(cart, coords) -> tuple[list[list[int]], set[int]]:
@@ -146,43 +145,9 @@ def annihilator_factors(st: SimpleType, coords: tuple[IVec, ...]) -> tuple[Simpl
     doubled = {i for i, x in enumerate(diag) if st.family == "BC" and x == min(diag)}
     types = []
     for block in connected_components(sorted(live), lambda i, j: cart[i][j]):
-        ft = _classify_finite(tuple(tuple(cart[i][j] for j in block) for i in block))[0]
+        ft = subdiagram_type(cart, block)[0]
         types.append(SimpleType("BC", ft.rank) if doubled & set(block) else ft)
     return tuple(sorted(types))
-
-
-def classify_finite_cartan(cartan) -> SimpleType:
-    """Match an indecomposable finite Cartan matrix against the catalog.
-
-    Both sides are matched by the one isomorphism search on their Cartan
-    integers; a decomposable matrix matches no catalog one.  B_n and C_n come
-    before BC_n, whose finite part is B_n (C_2, A_1 for n < 3).  A
-    non-integral entry raises DiagramError.
-    """
-    return _classify_finite(tuple(_ints(row, "cartan entry") for row in cartan))[0]
-
-
-@lru_cache(maxsize=None)
-def _classify_finite(cartan: tuple[IVec, ...]) -> tuple[SimpleType, tuple[int, ...]]:
-    """classify_finite_cartan on a matrix of ints, once per matrix, and a
-    node map: input node i is the catalog type's finite node map[i] + 1."""
-    n = len(cartan)
-    if n == 0:
-        return TRIVIAL, ()
-    inv = _invariants(cartan)
-    for st in _candidate_types(n):
-        iso = _isomorphisms(cartan, inv, *_catalog_finite(st), first_only=True)
-        if iso:
-            return st, iso[0]
-    raise AssertionError("unrecognized finite Cartan matrix")
-
-
-@lru_cache(maxsize=None)
-def _catalog_finite(st: SimpleType) -> tuple[tuple[IVec, ...], tuple]:
-    # the catalog stores the coroot-side matrix; the root-side one is its
-    # transpose (n(a,b) = n(b^v, a^v))
-    fin = tuple(zip(*(row[1:] for row in rootdata.extended_cartan(st)[1:])))
-    return fin, _invariants(fin)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +218,13 @@ def _restricted(st: SimpleType, coords: tuple[IVec, ...]) -> SimpleType:
     if len(groups) != len(coords):
         raise AssertionError(f"{len(groups)} restricted simple roots in dimension {len(coords)}")
     inv, _ = scaled_inverse(products(coroot_form(st)[0], coords))
-    res = _classify_finite(cartan_integers(products(inv, list(groups))))[0]
+    res = classify_finite_cartan(cartan_integers(products(inv, list(groups))))
     doubles = False
     for group in groups.values():
         for block in connected_components(sorted(live.union(group)), lambda i, j: cart[i][j]):
             if live.issuperset(block):
                 continue
-            ft, node_map = _classify_finite(tuple(tuple(cart[i][j] for j in block) for i in block))
+            ft, node_map = subdiagram_type(cart, block)
             h = rootdata.root_integers(ft)
             c = sum(h[node_map[p] + 1] for p, i in enumerate(block) if i in group)
             if c > 2:

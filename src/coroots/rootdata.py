@@ -78,6 +78,13 @@ def _sp(m: int) -> SimpleType:
     return SimpleType("C", m // 2)
 
 
+def beyond_max_rank(text: str) -> bool:
+    """Whether text is a numeral two digits longer than MAX_RANK: it then
+    names a higher rank, or node, in every spelling, and one of thousands
+    of digits is past what int() converts."""
+    return text.isdecimal() and len(text.lstrip("0")) > len(str(MAX_RANK)) + 1
+
+
 def parse_type(text: str) -> SimpleType:
     """Parse a group spec like 'E8', 'A_5', 'Spin(12)', 'SU(7)', 'BC3', of
     rank at most MAX_RANK."""
@@ -85,10 +92,7 @@ def parse_type(text: str) -> SimpleType:
     for rx, build in _GROUP_ALIASES:
         m = rx.match(s)
         if m:
-            # a number two digits longer than MAX_RANK names a higher rank in
-            # every spelling, and one of thousands of digits is past what
-            # int() converts
-            if len(m.group(m.lastindex).lstrip("0")) > len(str(MAX_RANK)) + 1:
+            if beyond_max_rank(m.group(m.lastindex)):
                 raise ValueError(f"{s} is above the largest supported rank {MAX_RANK}")
             st = build(m)
             validate_type(st)

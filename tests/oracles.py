@@ -19,12 +19,15 @@ The root-datum section also holds what only tests read: the squared
 coroot lengths of a datum, the alcove barycenter and the known center
 orders per family.  Two more routes follow it: the Weyl part w_c of each
 central element as a product of longest elements, which shares no code
-with coroots.center, and the full-scan isomorphism search that the
-library's neighbour-driven search must agree with, pruned by invariants
-that hold the marks where the library's do not.  The classifier built on
-it builds every candidate's catalog diagram and matches the marks node for
-node; the library tests the marks once and reads the bond tables.
-Beside it is the all-pairs rule for a list of automorphisms, which checks
+with coroots.center, and the full-scan isomorphism search, by recursion,
+that the library's neighbour-driven search on a stack must agree with,
+pruned by invariants that hold the marks where the library's do not; a
+group's composition table follows it.  The classifier built on it builds
+every candidate's catalog diagram and matches the marks node for node;
+the library tests the marks once and reads the bond tables.  Beside it
+are the bond rule for an A_n chain, which the library reads off the
+finite classifier, the JSON reader of a component record, and the
+all-pairs rule for a list of automorphisms, which checks
 every element against the Cartan matrix and closure on every product,
 where the library checks generators and compares with the group they
 generate.  Then three rules the library now reaches another way: the
@@ -59,11 +62,14 @@ from coroots.diagrams import (
     ClassifyResult,
     DiagramError,
     _candidate_types,
+    classify_finite_cartan,
+    compose,
     connected_components,
     diagram_of,
 )
 from coroots.linalg import cartan_integers, int_dot, transpose
-from coroots.projection import _reflection_closure, classify_finite_cartan
+from coroots.moduli import ComponentRecord
+from coroots.projection import _reflection_closure
 from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, root_integers
 
 # ---------------------------------------------------------------------------
@@ -425,27 +431,26 @@ def mark_invariants(c, marks):
     return inv, tuple(sorted(inv))
 
 
-def scan_isomorphisms(c1, inv1, c2, inv2, first_only):
-    """Node bijections p with c2[p(u)][p(v)] == c1[u][v] and equal marks, in
-    the order coroots.diagrams._isomorphisms finds them.
+def scan_isomorphisms(c1, inv1, c2, inv2):
+    """Node bijections p with c2[p(u)][p(v)] == c1[u][v] and equal marks,
+    lazily, in the order coroots.diagrams._isomorphisms finds them.
 
     inv1, inv2 are the mark_invariants of the two Cartan matrices with
     their marks.  Nodes of c1 are placed in the same graph-search order, but
     each tries every unused target with equal invariants against every node
-    placed so far."""
+    placed so far, by recursion."""
     if len(c1) != len(c2) or inv1[1] != inv2[1]:
-        return []
+        return
     n = len(c1)
     inv1, inv2 = inv1[0], inv2[0]
     order = [u for c in connected_components(range(n), lambda u, v: c1[u][v]) for u in c]
-    found = []
     perm = [-1] * n
     used = [False] * n
 
     def extend(i):
         if i == n:
-            found.append(tuple(perm))
-            return first_only
+            yield tuple(perm)
+            return
         u = order[i]
         for t in range(n):
             if used[t] or inv1[u] != inv2[t]:
@@ -456,14 +461,17 @@ def scan_isomorphisms(c1, inv1, c2, inv2, first_only):
             else:
                 perm[u] = t
                 used[t] = True
-                if extend(i + 1):
-                    return True
+                yield from extend(i + 1)
                 used[t] = False
                 perm[u] = -1
-        return False
 
-    extend(0)
-    return found
+    yield from extend(0)
+
+
+def composition_table(group):
+    """Index of p after q in the group, for each pair (p, q) of its list."""
+    index = {p: i for i, p in enumerate(group)}
+    return [[index[compose(p, q)] for q in group] for p in group]
 
 
 def classify_by_catalog_scan(d):
@@ -479,10 +487,36 @@ def classify_by_catalog_scan(d):
     for st in _candidate_types(d.n_nodes - 1):
         cat = diagram_of(st)
         cat_inv = mark_invariants(cat.cartan, cat.marks)
-        iso = scan_isomorphisms(d.cartan, inv, cat.cartan, cat_inv, first_only=True)
-        if iso:
-            return ClassifyResult(st, scale, iso[0])
+        iso = next(scan_isomorphisms(d.cartan, inv, cat.cartan, cat_inv), None)
+        if iso is not None:
+            return ClassifyResult(st, scale, iso)
     return None
+
+
+def is_a_chain(cartan, comp):
+    """Whether the nodes comp of a Cartan matrix span an A_n chain, by the
+    bond rule the library once applied: each node has at most two simply
+    laced neighbours in comp, and a component of two or more nodes has
+    exactly two ends."""
+    nbrs = {u: [v for v in comp if v != u and cartan[u][v]] for u in comp}
+    if any(len(vs) > 2 or any(cartan[u][v] * cartan[v][u] != 1 for v in vs)
+           for u, vs in nbrs.items()):
+        return False
+    return len(comp) == 1 or sum(len(vs) == 1 for vs in nbrs.values()) == 2
+
+
+def record_from_json(obj):
+    """The ComponentRecord of a moduli.record_to_json payload."""
+    return ComponentRecord(
+        int(obj["order"]),
+        int(obj["label"]),
+        int(obj["d_X"]),
+        int(obj["dim"]),
+        str(obj["shape"]),
+        Q(obj["cs"]),
+        int(obj["torus_rank"]),
+        None if obj.get("f_order") is None else int(obj["f_order"]),
+    )
 
 
 def validate_subgroup_all_pairs(d, group):

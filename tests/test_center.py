@@ -7,7 +7,6 @@ import pytest
 
 from coroots.center import (
     CenterElement,
-    _aut_group,
     _permute,
     all_subgroups,
     center_group,
@@ -20,6 +19,7 @@ from coroots.center import (
     trivial_subgroup,
 )
 from coroots.ambient import add, alcove, datum, sub as vsub
+from coroots.diagrams import automorphism_group, diagram_of
 from coroots.linalg import transpose
 from coroots.moduli import catalog_types
 from coroots.rootdata import (
@@ -51,6 +51,13 @@ TYPES_TO_12 = (
 
 
 @lru_cache(maxsize=None)
+def _whole_group(st):
+    """Every automorphism of the extended diagram, which the oracles below
+    scan in full where nu searches only those that move node 0 to c."""
+    return tuple(automorphism_group(diagram_of(st)))
+
+
+@lru_cache(maxsize=None)
 def _scaled_vertex_coords(st):
     """The ambient alcove vertices' simple-coroot coordinates, solved once
     per type and scaled to ints by their common denominator."""
@@ -71,7 +78,7 @@ def oracle_winners(st, target_node):
     zeta = xs[center_element_inverse(st, target_node)]
     xset = set(xs)
     winners = []
-    for perm in _aut_group(st):
+    for perm in _whole_group(st):
         pm = perm_matrix_on_coroots(d, perm)
 
         def phi(x):
@@ -280,7 +287,7 @@ class FractionCenter:
         zeta = self.verts[self.inverse(target)]
         vertex_set = set(self.verts)
         winners = []
-        for perm in _aut_group(self.st):
+        for perm in _whole_group(self.st):
             if perm[0] != target:
                 continue
 
@@ -361,7 +368,7 @@ def test_perm_matrix_is_the_integer_fraction_formula(st):
     g = datum(st).g
     n = st.rank
     units = [tuple(Q(int(k == i)) for k in range(n)) for i in range(n)]
-    for perm in _aut_group(st):
+    for perm in _whole_group(st):
         m = perm_matrix_on_coroots_of(st, perm)
         assert all(type(x) is int for row in m for x in row)
         assert m == transpose(tuple(_apply_perm_coords(perm, g, e) for e in units))

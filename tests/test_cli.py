@@ -9,13 +9,14 @@ import pytest
 
 from coroots.cli import build_parser, main, run_check_all
 from coroots.diagrams import AffineDiagram
-from coroots.moduli import record_from_json
 from coroots.rootdata import SimpleType
 from coroots.tables import render_diagram
 from coroots.diagrams import diagram_of
 from coroots.rootdata import parse_type
+from oracles import record_from_json
 
 REPO = Path(__file__).resolve().parent.parent
+NINES = "9" * 5000  # past int()'s 4,300-digit conversion limit
 
 
 def run_cli(*argv):
@@ -523,12 +524,19 @@ def test_paper_tables_diff_clean(tmp_path):
          "--max-rank 1001 is above the largest supported rank 1000"),
         (["rank-zero", "--k", "2", "--max-rank", "1001"],
          "--max-rank 1001 is above the largest supported rank 1000"),
+        pytest.param(["check-all", "--max-rank", NINES],
+                     f"--max-rank {NINES} is above the largest supported rank 1000",
+                     id="check-all --max-rank <5000 nines>-"),
+        pytest.param(["rank-zero", "--k", "2", "--max-rank", NINES],
+                     f"--max-rank {NINES} is above the largest supported rank 1000",
+                     id="rank-zero --k 2 --max-rank <5000 nines>-"),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else "",
 )
 def test_a_rank_above_the_bound_is_a_usage_error(argv, reason):
     """A rank past rootdata.MAX_RANK is refused before anything is built:
-    one usage error line, then the usage line, well inside the timeout."""
+    one usage error line, then the usage line, well inside the timeout.
+    A --max-rank past int()'s digit limit is such a rank too."""
     proc = subprocess.run(
         [sys.executable, "-m", "coroots.cli", *argv],
         capture_output=True, text=True, cwd=REPO, timeout=5,
@@ -555,6 +563,14 @@ def test_a_rank_of_thousands_of_digits_is_refused_by_the_bound(spelling):
     assert "digits" not in proc.stderr and "int_max_str_digits" not in proc.stderr
 
 
+def test_a_k_of_thousands_of_digits_keeps_the_invalid_int_message():
+    """--k is no rank: argparse's own message for it stays."""
+    code, out, err = run_cli("rank-zero", "--k", NINES)
+    assert code == 2 and out == ""
+    assert f"argument --k: invalid int value: '{NINES}'" in err
+    assert "largest supported rank" not in err
+
+
 def test_the_largest_supported_rank_parses():
     assert parse_type("A1000") == SimpleType("A", 1000)
     assert parse_type("SU(1001)") == SimpleType("A", 1000)
@@ -575,6 +591,9 @@ def test_paper_tables_out_naming_a_file_is_an_error(tmp_path):
 @pytest.mark.parametrize("spec,reason", [
     ("node:abc", "center node 'abc' is not an integer"),
     ("node:99", "node 99 is not a center node of A5"),
+    # an integer too long for int(), and so for a node
+    pytest.param(f"node:{NINES}", f"node {NINES} is not a center node of A5",
+                 id="node:<5000 nines>"),
 ])
 def test_bad_center_node_is_one_usage_error(spec, reason):
     code, out, err = run_cli("quotient", "--group", "A5", "--center", spec)

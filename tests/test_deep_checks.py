@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction as Q
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -13,6 +12,7 @@ from coroots.center import all_subgroups, orbit_data, parse_center
 from coroots.diagrams import (
     AffineDiagram,
     classify,
+    classify_finite_cartan,
     diagram_of,
     generated_group,
     is_affine_type,
@@ -23,7 +23,6 @@ from coroots.numerology import residue_cover
 from coroots.moduli import catalog_types
 from coroots.projection import (
     all_roots_of,
-    classify_finite_cartan,
     projection_type,
     restricted_type,
 )

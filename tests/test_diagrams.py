@@ -1,4 +1,6 @@
+import ast
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from coroots import center as center_mod, derived as derived_mod, diagrams as diagrams_mod
 from coroots.diagrams import (
     AffineDiagram,
     DiagramError,
+    _classify,
     _ints,
     _lengths_from_cartan,
     _validate_subgroup,
@@ -20,7 +24,6 @@ from coroots.diagrams import (
     classify,
     closure,
     compose,
-    composition_table,
     diagram_of,
     generated_group,
     is_affine_type,
@@ -28,9 +31,16 @@ from coroots.diagrams import (
     orbit_kind,
     orbits_of,
     quotient,
+    subdiagram_type,
 )
 from coroots.ambient import datum, to_int
-from coroots.center import all_subgroups, center_group, quotient_diagram, subgroup_generated
+from coroots.center import (
+    all_subgroups,
+    center_group,
+    l_c_factors,
+    quotient_diagram,
+    subgroup_generated,
+)
 from coroots.coords import project
 from coroots.derived import derived, quotient_marked
 from coroots.linalg import kernel_basis, transpose
@@ -39,7 +49,9 @@ from coroots.rootdata import TRIVIAL, SimpleType, extended_cartan, parse_type
 from oracles import (
     check_lengths,
     classify_by_catalog_scan,
+    composition_table,
     coroot_sq_lengths,
+    is_a_chain,
     kac_accepts,
     lengths_from_cartan,
     mark_invariants,
@@ -125,7 +137,7 @@ def test_automorphism_group_matches_the_full_scan(st):
     inv = mark_invariants(d.cartan, d.marks)
     c = d.cartan
     group = automorphism_group(d)
-    assert group == sorted(scan_isomorphisms(c, inv, c, inv, first_only=False))
+    assert group == sorted(scan_isomorphisms(c, inv, c, inv))
     assert all(tuple(d.marks[p[u]] for u in d.nodes()) == d.marks for p in group)
 
 
@@ -141,8 +153,8 @@ def test_classify_node_map_is_the_full_scans_first(st):
         inv = mark_invariants(q.cartan, tuple(m // res.scale for m in q.marks))
         cat = diagram_of(res.type)
         cat_inv = mark_invariants(cat.cartan, cat.marks)
-        first = scan_isomorphisms(q.cartan, inv, cat.cartan, cat_inv, first_only=True)
-        assert res.node_map == first[0]
+        first = next(scan_isomorphisms(q.cartan, inv, cat.cartan, cat_inv))
+        assert res.node_map == first
 
 
 def _diagrams_built_from(st):
@@ -775,7 +787,7 @@ def test_int_length_walk_matches_the_fraction_walk_on_random_affine_diagrams(car
 
 _CACHE_GUARD = """
 import json, sys
-from coroots import center, diagrams, projection
+from coroots import center, diagrams
 
 seen = {}
 for module, name in %s:
@@ -826,8 +838,86 @@ def test_paper_tables_classifies_each_finite_matrix_and_subgroup_once(tmp_path):
     cache once per distinct matrix and center._generated's once per
     (type, generators), and hits them on every repeat."""
     _assert_each_value_computed_once(
-        "[(projection, '_classify_finite'), (center, '_generated')]",
+        "[(diagrams, '_classify_finite'), (center, '_generated')]",
         "from coroots.cli import main\n"
         "assert main(['paper-tables', '--max-rank', '6', '--out', sys.argv[1]]) == 0",
         str(tmp_path),
     )
+
+
+def test_only_diagrams_names_the_search_and_the_finite_classifier():
+    """No other module reaches the search or its invariants, and none
+    imports _classify_finite by name, which would go round the spy of
+    the cache guard above."""
+    private = {"_isomorphisms", "_invariants", "_candidate_types", "_classify_finite"}
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "coroots").glob("*.py")):
+        if path.stem == "diagrams":
+            continue
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+        assert not names & private, (path.name, names & private)
+
+
+@pytest.mark.parametrize(
+    "st,marks",
+    [
+        (SimpleType("A", 1000), (1,) * 1001),
+        (SimpleType("D", 1000), (1, 1) + (2,) * 997 + (1, 1)),
+    ],
+    ids=["A1000", "D1000"],
+)
+def test_a_search_of_1001_nodes_needs_no_recursion(st, marks, monkeypatch):
+    """The 1001-node extended matrices, with their marks written out,
+    classify past the interpreter's default recursion limit of 1000, and
+    without building the catalog diagram."""
+
+    def unbuilt(st):
+        raise AssertionError(f"diagram_of({st}) was built")
+
+    monkeypatch.setattr(diagrams_mod, "diagram_of", unbuilt)
+    res = _classify(extended_cartan(st), marks)
+    assert res.type == st and res.scale == 1
+
+
+def test_the_chain_rule_agrees_with_the_classifier_on_every_component_met(monkeypatch):
+    """Every component that derived() and the L_C factors check to be an
+    A_n chain in the rank-12 catalog: the bond rule of oracles.is_a_chain
+    and the finite classifier's family agree on it."""
+    met = []
+
+    def spy(cartan, nodes):
+        met.append((cartan, tuple(nodes)))
+        return subdiagram_type(cartan, nodes)
+
+    monkeypatch.setattr(center_mod, "subdiagram_type", spy)
+    monkeypatch.setattr(derived_mod, "subdiagram_type", spy)
+    for st in catalog_types(12):
+        for sub_ in all_subgroups(st):
+            l_c_factors(st, sub_)
+            mq = quotient_marked(st, sub_)
+            for k in mq.admissible_orders():
+                derived.__wrapped__(mq, k)
+    assert len({c for _, c in met}) > 10
+    for cartan, nodes in met:
+        assert is_a_chain(cartan, nodes) == (subdiagram_type(cartan, nodes)[0].family == "A")
+
+
+@pytest.mark.parametrize(
+    "st", [t for t in catalog_types(12) if t.family in "BCDEFG"], ids=str
+)
+def test_the_chain_rule_and_the_classifier_refuse_other_blocks(st):
+    """A finite Cartan matrix of another family, its nodes shuffled, is no
+    A_n chain by either rule."""
+    n = st.rank
+    fin = [row[1:] for row in extended_cartan(st)[1:]]
+    perm = random.Random(str(st)).sample(range(n), n)
+    block = tuple(tuple(fin[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+    assert not is_a_chain(block, range(n))
+    assert subdiagram_type(block, range(n))[0].family != "A"

@@ -11,12 +11,12 @@ from coroots.moduli import (
     components_for,
     noncyclic_components,
     rank_zero_list,
-    record_from_json,
     record_to_json,
     units_mod,
 )
 from coroots.numerology import euler_phi
 from coroots.rootdata import SimpleType, parse_type
+from oracles import record_from_json
 
 
 def lbl(t):

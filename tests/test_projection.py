@@ -25,6 +25,7 @@ from coroots.derived import quotient_marked
 from coroots.diagrams import (
     DiagramError,
     automorphism_group,
+    classify_finite_cartan,
     diagram_of,
     generated_group,
     orbits_of,
@@ -35,7 +36,6 @@ from coroots.projection import (
     _restricted,
     all_roots_of,
     annihilator_factors,
-    classify_finite_cartan,
     fold,
     nonmultipliable,
     projection_type,

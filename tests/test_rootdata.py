@@ -167,8 +167,8 @@ def test_values_corollary(spec):
     for want in range(2, N + 1):
         nxt = [
             v
-            for v in dia.neighbors(node)
-            if d.g[v] == want and dia.bond_mult(node, v) == 1
+            for v in dia.nodes()
+            if d.g[v] == want and dia.cartan[node][v] * dia.cartan[v][node] == 1
         ]
         assert nxt, f"no simply laced step to value {want}"
         node = nxt[0]
