@@ -132,13 +132,16 @@ def test_classify_is_mark_sensitive():
 def test_automorphism_group_matches_the_full_scan(st):
     """The library's search reads the Cartan integers alone, the scan
     prunes on the marks too; both find the same group, and every
-    automorphism keeps the marks."""
+    automorphism keeps the marks.  The search seeded with node 0's image
+    finds exactly the automorphisms that send node 0 there."""
     d = diagram_of(st)
     inv = mark_invariants(d.cartan, d.marks)
     c = d.cartan
     group = automorphism_group(d)
     assert group == sorted(scan_isomorphisms(c, inv, c, inv))
     assert all(tuple(d.marks[p[u]] for u in d.nodes()) == d.marks for p in group)
+    for t in d.nodes():
+        assert automorphism_group(d, t) == [p for p in group if p[0] == t]
 
 
 @pytest.mark.parametrize("st", catalog_types(12), ids=str)
